@@ -14,20 +14,19 @@
 //!    prologues), so this arm gates both classification identity and
 //!    the `campaign_jit_*` executed-mutant throughput target (≥ 2x on
 //!    the SMC-free sweep).
-//! 2. Bare dispatch: a branch-heavy kernel run on the four tiers —
-//!    the per-instruction reference interpreter, the jump-cache block
-//!    dispatcher (micro-ops off), the full micro-op engine (lowered
-//!    operands, macro-op fusion, direct block chaining), and the
-//!    template JIT (hot blocks compiled to host code). Shape targets:
-//!    jump cache ≥ 1.2x over reference, micro-op engine ≥ 1.8x over
-//!    the jump-cache tier, JIT ≥ 3x over the micro-op engine. A
-//!    warm-seeded row (fresh VP per run adopting exported
-//!    translations) must report `warm_translations > 0`.
-//! 3. The same bare-dispatch sweep on a memory-bound kernel (unrolled
-//!    memcpy + checksum), with the micro-op engine measured both
-//!    without and with the RAM fast path. Shape target: the fast path
-//!    gains ≥ 1.25x on the memory-heavy kernel (observed 1.3x–1.5x
-//!    depending on host memory performance).
+//! 2. Bare dispatch: a branch-heavy kernel run on the three tiers —
+//!    the uncached per-instruction interpreter (`block_cache(false)`),
+//!    the micro-op engine (block cache, jump cache, lowered operands,
+//!    macro-op fusion, direct block chaining, RAM fast path; `--no-jit`)
+//!    and the template JIT (hot blocks compiled to host code). Shape
+//!    targets: micro-op engine ≥ 5.6x over the interpreter, JIT ≥ 3x
+//!    over the micro-op engine. A warm-seeded row (fresh VP per run
+//!    adopting exported translations) must report
+//!    `warm_translations > 0`.
+//! 3. The interpreter and micro-op engine on a memory-bound kernel
+//!    (unrolled memcpy + checksum). Shape target: every access of the
+//!    micro-op engine takes the RAM fast path (hit rate 1.0, no
+//!    slow-path accesses).
 //! 4. Observability overhead: the full engine measured in interleaved
 //!    windows with the flight recorder disarmed (twice — an A/A bound
 //!    on the disabled `Option` check) and armed. Shape target: the
@@ -352,10 +351,7 @@ fn main() {
             ""
         }
     );
-    println!(
-        "summary figures from the {}-thread row",
-        ncore_row.0
-    );
+    println!("summary figures from the {}-thread row", ncore_row.0);
     println!("pruned share: {:.1}%", pruned_share * 100.0);
 
     // A/B the pruned path against full execution on a subsample (the
@@ -400,51 +396,44 @@ fn main() {
     // tier promotion + compilation — restore drops all compiled code)
     // amortizes, so every tier is measured at its steady state.
     let branchy = build(&state_machine(4096).source, isa);
-    let dispatch =
-        |image: &Image, fast: bool, uops: bool, mem_fast: bool, jit: bool, flight: bool| {
-            let mut vp = Vp::builder()
-                .isa(isa)
-                .fast_dispatch(fast)
-                .micro_ops(uops)
-                .mem_fast_path(mem_fast)
-                .jit(jit)
-                .build();
-            vp.load(image.base(), image.bytes()).expect("fits RAM");
-            vp.cpu_mut().set_pc(image.entry());
-            if flight {
-                vp.set_flight_recorder(Some(FlightRecorder::new(1024)));
-            }
-            let boot = vp.snapshot();
-            let mut insns = 0u64;
-            let mut per_run = 0u64;
-            let mut runs = 0u32;
-            let t0 = Instant::now();
-            while runs < 20 || t0.elapsed().as_secs_f64() < 0.5 {
-                vp.restore(&boot);
-                let outcome = vp.run_for(200_000_000);
-                assert_eq!(outcome, RunOutcome::Break);
-                per_run = vp.cpu().instret();
-                insns += per_run;
-                runs += 1;
-            }
-            (
-                per_run,
-                insns,
-                t0.elapsed().as_secs_f64(),
-                vp.dispatch_stats(),
-            )
-        };
+    let dispatch = |image: &Image, cache: bool, jit: bool, flight: bool| {
+        let mut vp = Vp::builder().isa(isa).block_cache(cache).jit(jit).build();
+        vp.load(image.base(), image.bytes()).expect("fits RAM");
+        vp.cpu_mut().set_pc(image.entry());
+        if flight {
+            vp.set_flight_recorder(Some(FlightRecorder::new(1024)));
+        }
+        let boot = vp.snapshot();
+        let mut insns = 0u64;
+        let mut per_run = 0u64;
+        let mut runs = 0u32;
+        let t0 = Instant::now();
+        while runs < 20 || t0.elapsed().as_secs_f64() < 0.5 {
+            vp.restore(&boot);
+            let outcome = vp.run_for(200_000_000);
+            assert_eq!(outcome, RunOutcome::Break);
+            per_run = vp.cpu().instret();
+            insns += per_run;
+            runs += 1;
+        }
+        (
+            per_run,
+            insns,
+            t0.elapsed().as_secs_f64(),
+            vp.dispatch_stats(),
+        )
+    };
     // Host throughput on shared runners drifts by double-digit
     // percentages between measurement windows, so tier ratios taken
     // from single sequential windows are unusable: measure every tier
     // in interleaved rounds and keep each tier's fastest window —
     // transient load only ever slows a window down, so the maxima
     // compare all tiers at the host's shared full speed.
-    let sweep = |image: &Image, arms: &[(bool, bool, bool, bool)]| {
+    let sweep = |image: &Image, arms: &[(bool, bool)]| {
         let mut best: Vec<Option<(u64, u64, f64, DispatchStats)>> = vec![None; arms.len()];
         for _ in 0..3 {
-            for (i, &(fast, uops, mem_fast, jit)) in arms.iter().enumerate() {
-                let sample = dispatch(image, fast, uops, mem_fast, jit, false);
+            for (i, &(cache, jit)) in arms.iter().enumerate() {
+                let sample = dispatch(image, cache, jit, false);
                 let mips = sample.1 as f64 / sample.2;
                 if best[i]
                     .as_ref()
@@ -458,29 +447,18 @@ fn main() {
             .map(|b| b.expect("measured"))
             .collect::<Vec<_>>()
     };
-    let tiers = sweep(
-        &branchy,
-        &[
-            (false, false, false, false),
-            (true, false, false, false),
-            (true, true, true, false),
-            (true, true, true, true),
-        ],
-    );
-    let (run_ref, insns_ref, ref_s, _) = tiers[0];
-    let (run_jc, insns_jc, jc_s, _) = tiers[1];
-    let (run_uop, insns_uop, uop_s, uop_stats) = tiers[2];
-    let (run_jit, insns_jit, jit_s, jit_stats) = tiers[3];
-    assert_eq!(run_jc, run_ref, "dispatch tier must not change results");
+    // The three tiers: the uncached per-instruction interpreter, the
+    // micro-op engine (`--no-jit`) and the default template JIT.
+    let tiers = sweep(&branchy, &[(false, false), (true, false), (true, true)]);
+    let (run_ref, insns_int, int_s, _) = tiers[0];
+    let (run_uop, insns_uop, uop_s, uop_stats) = tiers[1];
+    let (run_jit, insns_jit, jit_s, jit_stats) = tiers[2];
     assert_eq!(run_uop, run_ref, "dispatch tier must not change results");
     assert_eq!(run_jit, run_ref, "dispatch tier must not change results");
-    let mips_ref = insns_ref as f64 / ref_s / 1e6;
-    let mips_jc = insns_jc as f64 / jc_s / 1e6;
+    let mips_int = insns_int as f64 / int_s / 1e6;
     let mips_uop = insns_uop as f64 / uop_s / 1e6;
     let mips_jit = insns_jit as f64 / jit_s / 1e6;
-    let jc_speedup = mips_jc / mips_ref;
-    let uop_speedup = mips_uop / mips_jc;
-    let total_speedup = mips_uop / mips_ref;
+    let uop_speedup = mips_uop / mips_int;
     let jit_speedup = mips_jit / mips_uop;
     assert!(
         jit_stats.jit_blocks > 0 && jit_stats.jit_exec > 0,
@@ -496,18 +474,15 @@ fn main() {
     let chain_hit_rate = uop_stats.chain_hit_rate();
 
     println!();
-    println!("# bare dispatch (four execution-engine tiers)");
+    println!("# bare dispatch (three execution-engine tiers)");
     println!();
     println!("| tier | insns | wall time | MIPS |");
     println!("|---|---|---|---|");
-    println!("| reference (per-insn) | {insns_ref} | {ref_s:.3} s | {mips_ref:.1} |");
-    println!("| jump cache | {insns_jc} | {jc_s:.3} s | {mips_jc:.1} |");
+    println!("| interpreter (uncached, per-insn) | {insns_int} | {int_s:.3} s | {mips_int:.1} |");
     println!("| micro-op engine | {insns_uop} | {uop_s:.3} s | {mips_uop:.1} |");
     println!("| template JIT | {insns_jit} | {jit_s:.3} s | {mips_jit:.1} |");
     println!();
-    println!("jump cache over reference : {jc_speedup:.2}x");
-    println!("micro-op engine over jump cache: {uop_speedup:.2}x");
-    println!("micro-op engine over reference : {total_speedup:.2}x");
+    println!("micro-op engine over interpreter: {uop_speedup:.2}x");
     println!("template JIT over micro-op engine: {jit_speedup:.2}x");
     println!(
         "chain hit rate: {:.1}%, fused insn share: {:.1}%",
@@ -574,34 +549,18 @@ fn main() {
 
     // --- memory-bound dispatch -----------------------------------------
     // The RAM fast-path experiment: a load/store-dominated kernel where
-    // bus dispatch and exact cycle flushing are the bottleneck. The
-    // micro-op tier runs twice — without and with the fast path — so the
-    // fast-path gain is isolated from the rest of the engine.
+    // bus dispatch and exact cycle flushing would be the bottleneck. Every
+    // aligned RAM access of the micro-op engine must take the fast path.
+    // JIT pinned off: the experiment measures the fast path inside the
+    // micro-op engine, and a native tier on top would fold the JIT's own
+    // memory handling into the row.
     let memory = build(&memcpy_checksum(256, 8).source, isa);
-    // JIT pinned off on every arm: the experiment isolates the RAM fast
-    // path inside the interpreter, and a native tier on top would fold
-    // the JIT's own memory handling into the ratio.
-    let mem_tiers = sweep(
-        &memory,
-        &[
-            (false, false, false, false),
-            (true, false, false, false),
-            (true, true, false, false),
-            (true, true, true, false),
-        ],
-    );
-    let (run_mref, insns_mref, mref_s, _) = mem_tiers[0];
-    let (run_mjc, insns_mjc, mjc_s, _) = mem_tiers[1];
-    let (run_muop, insns_muop, muop_s, _) = mem_tiers[2];
-    let (run_mfast, insns_mfast, mfast_s, mfast_stats) = mem_tiers[3];
-    assert_eq!(run_mjc, run_mref, "dispatch tier must not change results");
-    assert_eq!(run_muop, run_mref, "dispatch tier must not change results");
-    assert_eq!(run_mfast, run_mref, "dispatch tier must not change results");
-    let mips_mref = insns_mref as f64 / mref_s / 1e6;
-    let mips_mjc = insns_mjc as f64 / mjc_s / 1e6;
-    let mips_muop = insns_muop as f64 / muop_s / 1e6;
+    let mem_tiers = sweep(&memory, &[(false, false), (true, false)]);
+    let (run_mint, insns_mint, mint_s, _) = mem_tiers[0];
+    let (run_mfast, insns_mfast, mfast_s, mfast_stats) = mem_tiers[1];
+    assert_eq!(run_mfast, run_mint, "dispatch tier must not change results");
+    let mips_mint = insns_mint as f64 / mint_s / 1e6;
     let mips_mfast = insns_mfast as f64 / mfast_s / 1e6;
-    let mem_fast_speedup = mips_mfast / mips_muop;
     let mem_accesses = mfast_stats.mem_fast_hits + mfast_stats.mem_slow_hits;
     let mem_fast_hit_rate = if mem_accesses == 0 {
         0.0
@@ -614,15 +573,18 @@ fn main() {
     println!();
     println!("| tier | insns | wall time | MIPS |");
     println!("|---|---|---|---|");
-    println!("| reference (per-insn) | {insns_mref} | {mref_s:.3} s | {mips_mref:.1} |");
-    println!("| jump cache | {insns_mjc} | {mjc_s:.3} s | {mips_mjc:.1} |");
-    println!("| micro-op engine, fast path off | {insns_muop} | {muop_s:.3} s | {mips_muop:.1} |");
+    println!(
+        "| interpreter (uncached, per-insn) | {insns_mint} | {mint_s:.3} s | {mips_mint:.1} |"
+    );
     println!(
         "| micro-op engine + RAM fast path | {insns_mfast} | {mfast_s:.3} s | {mips_mfast:.1} |"
     );
     println!();
-    println!("RAM fast path over micro-op engine: {mem_fast_speedup:.2}x");
-    println!("fast-path hit rate: {:.1}%", mem_fast_hit_rate * 100.0);
+    println!(
+        "fast-path hit rate: {:.1}% ({} slow-path accesses)",
+        mem_fast_hit_rate * 100.0,
+        mfast_stats.mem_slow_hits
+    );
 
     // --- observability overhead ----------------------------------------
     // The flight recorder rides the hot block-dispatch loop behind a
@@ -640,7 +602,7 @@ fn main() {
     // disables native execution, so with the JIT on the armed arm would
     // measure the loss of the JIT, not the recorder's own cost.
     let measure = |flight: bool| {
-        let (run, insns, secs, _) = dispatch(&branchy, true, true, true, false, flight);
+        let (run, insns, secs, _) = dispatch(&branchy, true, false, flight);
         assert_eq!(run, run_ref, "observability must not change results");
         insns as f64 / secs / 1e6
     };
@@ -735,10 +697,9 @@ fn main() {
          \"pruned_share\": {:.4},\n  \"queue_steals\": {},\n  \"lock_waits\": {},\n  \
          \"prune_speedup_subsample\": {:.3},\n  \
          \"prune_classification_identical\": true,\n  \
-         \"dispatch_insns\": {},\n  \"reference_dispatch_mips\": {:.3},\n  \
-         \"jump_cache_mips\": {:.3},\n  \"uop_engine_mips\": {:.3},\n  \
-         \"jump_cache_speedup\": {:.3},\n  \"uop_engine_speedup\": {:.3},\n  \
-         \"dispatch_speedup\": {:.3},\n  \"chain_hit_rate\": {:.4},\n  \
+         \"dispatch_insns\": {},\n  \"interpreter_mips\": {:.3},\n  \
+         \"uop_engine_mips\": {:.3},\n  \"uop_over_interpreter\": {:.3},\n  \
+         \"chain_hit_rate\": {:.4},\n  \
          \"fused_insn_share\": {:.4},\n  \"uop_dispatch_stats\": {},\n  \
          \"jit_mips\": {:.3},\n  \"jit_speedup\": {:.3},\n  \
          \"jit_dispatch_stats\": {},\n  \
@@ -746,9 +707,8 @@ fn main() {
          \"warm_dispatch_mips\": {:.3},\n  \"warm_translations\": {},\n  \
          \"trace_off_mips\": {:.3},\n  \"trace_off_overhead\": {:.4},\n  \
          \"flight_recorder_mips\": {:.3},\n  \"flight_recorder_overhead\": {:.4},\n  \
-         \"mem_kernel_insns\": {},\n  \"mem_reference_mips\": {:.3},\n  \
-         \"mem_jump_cache_mips\": {:.3},\n  \"mem_uop_engine_mips\": {:.3},\n  \
-         \"mem_fast_path_mips\": {:.3},\n  \"mem_fast_speedup\": {:.3},\n  \
+         \"mem_kernel_insns\": {},\n  \"mem_interpreter_mips\": {:.3},\n  \
+         \"mem_fast_path_mips\": {:.3},\n  \
          \"mem_fast_hit_rate\": {:.4},\n  \"mem_fast_dispatch_stats\": {}\n}}\n",
         git_rev.replace('"', ""),
         threads,
@@ -788,12 +748,9 @@ fn main() {
         ncore_row.6,
         prune_speedup,
         insns_uop,
-        mips_ref,
-        mips_jc,
+        mips_int,
         mips_uop,
-        jc_speedup,
         uop_speedup,
-        total_speedup,
         chain_hit_rate,
         fused_insn_share,
         stats_json(&uop_stats),
@@ -807,11 +764,8 @@ fn main() {
         mips_fr,
         flight_overhead,
         insns_mfast,
-        mips_mref,
-        mips_mjc,
-        mips_muop,
+        mips_mint,
         mips_mfast,
-        mem_fast_speedup,
         mem_fast_hit_rate,
         stats_json(&mfast_stats),
     );
@@ -846,15 +800,15 @@ fn main() {
             "shape: 4 threads on >=4 cores should gain >= 2x (got {speedup_4t:.2}x)"
         );
     }
+    // The micro-op engine bundles the block cache, jump cache, chaining,
+    // lowering and fusion. 5.6x is what the former per-feature gates
+    // implied: a jump-cache-only tier ran 3.1x the uncached interpreter,
+    // and micro-ops had to gain >= 1.8x on top of it.
     assert!(
-        jc_speedup >= 1.2,
-        "shape: the jump cache should gain >= 1.2x on bare dispatch \
-         (got {jc_speedup:.2}x)"
-    );
-    assert!(
-        uop_speedup >= 1.8,
-        "shape: the micro-op engine should gain >= 1.8x over the jump-cache \
-         tier (got {uop_speedup:.2}x)"
+        uop_speedup >= 5.6,
+        "shape: the micro-op engine should gain >= 5.6x over the uncached \
+         interpreter on bare dispatch (got {uop_speedup:.2}x, {mips_uop:.0} vs \
+         {mips_int:.0} MIPS)"
     );
     assert!(
         jit_speedup >= 3.0,
@@ -862,13 +816,14 @@ fn main() {
          on the branch-heavy kernel (got {jit_speedup:.2}x, {mips_jit:.0} vs \
          {mips_uop:.0} MIPS)"
     );
-    // The fast-path ratio swings with host memory performance (observed
-    // 1.3x–1.5x for the same binary across load conditions); the gate
-    // only guards against the path silently degrading to a no-op.
+    // Guards the RAM fast path against silently degrading to a no-op:
+    // the kernel's accesses are all aligned and inside RAM.
     assert!(
-        mem_fast_speedup >= 1.25,
-        "shape: the RAM fast path should gain >= 1.25x on the memory-bound \
-         kernel (got {mem_fast_speedup:.2}x)"
+        mem_fast_hit_rate == 1.0 && mfast_stats.mem_slow_hits == 0,
+        "shape: every memory access of the memory-bound kernel should take \
+         the RAM fast path (hit rate {:.4}, {} slow-path accesses)",
+        mem_fast_hit_rate,
+        mfast_stats.mem_slow_hits
     );
     assert!(
         trace_off_overhead <= 0.02,

@@ -70,13 +70,14 @@ impl From<BusFault> for CampaignError {
 /// Campaign configuration.
 ///
 /// Field lifetimes split two ways. `isa`, `ram_size`, `budget_multiplier`,
-/// `compare_memory` and `reference_dispatch` are **per-campaign**: they
-/// are baked into the golden run, the derived instruction budget and the
-/// hoisted VP builder at [`Campaign::prepare`] time, so changing any of
-/// them requires preparing a new campaign. `threads`, `timeout`,
-/// `fast_forward` and `prune` are **per-sweep execution policy**: they
-/// steer how mutants are scheduled, supervised and accelerated without
-/// affecting any classification.
+/// `compare_memory`, `share_translations` and `jit` are **per-campaign**:
+/// they are baked into the golden run, the derived instruction budget,
+/// the exported warm translation set and the hoisted VP builder at
+/// [`Campaign::prepare`] time, so changing any of them requires
+/// preparing a new campaign. `threads`, `timeout`, `fast_forward` and
+/// `prune` are **per-sweep execution policy**: they steer how mutants
+/// are scheduled, supervised and accelerated without affecting any
+/// classification.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CampaignConfig {
     /// Target ISA of the simulated core.
@@ -107,12 +108,6 @@ pub struct CampaignConfig {
     /// interrupts fall back to the legacy full re-run automatically — see
     /// [`Campaign::fast_forward_active`].
     pub fast_forward: bool,
-    /// Forces every campaign VP onto the reference per-instruction
-    /// dispatch path (no block cache, no micro-op lowering). Off by
-    /// default. Classifications are identical either way — this is the
-    /// A/B switch for validating the lowered execution engine and for
-    /// measuring its speedup.
-    pub reference_dispatch: bool,
     /// Whether the golden-prefix cache exports the golden VP's
     /// translated blocks alongside each snapshot so workers restore them
     /// warm ([`s4e_vp::SharedTranslations`]); on by default and only
@@ -156,7 +151,6 @@ impl CampaignConfig {
             compare_memory: true,
             timeout: None,
             fast_forward: true,
-            reference_dispatch: false,
             share_translations: true,
             prune: true,
             jit: true,
@@ -206,14 +200,6 @@ impl CampaignConfig {
     #[must_use]
     pub fn fast_forward(mut self, on: bool) -> CampaignConfig {
         self.fast_forward = on;
-        self
-    }
-
-    /// Forces the reference per-instruction dispatch path on every
-    /// campaign VP (classifications are identical either way).
-    #[must_use]
-    pub fn reference_dispatch(mut self, on: bool) -> CampaignConfig {
-        self.reference_dispatch = on;
         self
     }
 
@@ -347,7 +333,7 @@ pub struct Campaign {
     /// every block the golden run ever executed — including the tail
     /// past the last injection point, which the lazily-advancing replay
     /// VP never reaches on its own. `None` when translation sharing is
-    /// off or the reference dispatch path is forced.
+    /// off.
     golden_warm: Option<std::sync::Arc<SharedTranslations>>,
     budget: u64,
     /// Whether the golden run stayed interrupt-free (`mie == 0`
@@ -396,7 +382,6 @@ impl Campaign {
             .isa(config.isa)
             .ram(base & !0xfff, config.ram_size)
             .timing(TimingModel::flat())
-            .fast_dispatch(!config.reference_dispatch)
             .jit(config.jit)
             // Campaign workloads are restore-heavy but the arena now
             // survives restores, so blocks compiled early in the golden
@@ -429,7 +414,8 @@ impl Campaign {
             trace,
         };
         let budget = golden.instret * config.budget_multiplier + 1000;
-        let golden_warm = (config.share_translations && !config.reference_dispatch)
+        let golden_warm = config
+            .share_translations
             .then(|| std::sync::Arc::new(vp.export_translations()));
         Ok(Campaign {
             base,
@@ -819,10 +805,13 @@ impl Campaign {
             FaultTarget::MemBit { addr, bit } => {
                 // Approximated as a time-zero flip to the stuck value
                 // (see FaultKind docs).
-                vp.update_ram_byte(
-                    addr,
-                    |b| if value { b | (1 << bit) } else { b & !(1 << bit) },
-                );
+                vp.update_ram_byte(addr, |b| {
+                    if value {
+                        b | (1 << bit)
+                    } else {
+                        b & !(1 << bit)
+                    }
+                });
             }
         }
     }

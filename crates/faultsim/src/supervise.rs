@@ -301,6 +301,10 @@ struct Task {
     history: Vec<String>,
 }
 
+/// The quarantine forensics callback of
+/// [`ShardSupervisor::set_forensic_replay`].
+type ForensicReplay<'a> = Box<dyn Fn(&FaultSpec, &mut IncidentBundle) + 'a>;
+
 /// A task with a live child process.
 #[derive(Debug)]
 struct Running {
@@ -318,8 +322,9 @@ struct Running {
 
 /// The process-isolation layer for fault campaigns: splits the mutant
 /// space into shards, runs each as a supervised child process, and
-/// merges streamed results. See the [module docs](self) for the full
-/// lifecycle.
+/// merges streamed results. Dead or stalled workers restart from their
+/// own checkpoints, and a range that keeps crashing is bisected down to
+/// one quarantined mutant (see the [crate docs](crate)).
 pub struct ShardSupervisor<'a> {
     config: SupervisorConfig,
     spawner: Box<dyn Fn(&ShardRequest) -> Command + 'a>,
@@ -327,7 +332,7 @@ pub struct ShardSupervisor<'a> {
     interrupt: Option<&'a AtomicBool>,
     tracer: Option<Arc<Tracer>>,
     trace_dir: Option<PathBuf>,
-    forensic_replay: Option<Box<dyn Fn(&FaultSpec, &mut IncidentBundle) + 'a>>,
+    forensic_replay: Option<ForensicReplay<'a>>,
 }
 
 impl std::fmt::Debug for ShardSupervisor<'_> {
@@ -384,10 +389,7 @@ impl<'a> ShardSupervisor<'a> {
     /// to be written — typically it re-runs the mutant on an in-process
     /// [`Campaign`] with forensics armed and attaches the VP, giving
     /// the bundle a flight tail and final architectural state.
-    pub fn set_forensic_replay(
-        &mut self,
-        replay: impl Fn(&FaultSpec, &mut IncidentBundle) + 'a,
-    ) {
+    pub fn set_forensic_replay(&mut self, replay: impl Fn(&FaultSpec, &mut IncidentBundle) + 'a) {
         self.forensic_replay = Some(Box::new(replay));
     }
 

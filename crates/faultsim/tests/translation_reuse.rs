@@ -11,6 +11,7 @@ use s4e_faultsim::{
 };
 use s4e_isa::Gpr;
 use s4e_obs::Snapshot;
+use s4e_vp::{RunOutcome, Vp};
 use std::sync::Arc;
 
 /// A golden run of ~360 retired instructions with data stores that stay
@@ -146,19 +147,35 @@ fn code_mutating_faults_fall_back_to_fresh_translation() {
 }
 
 #[test]
-fn reference_dispatch_declines_the_seed() {
-    // With the reference interpreter forced, the worker VP has no block
-    // cache: `set_warm_translations` must decline the seed rather than
-    // dispatch through it, and the sweep still classifies identically
-    // to the lowered engine.
-    let reference = campaign(
-        WORK_PROGRAM,
-        &CampaignConfig::new().reference_dispatch(true),
-    );
-    let lowered = campaign(WORK_PROGRAM, &CampaignConfig::new());
-    let specs: Vec<FaultSpec> = smc_free_specs(&lowered).into_iter().step_by(13).collect();
+fn uncached_interpreter_declines_a_warm_set() {
+    // The uncached interpreter decodes every block itself: a warm set
+    // seeded into it must be ignored, not dispatched through, and the
+    // run must match the exporting micro-op engine exactly.
+    let img = assemble(WORK_PROGRAM).expect("assembles");
+    let run = |vp: &mut Vp| {
+        vp.load(img.base(), img.bytes()).expect("loads");
+        vp.cpu_mut().set_pc(img.entry());
+        assert_eq!(vp.run(), RunOutcome::Break);
+    };
+    let mut exporter = Vp::builder().jit(false).build();
+    run(&mut exporter);
+    let warm = Arc::new(exporter.export_translations());
+    // The set is adoptable: a fresh micro-op engine runs warm from it.
+    let mut adopter = Vp::builder().jit(false).build();
+    adopter.set_warm_translations(Some(Arc::clone(&warm)));
+    run(&mut adopter);
+    assert!(adopter.dispatch_stats().warm_translations > 0);
+
+    let mut oracle = Vp::builder().block_cache(false).build();
+    oracle.set_warm_translations(Some(warm));
+    run(&mut oracle);
+    assert_eq!(oracle.dispatch_stats().warm_translations, 0);
     assert_eq!(
-        reference.run_all(&specs).results(),
-        lowered.run_all(&specs).results()
+        format!("{:?}", oracle.cpu()),
+        format!("{:?}", exporter.cpu())
+    );
+    assert_eq!(
+        oracle.bus().dump(img.base(), 1024).unwrap(),
+        exporter.bus().dump(img.base(), 1024).unwrap()
     );
 }

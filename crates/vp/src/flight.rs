@@ -252,7 +252,11 @@ impl FlightRecorder {
         is_store: bool,
     ) {
         self.device_accesses += 1;
-        let idx = match self.names.iter().position(|n| std::ptr::eq(*n, device) || *n == device) {
+        let idx = match self
+            .names
+            .iter()
+            .position(|n| std::ptr::eq(*n, device) || *n == device)
+        {
             Some(idx) => idx,
             None => {
                 self.names.push(device);
@@ -439,6 +443,12 @@ mod tests {
         // Writes into the clone must not alias the original's storage.
         assert_eq!(fr.len(), 1);
         assert_eq!(copy.len(), 2);
-        assert_eq!(copy.tail()[1].0, FlightEvent::Block { instret: 2, pc: 0x104 });
+        assert_eq!(
+            copy.tail()[1].0,
+            FlightEvent::Block {
+                instret: 2,
+                pc: 0x104
+            }
+        );
     }
 }

@@ -1042,9 +1042,7 @@ mod native {
                         return false;
                     }
                     let off = pc.wrapping_sub(ram_base) as usize;
-                    ram.get(off..off + b.len as usize)
-                        .map(crate::vp::fnv1a)
-                        != Some(b.hash)
+                    ram.get(off..off + b.len as usize).map(crate::vp::fnv1a) != Some(b.hash)
                 })
                 .map(|(pc, _)| *pc)
                 .collect();
@@ -1066,9 +1064,7 @@ mod native {
             let dropped: Vec<u32> = self
                 .blocks
                 .iter()
-                .filter(|(pc, b)| {
-                    addr.wrapping_add(len) > **pc && addr < pc.wrapping_add(b.len)
-                })
+                .filter(|(pc, b)| addr.wrapping_add(len) > **pc && addr < pc.wrapping_add(b.len))
                 .map(|(pc, _)| *pc)
                 .collect();
             self.drop_blocks(dropped)

@@ -1,7 +1,7 @@
 //! Micro-op lowering: turning a decoded basic block into a flat array of
 //! pre-extracted operations for the dispatch fast path.
 //!
-//! The reference interpreter re-derives everything about an instruction
+//! The per-instruction interpreter re-derives everything about an instruction
 //! on every execution: operand registers, sign-extended immediates,
 //! memory widths, branch targets, timing-class costs. All of that is
 //! static per translated block, so [`lower_block`] computes it once and

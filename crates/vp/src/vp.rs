@@ -77,8 +77,8 @@ impl RunOutcome {
 #[derive(Debug)]
 struct BlockBody {
     insns: Vec<(u32, Insn)>,
-    /// The lowered micro-op form, executed by the fast path (empty when
-    /// the micro-op engine is disabled at build time).
+    /// The lowered micro-op form, executed by the micro-op engine (empty
+    /// on the uncached interpreter, which never lowers).
     uops: Vec<MicroOp>,
     /// The fall-through pc (one past the last instruction).
     fall_pc: u32,
@@ -122,10 +122,6 @@ struct Block {
 #[derive(Debug, Clone, Default)]
 pub struct SharedTranslations {
     blocks: HashMap<u32, SharedBlock>,
-    /// Whether the bodies carry lowered micro-ops. A body exported from
-    /// a uop-enabled VP is only adoptable by another uop-enabled VP (and
-    /// vice versa): the executing engine must match the lowered form.
-    uops: bool,
 }
 
 impl SharedTranslations {
@@ -143,13 +139,9 @@ impl SharedTranslations {
     /// Used to union a full-run export (which knows the whole program)
     /// with a replay VP's live cache (which knows only the prefix it
     /// has reached): `self`'s entries win on collision because they are
-    /// fresher. Sets with mismatched lowering configurations do not
-    /// merge. A possibly-stale adopted entry is harmless — probe-time
+    /// fresher. A possibly-stale adopted entry is harmless — probe-time
     /// hash validation rejects it and the prober translates fresh.
     pub fn merge_missing(&mut self, other: &SharedTranslations) {
-        if self.uops != other.uops {
-            return;
-        }
         for (&pc, block) in &other.blocks {
             self.blocks.entry(pc).or_insert_with(|| block.clone());
         }
@@ -297,8 +289,7 @@ pub struct DispatchStats {
     /// accounting batched.
     pub mem_fast_hits: u64,
     /// Memory micro-ops that took the full bus slow path (MMIO,
-    /// misalignment, RAM-edge accesses, plugins attached, or the fast
-    /// path disabled).
+    /// misalignment, RAM-edge accesses, or plugins attached).
     pub mem_slow_hits: u64,
     /// Translated-code invalidations (self-modifying stores, `fence.i`,
     /// `load`, bus mutation, restore).
@@ -430,9 +421,6 @@ pub struct VpBuilder {
     ram_size: u32,
     timing: TimingModel,
     cache_enabled: bool,
-    fast_dispatch_enabled: bool,
-    uops_enabled: bool,
-    mem_fast_enabled: bool,
     standard_devices: bool,
     jit_enabled: bool,
     jit_threshold: u32,
@@ -462,62 +450,21 @@ impl VpBuilder {
     }
 
     /// Enables or disables the translation block cache (default: enabled).
-    /// Disabling re-decodes every instruction — the ablation baseline of
-    /// experiment A1.
+    ///
+    /// The cache selects between the VP's two interpreters. With it on,
+    /// blocks are lowered to micro-ops once, found again through a
+    /// direct-mapped jump cache, chained to their successors, and their
+    /// aligned RAM accesses skip bus dispatch; the template JIT (see
+    /// [`jit`](VpBuilder::jit)) builds on top. With it off, every block
+    /// is decoded afresh at every dispatch and run one instruction at a
+    /// time through the bus, and interrupt state is polled at every
+    /// block boundary: the per-instruction interpreter that shares none
+    /// of the cached tiers' shortcuts. It is the ablation baseline of
+    /// experiment A1 and the oracle the cached tiers are tested against.
+    /// It has no architectural effect.
     #[must_use]
     pub fn block_cache(mut self, enabled: bool) -> VpBuilder {
         self.cache_enabled = enabled;
-        self
-    }
-
-    /// Enables or disables the dispatch fast path (default: enabled).
-    ///
-    /// Disabling it restores the reference dispatch behavior — no
-    /// direct-mapped jump cache in front of the block-cache `HashMap`, a
-    /// refcount clone per dispatched block, and an interrupt-state poll
-    /// at every block boundary — isolating the fast path's contribution
-    /// in benchmarks. It has no architectural effect.
-    #[must_use]
-    pub fn fast_dispatch(mut self, enabled: bool) -> VpBuilder {
-        self.fast_dispatch_enabled = enabled;
-        self
-    }
-
-    /// Enables or disables the micro-op execution engine and direct
-    /// block chaining (default: enabled).
-    ///
-    /// Disabling it keeps the jump-cache dispatch fast path but executes
-    /// blocks through the reference per-instruction interpreter — the
-    /// ablation tier isolating what pre-lowered execution itself buys on
-    /// top of fast dispatch. It has no architectural effect. Only
-    /// meaningful while [`fast_dispatch`](VpBuilder::fast_dispatch) and
-    /// [`block_cache`](VpBuilder::block_cache) are enabled; the engine
-    /// is implicitly off otherwise.
-    #[must_use]
-    pub fn micro_ops(mut self, enabled: bool) -> VpBuilder {
-        self.uops_enabled = enabled;
-        self
-    }
-
-    /// Enables or disables the RAM fast path on memory micro-ops
-    /// (default: enabled).
-    ///
-    /// With the fast path on, aligned loads and stores whose effective
-    /// address falls wholly inside RAM read/write the RAM slice
-    /// directly — no device-range probe, page-granular dirty marking
-    /// with an already-dirty skip, and no exact cycle flush (RAM has no
-    /// time-dependent side effects, so batched accounting stays valid).
-    /// MMIO, misaligned and faulting accesses fall back to the bus slow
-    /// path, keeping `BusFault`/trap semantics byte-identical. It has no
-    /// architectural effect.
-    ///
-    /// The fast path is a micro-op-engine feature: it is implicitly off
-    /// whenever [`micro_ops`](VpBuilder::micro_ops) (or anything it
-    /// requires) is disabled, so the jump-cache and reference tiers are
-    /// unaffected by this flag.
-    #[must_use]
-    pub fn mem_fast_path(mut self, enabled: bool) -> VpBuilder {
-        self.mem_fast_enabled = enabled;
         self
     }
 
@@ -536,11 +483,10 @@ impl VpBuilder {
     /// and chained directly block-to-block; anything the templates do
     /// not cover bails out to the micro-op engine before taking any
     /// architectural effect, so the tier has no architectural effect —
-    /// it is a strict speedup. The JIT is a micro-op-engine feature and
-    /// additionally requires the RAM fast path: it is implicitly off
-    /// whenever [`micro_ops`](VpBuilder::micro_ops) or
-    /// [`mem_fast_path`](VpBuilder::mem_fast_path) (or anything they
-    /// require) is disabled, and on hosts other than x86-64.
+    /// it is a strict speedup. The JIT compiles the micro-op engine's
+    /// blocks, so it is implicitly off whenever the
+    /// [`block_cache`](VpBuilder::block_cache) is disabled, and on hosts
+    /// other than x86-64.
     #[must_use]
     pub fn jit(mut self, enabled: bool) -> VpBuilder {
         self.jit_enabled = enabled;
@@ -574,11 +520,8 @@ impl VpBuilder {
             bus.map_device(CLINT_BASE, CLINT_SIZE, Box::new(Clint::new()));
         }
         let pages = self.ram_size.div_ceil(PAGE_SIZE) as usize;
-        let uops_enabled = self.uops_enabled && self.fast_dispatch_enabled && self.cache_enabled;
-        let mem_fast_enabled = self.mem_fast_enabled && uops_enabled;
-        // The JIT templates assume the RAM fast path's memory semantics;
-        // `JitEngine::new` additionally returns `None` off x86-64.
-        let jit = if self.jit_enabled && mem_fast_enabled {
+        // `JitEngine::new` returns `None` off x86-64.
+        let jit = if self.jit_enabled && self.cache_enabled {
             JitEngine::new().map(Box::new)
         } else {
             None
@@ -590,9 +533,6 @@ impl VpBuilder {
             plugins: Vec::new(),
             cache: HashMap::new(),
             cache_enabled: self.cache_enabled,
-            fast_dispatch_enabled: self.fast_dispatch_enabled,
-            uops_enabled,
-            mem_fast_enabled,
             jit,
             jit_threshold: self.jit_threshold.max(1),
             warm: None,
@@ -620,9 +560,6 @@ impl Default for VpBuilder {
             ram_size: RAM_SIZE,
             timing: TimingModel::new(),
             cache_enabled: true,
-            fast_dispatch_enabled: true,
-            uops_enabled: true,
-            mem_fast_enabled: true,
             standard_devices: true,
             jit_enabled: true,
             jit_threshold: 8,
@@ -655,17 +592,12 @@ pub struct Vp {
     timing: TimingModel,
     plugins: Vec<Box<dyn Plugin>>,
     cache: HashMap<u32, Arc<Block>>,
+    /// Whether blocks are cached, lowered to micro-ops and chained (the
+    /// micro-op engine) or decoded afresh per dispatch and interpreted
+    /// per instruction (the oracle); see [`VpBuilder::block_cache`].
     cache_enabled: bool,
-    fast_dispatch_enabled: bool,
-    /// Whether blocks are lowered to micro-ops and chained (resolved at
-    /// build time: requires the cache and the dispatch fast path).
-    uops_enabled: bool,
-    /// Whether memory micro-ops may take the direct-RAM fast path
-    /// (resolved at build time: requires the micro-op engine).
-    mem_fast_enabled: bool,
     /// The template JIT engine — `None` when disabled at build time,
-    /// when anything it requires (micro-op engine, RAM fast path) is
-    /// off, or on hosts other than x86-64.
+    /// without a block cache, or on hosts other than x86-64.
     jit: Option<Box<JitEngine>>,
     /// Block executions before a hot block is promoted to native code.
     jit_threshold: u32,
@@ -683,9 +615,8 @@ pub struct Vp {
     /// dispatch (QEMU's `tb_jmp_cache`).
     jmp_cache: Vec<Option<(u32, Arc<Block>)>>,
     /// Keeps the most recently dispatched block alive while the run loop
-    /// executes it, when nothing else is guaranteed to: the block cache
-    /// is disabled (nothing else owns it) or reference dispatch is in
-    /// force (the per-dispatch owned handle lives here).
+    /// executes it when the block cache is disabled (nothing else owns
+    /// it then).
     scratch: Option<Arc<Block>>,
     code_lo: u32,
     code_hi: u32,
@@ -949,10 +880,7 @@ impl Vp {
                 );
             }
         }
-        SharedTranslations {
-            blocks,
-            uops: self.uops_enabled,
-        }
+        SharedTranslations { blocks }
     }
 
     /// Installs (or, with `None`, clears) a warm translation set:
@@ -961,13 +889,10 @@ impl Vp {
     /// matches this VP's RAM. Purely a translation shortcut — adopted
     /// blocks execute exactly as if translated locally.
     ///
-    /// A set whose lowering configuration differs from this VP's (its
-    /// exporter had the micro-op engine toggled the other way) is
-    /// ignored rather than adopted: the lowered form must match the
-    /// executing engine. Likewise ignored when this VP runs without a
-    /// block cache.
+    /// Ignored when this VP runs without a block cache: the interpreter
+    /// oracle decodes every block itself.
     pub fn set_warm_translations(&mut self, warm: Option<Arc<SharedTranslations>>) {
-        self.warm = warm.filter(|w| w.uops == self.uops_enabled && self.cache_enabled);
+        self.warm = warm.filter(|_| self.cache_enabled);
     }
 
     /// Translates and caches the block starting at the current pc
@@ -1128,10 +1053,11 @@ impl Vp {
         let mut blocks = 0u32;
         // Device or bus state may have been mutated between runs.
         self.irq_resample = true;
-        // Micro-op execution requires that no plugin wants per-insn
-        // callbacks; chaining only requires the engine itself (both fixed
-        // for the duration of a run: `add_plugin` needs `&mut self`).
-        let use_uops = self.uops_enabled && !self.insn_hooks;
+        // Micro-op execution requires the block cache and that no plugin
+        // wants per-insn callbacks; chaining only requires the cache
+        // (both fixed for the duration of a run: `add_plugin` needs
+        // `&mut self`).
+        let use_uops = self.cache_enabled && !self.insn_hooks;
         // The template JIT additionally requires that no plugin wants
         // block hooks (native chains skip intermediate boundaries — and
         // plugins observe exact per-block state the JIT batches). An
@@ -1163,14 +1089,12 @@ impl Vp {
                 chained = None;
                 pending_link = None;
             }
-            // Interrupts are sampled at block boundaries, like QEMU — but
-            // the bus poll is skipped while no device can change its mip
-            // contribution spontaneously (e.g. no timer armed). Device
-            // accesses set `irq_resample`, so latched state can't go stale.
-            if !self.fast_dispatch_enabled
-                || self.irq_resample
-                || self.cpu.cycles() >= self.mip_poll_at
-            {
+            // Interrupts are sampled at block boundaries, like QEMU. The
+            // cached tiers skip the bus poll while no device can change
+            // its mip contribution spontaneously (e.g. no timer armed);
+            // device accesses set `irq_resample`, so latched state can't
+            // go stale. The interpreter oracle polls at every boundary.
+            if !self.cache_enabled || self.irq_resample || self.cpu.cycles() >= self.mip_poll_at {
                 self.irq_resample = false;
                 let now = self.cpu.cycles();
                 self.cpu.set_mip(self.bus.mip_bits(now));
@@ -1247,7 +1171,7 @@ impl Vp {
                 BlockExit::Outcome(outcome) => return outcome,
                 BlockExit::Done => {}
             }
-            if self.uops_enabled {
+            if self.cache_enabled {
                 // Where did control go? If it is one of this block's two
                 // static successors, either follow the already-installed
                 // link or ask the next fetch to install it. pc-equality
@@ -1472,10 +1396,11 @@ impl Vp {
         }
     }
 
-    /// Executes `block` per-instruction starting at `insns[start]` — the
-    /// reference engine, also the exact-boundary tail for the micro-op
-    /// engine. The caller guarantees `cpu.pc()` equals the pc of
-    /// `insns[start]` on entry.
+    /// Executes `block` per-instruction starting at `insns[start]`: the
+    /// whole of the uncached interpreter, the cached path for plugins
+    /// that want per-instruction events, and the exact-boundary tail of
+    /// the micro-op engine. The caller guarantees `cpu.pc()` equals the
+    /// pc of `insns[start]` on entry.
     fn exec_block_insns(
         &mut self,
         block: *const Block,
@@ -1527,11 +1452,11 @@ impl Vp {
     /// unobservable there (and plugins, which do observe accesses,
     /// disable the fast path for the block).
     /// Two situations replay the remainder of the block through the
-    /// reference engine instead: an instruction budget that expires
+    /// per-instruction engine instead: an instruction budget that expires
     /// inside the block (fault campaigns inject at exact instret
     /// boundaries, which may split a fused pair) and active stuck-at
     /// register faults (fused ops would constant-fold through a register
-    /// read the reference path filters through the fault masks).
+    /// read the per-instruction path filters through the fault masks).
     /// `start` is the micro-op to begin at: 0 from the dispatch loop, a
     /// bail point when resuming a block the JIT gave up on mid-way (the
     /// caller guarantees `cpu.pc()` matches `uops[start]`'s first
@@ -1551,7 +1476,7 @@ impl Vp {
         let plugins_active = !self.plugins.is_empty();
         // Plugins observe every memory access with exact counters, so
         // their presence forces the bus slow path for the whole block.
-        let mem_fast = self.mem_fast_enabled && !plugins_active;
+        let mem_fast = !plugins_active;
         let mut cycles: u64 = 0;
         let mut retired: u64 = 0;
         macro_rules! flush {
@@ -1664,8 +1589,7 @@ impl Vp {
                         // Self-modifying code check, verbatim from
                         // `mem_store`: RAM writes bypass it on the fast
                         // path, so it must be replicated here.
-                        if self.cache_enabled
-                            && !self.cache.is_empty()
+                        if !self.cache.is_empty()
                             && addr.wrapping_add($size as u32) > self.code_lo
                             && addr < self.code_hi
                         {
@@ -1962,7 +1886,7 @@ impl Vp {
                 Op::Generic => {
                     flush!();
                     let (pc, insn) = body.insns[u.idx as usize];
-                    // The reference engine keeps `cpu.pc` current per
+                    // The per-instruction engine keeps `cpu.pc` current per
                     // instruction; the generic path (traps, CSR reads,
                     // `mret`) observes it, so restore it here.
                     self.cpu.set_pc(pc);
@@ -2096,15 +2020,14 @@ impl Vp {
 
     /// Looks up (or translates) the block starting at `pc` and returns a
     /// raw pointer to it. The pointee is owned by `self.cache` /
-    /// `self.jmp_cache` (or `self.scratch` when the block cache or the
-    /// dispatch fast path is disabled) and stays alive until the next
-    /// dispatch boundary — see the safety comment in
-    /// [`run_loop`](Vp::run_loop).
+    /// `self.jmp_cache` (or `self.scratch` without a block cache) and
+    /// stays alive until the next dispatch boundary — see the safety
+    /// comment in [`run_loop`](Vp::run_loop).
     ///
     /// When `link_from` names a (predecessor, successor-slot) pair, the
     /// resolved block is recorded as that predecessor's direct chain
-    /// successor. Callers only pass a link while the micro-op engine is
-    /// enabled, which implies the cache owns every dispatched block.
+    /// successor. Callers only pass a link with the block cache on,
+    /// which owns every dispatched block.
     fn fetch_block(
         &mut self,
         pc: u32,
@@ -2123,90 +2046,62 @@ impl Vp {
 
     fn fetch_block_inner(&mut self, pc: u32) -> Result<*const Block, Trap> {
         if self.cache_enabled {
-            if self.fast_dispatch_enabled {
-                // Hot path: one shift, one mask, one compare — no hashing,
-                // no `Arc` refcount traffic.
-                if let Some((tag, b)) = &self.jmp_cache[jmp_cache_slot(pc)] {
-                    if *tag == pc {
-                        self.stats.jmp_cache_hits += 1;
-                        return Ok(Arc::as_ptr(b));
-                    }
+            // Hot path: one shift, one mask, one compare — no hashing,
+            // no `Arc` refcount traffic.
+            if let Some((tag, b)) = &self.jmp_cache[jmp_cache_slot(pc)] {
+                if *tag == pc {
+                    self.stats.jmp_cache_hits += 1;
+                    return Ok(Arc::as_ptr(b));
                 }
-                self.stats.jmp_cache_misses += 1;
             }
+            self.stats.jmp_cache_misses += 1;
             if let Some(b) = self.cache.get(&pc) {
-                if self.fast_dispatch_enabled {
-                    let ptr = Arc::as_ptr(b);
-                    self.jmp_cache[jmp_cache_slot(pc)] = Some((pc, Arc::clone(b)));
-                    return Ok(ptr);
-                }
-                // Reference dispatch: hold the block through an owned
-                // handle, paying the refcount clone on every dispatch.
-                let b = Arc::clone(b);
-                let ptr = Arc::as_ptr(&b);
-                self.scratch = Some(b);
-                return Ok(ptr);
-            }
-            // Translation-cache miss: probe the warm shared set before
-            // decoding. The code-bytes hash is re-checked against *this*
-            // VP's RAM, so mutated code misses and translates fresh.
-            let warm_body = self.warm.as_ref().and_then(|warm| {
-                let shared = warm.blocks.get(&pc)?;
-                let bytes = self.bus.dump(pc, shared.len as usize).ok()?;
-                (fnv1a(bytes) == shared.hash).then(|| Arc::clone(&shared.body))
-            });
-            if let Some(body) = warm_body {
-                self.stats.warm_translations += 1;
-                if !self.plugins.is_empty() {
-                    let info = BlockInfo {
-                        start_pc: pc,
-                        insns: &body.insns,
-                    };
-                    for p in &mut self.plugins {
-                        p.on_block_translated(&info);
-                    }
-                }
-                let end = body.fall_pc;
-                self.code_lo = self.code_lo.min(pc);
-                self.code_hi = self.code_hi.max(end);
-                // Links are fresh: chain pointers are VP-local and get
-                // rebuilt by this VP's own dispatch loop.
-                let block = Arc::new(Block {
-                    body,
-                    links: [ChainLink::default(), ChainLink::default()],
-                    jit: JitSlot::default(),
-                });
-                let ptr = Arc::as_ptr(&block);
-                if self.fast_dispatch_enabled {
-                    self.jmp_cache[jmp_cache_slot(pc)] = Some((pc, Arc::clone(&block)));
-                }
-                self.cache.insert(pc, block);
+                let ptr = Arc::as_ptr(b);
+                self.jmp_cache[jmp_cache_slot(pc)] = Some((pc, Arc::clone(b)));
                 return Ok(ptr);
             }
         }
-        let block = Arc::new(Block {
-            body: Arc::new(self.translate_block(pc)?),
-            links: [ChainLink::default(), ChainLink::default()],
-            jit: JitSlot::default(),
+        // Translation-cache miss: probe the warm shared set (never set
+        // without a cache) before decoding. The code-bytes hash is
+        // re-checked against *this* VP's RAM, so mutated code misses and
+        // translates fresh.
+        let warm_body = self.warm.as_ref().and_then(|warm| {
+            let shared = warm.blocks.get(&pc)?;
+            let bytes = self.bus.dump(pc, shared.len as usize).ok()?;
+            (fnv1a(bytes) == shared.hash).then(|| Arc::clone(&shared.body))
         });
-        self.stats.translations += 1;
+        let body = match warm_body {
+            Some(body) => {
+                self.stats.warm_translations += 1;
+                body
+            }
+            None => {
+                let body = Arc::new(self.translate_block(pc)?);
+                self.stats.translations += 1;
+                body
+            }
+        };
         if !self.plugins.is_empty() {
             let info = BlockInfo {
                 start_pc: pc,
-                insns: &block.body.insns,
+                insns: &body.insns,
             };
             for p in &mut self.plugins {
                 p.on_block_translated(&info);
             }
         }
+        // Links and JIT state are VP-local, so an adopted body starts
+        // with fresh ones, rebuilt by this VP's own dispatch loop.
+        let block = Arc::new(Block {
+            body,
+            links: Default::default(),
+            jit: JitSlot::default(),
+        });
         let ptr = Arc::as_ptr(&block);
         if self.cache_enabled {
-            let end = block.body.fall_pc;
             self.code_lo = self.code_lo.min(pc);
-            self.code_hi = self.code_hi.max(end);
-            if self.fast_dispatch_enabled {
-                self.jmp_cache[jmp_cache_slot(pc)] = Some((pc, Arc::clone(&block)));
-            }
+            self.code_hi = self.code_hi.max(block.body.fall_pc);
+            self.jmp_cache[jmp_cache_slot(pc)] = Some((pc, Arc::clone(&block)));
             self.cache.insert(pc, block);
         } else {
             // Nothing else owns the block: park it until the next fetch.
@@ -2276,7 +2171,7 @@ impl Vp {
                 }
             }
         }
-        let (uops, fused) = if self.uops_enabled {
+        let (uops, fused) = if self.cache_enabled {
             lower_block(&insns, &self.timing, &isa)
         } else {
             (Vec::new(), 0)
@@ -2335,8 +2230,8 @@ impl Vp {
         // Self-modifying code: request invalidation. Deferred to the next
         // dispatch boundary so the currently-executing block (whose
         // storage lives in the caches) is never freed under our feet.
-        if self.cache_enabled
-            && !self.cache.is_empty()
+        // The interpreter's cache stays empty: it re-decodes anyway.
+        if !self.cache.is_empty()
             && addr.wrapping_add(size as u32) > self.code_lo
             && addr < self.code_hi
         {

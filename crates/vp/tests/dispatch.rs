@@ -1,9 +1,10 @@
 //! Dispatch-engine tests: direct-mapped jump-cache slot aliasing, direct
-//! block chaining, and link severing on invalidation (self-modifying
-//! code and snapshot restore).
+//! block chaining, link severing on invalidation (self-modifying code
+//! and snapshot restore), and interrupt timing across the three tiers.
 
 use s4e_asm::assemble;
 use s4e_isa::{Gpr, IsaConfig};
+use s4e_vp::dev::Uart;
 use s4e_vp::{Cpu, RunOutcome, Vp};
 
 fn load_src(vp: &mut Vp, src: &str) {
@@ -21,67 +22,70 @@ fn cpu_state(cpu: &Cpu) -> String {
 }
 
 /// Two hot blocks exactly 4096 bytes apart: the 2048-slot direct-mapped
-/// jump cache indexes with `(pc >> 1) & 2047`, so `loop` (base + 0x8)
-/// and `far` (base + 0x1008) collide in the same slot. Each iteration
-/// ping-pongs between them.
+/// jump cache indexes with `(pc >> 1) & 2047`, so `loop` (base + 0x20)
+/// and `far` (base + 0x1020) collide in the same slot. Each iteration
+/// ping-pongs between them through `jalr`: an indirect exit installs no
+/// chain link, so every dispatch of either block probes the jump cache.
 const ALIASED_PINGPONG: &str = r#"
     li t0, 300
     li a0, 0
+    la s0, loop
+    la s1, far
+    la s2, back
 loop:
     addi a0, a0, 1
-    jal x0, far
+    jalr x0, 0(s1)
 back:
     addi t0, t0, -1
-    bnez t0, loop
+    beqz t0, done
+    jalr x0, 0(s0)
+done:
     ebreak
-    .org 0x80001008
+    .org 0x80001020
 far:
     addi a0, a0, 2
-    jal x0, back
+    jalr x0, 0(s2)
 "#;
 
 #[test]
 fn aliased_jump_cache_slots_stay_correct() {
-    // Jump-cache-only tier: `loop` and `far` evict each other from the
+    let img = assemble(ALIASED_PINGPONG).expect("assembles");
+    let (near, far) = (img.symbol("loop").unwrap(), img.symbol("far").unwrap());
+    assert_eq!(far - near, 4096, "the two blocks must share a slot");
+
+    // Micro-op engine (JIT pinned off so the *interpreter's* dispatch is
+    // what's measured): `loop` and `far` evict each other from the
     // shared slot every iteration, so misses accumulate well past the
     // translation count — correctness must not depend on slot residency.
-    let mut jc = Vp::builder()
-        .isa(IsaConfig::rv32imc())
-        .micro_ops(false)
-        .build();
-    load_src(&mut jc, ALIASED_PINGPONG);
-    assert_eq!(jc.run(), RunOutcome::Break);
-    assert_eq!(gpr(&jc, 10), 300 * 3);
-    let stats = jc.dispatch_stats();
+    let mut uops = Vp::builder().isa(IsaConfig::rv32imc()).jit(false).build();
+    load_src(&mut uops, ALIASED_PINGPONG);
+    assert_eq!(uops.run(), RunOutcome::Break);
+    assert_eq!(gpr(&uops, 10), 300 * 3);
+    let stats = uops.dispatch_stats();
     assert!(
-        stats.jmp_cache_misses > 300,
+        stats.jmp_cache_misses > 2 * 300,
         "aliasing blocks must keep missing the shared slot: {stats:?}"
     );
 
-    // Full micro-op engine (JIT pinned off so the *interpreter's*
-    // chaining is what's measured): chaining bypasses the contended
-    // slot (each block links its successor directly), and the result
-    // is identical.
-    let mut full = Vp::builder().isa(IsaConfig::rv32imc()).jit(false).build();
-    load_src(&mut full, ALIASED_PINGPONG);
-    assert_eq!(full.run(), RunOutcome::Break);
-    assert_eq!(cpu_state(full.cpu()), cpu_state(jc.cpu()));
-    let stats = full.dispatch_stats();
-    assert!(stats.chain_hits > 500, "{stats:?}");
-    assert!(
-        stats.jmp_cache_misses < 300,
-        "chaining must absorb the aliasing traffic: {stats:?}"
-    );
+    // The uncached interpreter oracle agrees.
+    let mut oracle = Vp::builder()
+        .isa(IsaConfig::rv32imc())
+        .block_cache(false)
+        .build();
+    load_src(&mut oracle, ALIASED_PINGPONG);
+    assert_eq!(oracle.run(), RunOutcome::Break);
+    assert_eq!(cpu_state(oracle.cpu()), cpu_state(uops.cpu()));
 
-    // JIT tier: hot blocks go native and chain inside the arena, again
-    // with identical architectural state (cycles and instret included).
+    // JIT tier: hot blocks go native and re-enter the dispatcher at
+    // every `jalr`, again with identical architectural state (cycles
+    // and instret included).
     let mut jit = Vp::builder()
         .isa(IsaConfig::rv32imc())
         .jit_threshold(1)
         .build();
     load_src(&mut jit, ALIASED_PINGPONG);
     assert_eq!(jit.run(), RunOutcome::Break);
-    assert_eq!(cpu_state(jit.cpu()), cpu_state(jc.cpu()));
+    assert_eq!(cpu_state(jit.cpu()), cpu_state(oracle.cpu()));
     let stats = jit.dispatch_stats();
     assert!(stats.jit_blocks > 0, "{stats:?}");
     assert!(stats.jit_exec > 500, "{stats:?}");
@@ -129,14 +133,14 @@ fn chained_successors_are_severed_on_smc_invalidation() {
     assert!(stats.chain_links > 0, "{stats:?}");
     assert!(stats.chain_hits > 100, "{stats:?}");
 
-    // The reference interpreter agrees.
-    let mut reference = Vp::builder()
+    // The uncached interpreter oracle agrees.
+    let mut oracle = Vp::builder()
         .isa(IsaConfig::rv32imc())
-        .fast_dispatch(false)
+        .block_cache(false)
         .build();
-    load_src(&mut reference, PATCHED_LOOP);
-    assert_eq!(reference.run(), RunOutcome::Break);
-    assert_eq!(cpu_state(reference.cpu()), cpu_state(vp.cpu()));
+    load_src(&mut oracle, PATCHED_LOOP);
+    assert_eq!(oracle.run(), RunOutcome::Break);
+    assert_eq!(cpu_state(oracle.cpu()), cpu_state(vp.cpu()));
 }
 
 #[test]
@@ -210,12 +214,149 @@ loop:
     assert!(stats.fused_lowered > 0, "{stats:?}");
     assert!(stats.fused_exec >= 64, "{stats:?}");
 
-    // Identical architectural state on the reference path.
-    let mut reference = Vp::builder()
+    // Identical architectural state on the uncached interpreter oracle.
+    let mut oracle = Vp::builder()
         .isa(IsaConfig::rv32i())
-        .fast_dispatch(false)
+        .block_cache(false)
         .build();
-    load_src(&mut reference, src);
-    assert_eq!(reference.run(), RunOutcome::Break);
-    assert_eq!(cpu_state(reference.cpu()), cpu_state(vp.cpu()));
+    load_src(&mut oracle, src);
+    assert_eq!(oracle.run(), RunOutcome::Break);
+    assert_eq!(cpu_state(oracle.cpu()), cpu_state(vp.cpu()));
+}
+
+/// A periodic machine timer: the handler re-arms `mtimecmp` 97 cycles
+/// ahead on every tick while the main loop works. `a5` sums the `mepc`
+/// of every interrupt, so a tick taken one block early or late shows.
+const PERIODIC_TIMER: &str = r#"
+    .equ CLINT, 0x02000000
+    la t0, handler
+    csrw mtvec, t0
+    li s0, CLINT + 0x4000   # mtimecmp
+    li s1, CLINT + 0xbff8   # mtime
+    lw t1, 0(s1)
+    addi t1, t1, 97
+    sw zero, 4(s0)
+    sw t1, 0(s0)
+    li t3, 128              # MTIE
+    csrw mie, t3
+    csrsi mstatus, 8
+    li a0, 0
+work:
+    addi a1, a1, 1
+    xor a2, a2, a1
+    li t4, 12
+    bne a0, t4, work
+    ebreak
+handler:
+    addi a0, a0, 1
+    csrr a3, mcause
+    csrr a4, mepc
+    add a5, a5, a4
+    lw t1, 0(s1)
+    addi t1, t1, 97
+    sw t1, 0(s0)
+    mret
+"#;
+
+/// Software interrupts raised from inside a loop: every fourth
+/// iteration sets `msip`, and the handler clears it.
+const SOFTWARE_IRQ: &str = r#"
+    .equ CLINT, 0x02000000
+    la t0, handler
+    csrw mtvec, t0
+    li t1, 8                # MSIE
+    csrw mie, t1
+    csrsi mstatus, 8
+    li s0, CLINT
+    li t0, 40
+    li a0, 0
+loop:
+    addi a1, a1, 3
+    andi t2, t0, 3
+    bnez t2, skip
+    li t3, 1
+    sw t3, 0(s0)            # msip = 1
+    addi a1, a1, 1
+skip:
+    addi t0, t0, -1
+    bnez t0, loop
+    ebreak
+handler:
+    addi a0, a0, 1
+    csrr a4, mepc
+    add a5, a5, a4
+    sw zero, 0(s0)          # msip = 0
+    mret
+"#;
+
+/// UART receive interrupts: every eighth iteration enables the rx
+/// interrupt, a queued byte interrupts at once, and the handler drains
+/// and echoes one byte, then disables the interrupt again.
+const UART_RX_IRQ: &str = r#"
+    .equ UART, 0x10000000
+    la t0, handler
+    csrw mtvec, t0
+    li s0, UART
+    li t3, 0x800            # MEIE
+    csrw mie, t3
+    csrsi mstatus, 8
+    li t0, 60
+    li a0, 0
+loop:
+    addi a1, a1, 7
+    andi t2, t0, 7
+    bnez t2, skip
+    li t3, 1
+    sw t3, 12(s0)           # IER: rx interrupt on
+    addi a1, a1, 1
+skip:
+    addi t0, t0, -1
+    bnez t0, loop
+    ebreak
+handler:
+    lw t6, 4(s0)            # rxdata
+    sw t6, 0(s0)            # echo
+    sw zero, 12(s0)         # IER: rx interrupt off
+    addi a0, a0, 1
+    csrr a4, mepc
+    add a5, a5, a4
+    mret
+"#;
+
+#[test]
+fn interrupt_timing_is_identical_across_tiers() {
+    // The cached tiers poll `mip` only when a device can have changed
+    // it (and the JIT runs native up to that deadline); the uncached
+    // interpreter polls at every block boundary. Each interrupt must
+    // still land at the same instruction, cycle and instret.
+    for (name, src, irqs) in [
+        ("periodic timer", PERIODIC_TIMER, 12),
+        ("software", SOFTWARE_IRQ, 10),
+        ("uart rx", UART_RX_IRQ, 7),
+    ] {
+        // Input is queued for every program; only `UART_RX_IRQ` enables
+        // the receive interrupt that consumes it.
+        let run = |vp: &mut Vp| {
+            load_src(vp, src);
+            vp.bus_mut()
+                .device_mut::<Uart>()
+                .unwrap()
+                .push_input(b"abcdefg");
+            assert_eq!(vp.run_for(100_000), RunOutcome::Break, "{name}");
+            (
+                cpu_state(vp.cpu()),
+                vp.bus().device::<Uart>().unwrap().output().to_vec(),
+            )
+        };
+        let builder = || Vp::builder().isa(IsaConfig::rv32imc());
+        let mut oracle = builder().block_cache(false).build();
+        let expected = run(&mut oracle);
+        assert_eq!(gpr(&oracle, 10), irqs, "{name}: interrupts taken");
+        for mut vp in [
+            builder().jit(false).build(),
+            builder().jit_threshold(1).build(),
+        ] {
+            assert_eq!(run(&mut vp), expected, "{name}");
+        }
+    }
 }

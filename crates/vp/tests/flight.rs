@@ -204,7 +204,11 @@ fn flight_fingerprint(
     restore_cycle: bool,
 ) -> (Vec<(u64, u32)>, u64, u64, String) {
     let b = Vp::builder().isa(IsaConfig::rv32imc());
-    let b = if jit_on { b.jit_threshold(1) } else { b.jit(false) };
+    let b = if jit_on {
+        b.jit_threshold(1)
+    } else {
+        b.jit(false)
+    };
     let mut vp = b.build();
     load_src(&mut vp, src);
     let snap = restore_cycle.then(|| vp.snapshot());

@@ -38,6 +38,26 @@ buf:
     .word 0
 "#;
 
+/// [`SUM_LOOP`] with its back-edge through `jalr`: an indirect exit
+/// installs no chain link, so each iteration probes the jump cache.
+const SUM_LOOP_INDIRECT: &str = r#"
+    li t0, 200
+    li a0, 0
+    la t1, buf
+    la t2, loop
+loop:
+    add a0, a0, t0
+    sw a0, 0(t1)
+    addi t1, t1, 4
+    addi t0, t0, -1
+    beqz t0, done
+    jalr x0, 0(t2)
+done:
+    ebreak
+buf:
+    .word 0
+"#;
+
 #[test]
 fn restore_resumes_bit_exact_on_same_vp() {
     let mut vp = Vp::new(IsaConfig::rv32imc());
@@ -379,29 +399,29 @@ fn jump_cache_hits_dominate_hot_loops() {
         "hot loop should be dominated by chained dispatches: {stats:?}"
     );
 
-    // The jump-cache-only tier (micro-op engine off) still hits the
-    // jump cache on the loop.
-    let mut jc = Vp::builder()
-        .isa(IsaConfig::rv32imc())
-        .micro_ops(false)
-        .build();
-    load_src(&mut jc, SUM_LOOP);
+    // The same loop closed by an indirect back-edge: every iteration
+    // dispatches the loop head through the jump cache, and must hit it.
+    let mut jc = Vp::builder().isa(IsaConfig::rv32imc()).jit(false).build();
+    load_src(&mut jc, SUM_LOOP_INDIRECT);
     assert_eq!(jc.run(), RunOutcome::Break);
+    assert_eq!(gpr(&jc, 10), gpr(&vp, 10));
     let jc_stats = jc.dispatch_stats();
     assert!(
-        jc_stats.jmp_cache_hit_rate() > 0.9,
+        jc_stats.jmp_cache_hits >= 199 && jc_stats.jmp_cache_hit_rate() > 0.9,
         "hot loop should hit the jump cache: {jc_stats:?}"
     );
-    assert_eq!(jc_stats.chain_hits, 0);
-    assert_eq!(cpu_state(jc.cpu()), cpu_state(vp.cpu()));
 
-    // Falling back to reference dispatch changes nothing architecturally.
-    let mut slow = Vp::builder()
-        .isa(IsaConfig::rv32imc())
-        .fast_dispatch(false)
-        .build();
-    load_src(&mut slow, SUM_LOOP);
-    assert_eq!(slow.run(), RunOutcome::Break);
-    assert_eq!(cpu_state(slow.cpu()), cpu_state(vp.cpu()));
-    assert_eq!(slow.dispatch_stats().jmp_cache_hits, 0);
+    // The uncached interpreter oracle agrees on both loops, without
+    // touching the jump cache.
+    for (src, fast) in [(SUM_LOOP, &vp), (SUM_LOOP_INDIRECT, &jc)] {
+        let mut oracle = Vp::builder()
+            .isa(IsaConfig::rv32imc())
+            .block_cache(false)
+            .build();
+        load_src(&mut oracle, src);
+        assert_eq!(oracle.run(), RunOutcome::Break);
+        assert_eq!(cpu_state(oracle.cpu()), cpu_state(fast.cpu()));
+        let stats = oracle.dispatch_stats();
+        assert_eq!(stats.jmp_cache_hits + stats.jmp_cache_misses, 0);
+    }
 }

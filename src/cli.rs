@@ -134,9 +134,6 @@ OPTIONS:
                                                  flight-recorder tail, final arch state) on
                                                  timeouts, hangs, harness errors and quarantines
                                                  (campaign)
-    --reference-dispatch                         per-insn reference interpreter: disables the block
-                                                 cache, the lowered micro-op engine and the RAM fast
-                                                 path (run/profile/campaign)
     --no-share-translations                      do not warm-seed worker VPs with the golden VP's
                                                  translated blocks (campaign)
     --no-prune                                   execute every mutant: disable the def-use
@@ -187,7 +184,6 @@ struct Options {
     progress: bool,
     dot_out: Option<String>,
     top: usize,
-    reference_dispatch: bool,
     share_translations: bool,
     prune: bool,
     jit: bool,
@@ -229,7 +225,6 @@ fn parse_options(args: &[String]) -> Result<Options, CliError> {
         progress: false,
         dot_out: None,
         top: 10,
-        reference_dispatch: false,
         share_translations: true,
         prune: true,
         jit: true,
@@ -339,7 +334,6 @@ fn parse_options(args: &[String]) -> Result<Options, CliError> {
             "--metrics-out" => opts.metrics_out = Some(value("--metrics-out")?),
             "--trace-out" => opts.trace_out = Some(value("--trace-out")?),
             "--trace-dir" => opts.trace_dir = Some(value("--trace-dir")?),
-            "--reference-dispatch" => opts.reference_dispatch = true,
             "--no-share-translations" => opts.share_translations = false,
             "--no-prune" => opts.prune = false,
             "--no-jit" => opts.jit = false,
@@ -380,9 +374,6 @@ fn worker_flag_args(opts: &Options, source_path: &str) -> Vec<String> {
     if let Some(ms) = opts.timeout_ms {
         args.push("--timeout-ms".to_string());
         args.push(ms.to_string());
-    }
-    if opts.reference_dispatch {
-        args.push("--reference-dispatch".to_string());
     }
     if !opts.share_translations {
         args.push("--no-share-translations".to_string());
@@ -633,11 +624,7 @@ fn run_command_inner(
     let mut code = 0;
     match command {
         "run" => {
-            let mut vp = Vp::builder()
-                .isa(opts.isa)
-                .fast_dispatch(!opts.reference_dispatch)
-                .jit(opts.jit)
-                .build();
+            let mut vp = Vp::builder().isa(opts.isa).jit(opts.jit).build();
             crate::boot(&mut vp, &image)
                 .map_err(|e| CliError::new(format!("image does not fit RAM: {e}")))?;
             if opts.metrics_out.is_some() || opts.progress {
@@ -805,11 +792,7 @@ fn run_command_inner(
             out.push_str(&report.summary_table());
         }
         "profile" => {
-            let mut vp = Vp::builder()
-                .isa(opts.isa)
-                .fast_dispatch(!opts.reference_dispatch)
-                .jit(opts.jit)
-                .build();
+            let mut vp = Vp::builder().isa(opts.isa).jit(opts.jit).build();
             crate::boot(&mut vp, &image)
                 .map_err(|e| CliError::new(format!("image does not fit RAM: {e}")))?;
             vp.add_plugin(Box::new(ProfilePlugin::new()));
@@ -893,7 +876,6 @@ fn run_command_inner(
             let mut cfg = CampaignConfig::new()
                 .isa(opts.isa)
                 .threads(opts.threads)
-                .reference_dispatch(opts.reference_dispatch)
                 .share_translations(opts.share_translations)
                 .prune(opts.prune)
                 .jit(opts.jit);
@@ -1053,9 +1035,8 @@ fn run_command_inner(
                                 ));
                                 bundle.attach_vp(&vp);
                             }
-                            None => bundle.push_attempt(
-                                "in-process forensic replay crashed the harness",
-                            ),
+                            None => bundle
+                                .push_attempt("in-process forensic replay crashed the harness"),
                         }
                     });
                 }

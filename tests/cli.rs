@@ -472,31 +472,6 @@ fn sharded_campaign_merges_worker_trace_chunks() {
 }
 
 #[test]
-fn reference_dispatch_flag_is_behaviorally_invisible() {
-    // The flag selects the per-insn reference interpreter; outcome,
-    // registers and counts must match the default lowered engine.
-    let fast = run_command("run", LOOP_PROGRAM, &[]).expect("runs");
-    let reference = run_command("run", LOOP_PROGRAM, &["--reference-dispatch"]).expect("runs");
-    assert_eq!(fast, reference);
-
-    let prof = run_command(
-        "profile",
-        LOOP_PROGRAM,
-        &["--isa", "rv32i", "--reference-dispatch"],
-    )
-    .expect("profile");
-    assert!(prof.contains("insns  : 12"), "{prof}");
-
-    let campaign = run_command(
-        "campaign",
-        "li a0, 1\nli a1, 2\nadd a0, a0, a1\nla t0, d\nsw a0, 0(t0)\nebreak\nd: .word 0",
-        &["--mutants", "1", "--isa", "rv32imc", "--reference-dispatch"],
-    )
-    .expect("campaign");
-    assert!(campaign.contains("normal termination rate"), "{campaign}");
-}
-
-#[test]
 fn no_prune_flag_is_classification_invisible() {
     // `--no-prune` executes every mutant instead of pruning provably
     // equivalent ones; the classification summary must not change.

@@ -3,34 +3,77 @@
 
 use proptest::prelude::*;
 use scale4edge::prelude::*;
+use scale4edge::vp::VpBuilder;
 
-fn run_to_break(image: &Image, isa: IsaConfig, cache: bool) -> Vp {
-    let mut vp = Vp::builder().isa(isa).block_cache(cache).build();
+/// Boots `image` on a VP from `builder`, attaches `plugin` if given and
+/// runs it to its `ebreak`.
+fn run_to_break(builder: VpBuilder, image: &Image, plugin: Option<Box<dyn Plugin>>) -> Vp {
+    let mut vp = builder.build();
     boot(&mut vp, image).expect("boots");
-    let outcome = vp.run_for(10_000_000);
-    assert_eq!(outcome, RunOutcome::Break);
+    if let Some(plugin) = plugin {
+        vp.add_plugin(plugin);
+    }
+    assert_eq!(vp.run_for(10_000_000), RunOutcome::Break);
     vp
+}
+
+/// A plugin that wants no per-instruction events. Attaching it keeps
+/// the micro-op engine but turns the JIT off and sends every memory
+/// access down the bus path, because plugins observe accesses with
+/// exact counters.
+#[derive(Debug)]
+struct BlockOnly;
+
+impl Plugin for BlockOnly {
+    fn wants_insn_events(&self) -> bool {
+        false
+    }
+}
+
+/// Checks that `vp` (the `arm` under test) finished in exactly the
+/// state of `oracle`: pc, cycles, instret, all GPRs and FPRs and the
+/// first 4 KiB of RAM from `base`.
+fn assert_same_state(arm: &str, vp: &Vp, oracle: &Vp, base: u32) -> Result<(), TestCaseError> {
+    prop_assert_eq!(vp.cpu().pc(), oracle.cpu().pc(), "{} pc", arm);
+    prop_assert_eq!(vp.cpu().cycles(), oracle.cpu().cycles(), "{} cycles", arm);
+    prop_assert_eq!(
+        vp.cpu().instret(),
+        oracle.cpu().instret(),
+        "{} instret",
+        arm
+    );
+    for i in 0..32u8 {
+        let r = Gpr::new(i).expect("index");
+        prop_assert_eq!(vp.cpu().gpr(r), oracle.cpu().gpr(r), "{} x{}", arm, i);
+        let f = s4e_isa::Fpr::new(i).expect("index");
+        prop_assert_eq!(vp.cpu().fpr(f), oracle.cpu().fpr(f), "{} f{}", arm, i);
+    }
+    prop_assert_eq!(
+        vp.bus().dump(base, 4096).expect("ram"),
+        oracle.bus().dump(base, 4096).expect("ram"),
+        "{} RAM",
+        arm
+    );
+    Ok(())
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// The block cache is a pure performance feature: architectural
-    /// results, cycle counts and instruction counts are identical with and
-    /// without it, for arbitrary generated programs.
+    /// The block cache is a pure performance feature: for arbitrary
+    /// generated programs, including memory-heavy ones, the default
+    /// builder (block cache, micro-op engine and template JIT) finishes
+    /// in exactly the state of the uncached per-instruction interpreter
+    /// (`block_cache(false)`), cycle and instruction counts included.
     #[test]
-    fn block_cache_is_transparent(seed in any::<u64>()) {
+    fn block_cache_is_transparent(seed in any::<u64>(), mem_heavy in any::<bool>()) {
         let isa = IsaConfig::rv32imfc();
-        let p = torture_program(&TortureConfig::new(seed).insns(120).isa(isa));
+        let cfg = TortureConfig::new(seed).insns(120).isa(isa).mem_heavy(mem_heavy);
+        let p = torture_program(&cfg);
         let image = assemble(&p.source).expect("generated programs assemble");
-        let cached = run_to_break(&image, isa, true);
-        let uncached = run_to_break(&image, isa, false);
-        prop_assert_eq!(cached.cpu().cycles(), uncached.cpu().cycles());
-        prop_assert_eq!(cached.cpu().instret(), uncached.cpu().instret());
-        for i in 0..32u8 {
-            let r = Gpr::new(i).expect("index");
-            prop_assert_eq!(cached.cpu().gpr(r), uncached.cpu().gpr(r));
-        }
+        let cached = run_to_break(Vp::builder().isa(isa), &image, None);
+        let uncached = run_to_break(Vp::builder().isa(isa).block_cache(false), &image, None);
+        assert_same_state("default", &cached, &uncached, image.base())?;
     }
 
     /// Snapshot/restore is architecturally invisible: running to an
@@ -79,58 +122,51 @@ proptest! {
         }
     }
 
-    /// The execution-engine tiers are architecturally invisible: for
-    /// arbitrary generated programs — including memory-heavy ones, where
-    /// roughly half the body is scratch-buffer loads/stores — all five
-    /// tiers finish in exactly the same CPU and memory state: the
-    /// template JIT (promotion threshold pinned to 1 so every block goes
-    /// native immediately), the full interpreter (micro-ops + fusion +
-    /// chaining + RAM fast path, JIT pinned off), the same with the RAM
-    /// fast path ablated, the jump-cache-only tier and the
-    /// per-instruction reference interpreter.
+    /// Every execution path is architecturally invisible. For arbitrary
+    /// generated programs, including memory-heavy ones where roughly half
+    /// the body is scratch-buffer loads and stores, each path finishes in
+    /// exactly the state of the uncached per-instruction interpreter: the
+    /// oracle, which shares none of their shortcuts (jump cache,
+    /// chaining, lowering, RAM fast path, SMC invalidation, throttled
+    /// interrupt polling). The four arms, with the default builder
+    /// checked by `block_cache_is_transparent`, are the paths users
+    /// reach: the micro-op engine (`jit(false)`), the template JIT with
+    /// every block promoted at once (`jit_threshold(1)`), a cached VP
+    /// running a per-instruction plugin (the path every in-tree plugin
+    /// takes) and one running a block-only plugin (the micro-op engine
+    /// with every access on the bus path).
     #[test]
     fn lowered_execution_matches_reference_dispatch(seed in any::<u64>(), mem_heavy in any::<bool>()) {
         let isa = IsaConfig::rv32imfc();
         let cfg = TortureConfig::new(seed).insns(120).isa(isa).mem_heavy(mem_heavy);
         let p = torture_program(&cfg);
         let image = assemble(&p.source).expect("generated programs assemble");
+        let builder = || Vp::builder().isa(isa);
 
-        let mut full = Vp::builder().isa(isa).jit(false).build();
-        boot(&mut full, &image).expect("boots");
-        prop_assert_eq!(full.run_for(10_000_000), RunOutcome::Break);
-        let mut jit = Vp::builder().isa(isa).jit_threshold(1).build();
-        boot(&mut jit, &image).expect("boots");
-        prop_assert_eq!(jit.run_for(10_000_000), RunOutcome::Break);
-        let mut bus_path_only = Vp::builder().isa(isa).mem_fast_path(false).build();
-        boot(&mut bus_path_only, &image).expect("boots");
-        prop_assert_eq!(bus_path_only.run_for(10_000_000), RunOutcome::Break);
-        let mut jump_cache_only = Vp::builder().isa(isa).micro_ops(false).build();
-        boot(&mut jump_cache_only, &image).expect("boots");
-        prop_assert_eq!(jump_cache_only.run_for(10_000_000), RunOutcome::Break);
-        let mut reference = Vp::builder().isa(isa).fast_dispatch(false).build();
-        boot(&mut reference, &image).expect("boots");
-        prop_assert_eq!(reference.run_for(10_000_000), RunOutcome::Break);
+        let oracle = run_to_break(builder().block_cache(false), &image, None);
+        let uops = run_to_break(builder().jit(false), &image, None);
+        let jit = run_to_break(builder().jit_threshold(1), &image, None);
+        let per_insn = run_to_break(builder(), &image, Some(Box::new(CoveragePlugin::new(isa))));
+        let block_only = run_to_break(builder(), &image, Some(Box::new(BlockOnly)));
 
-        for other in [&jit, &bus_path_only, &jump_cache_only, &reference] {
-            prop_assert_eq!(full.cpu().pc(), other.cpu().pc());
-            prop_assert_eq!(full.cpu().cycles(), other.cpu().cycles());
-            prop_assert_eq!(full.cpu().instret(), other.cpu().instret());
-            for i in 0..32u8 {
-                let r = Gpr::new(i).expect("index");
-                prop_assert_eq!(full.cpu().gpr(r), other.cpu().gpr(r));
-                let f = s4e_isa::Fpr::new(i).expect("index");
-                prop_assert_eq!(full.cpu().fpr(f), other.cpu().fpr(f));
-            }
-            let base = image.base();
-            prop_assert_eq!(
-                full.bus().dump(base, 4096).expect("ram"),
-                other.bus().dump(base, 4096).expect("ram")
-            );
+        let arms = [
+            ("jit(false)", &uops),
+            ("jit_threshold(1)", &jit),
+            ("per-insn plugin", &per_insn),
+            ("block-only plugin", &block_only),
+        ];
+        for (arm, vp) in arms {
+            assert_same_state(arm, vp, &oracle, image.base())?;
         }
-        // Memory-heavy programs must actually exercise the fast path on
-        // the full tier (otherwise this differential proves little).
+        // The arms must actually take the memory paths they stand for
+        // (otherwise this differential proves little): the micro-op
+        // engine serves RAM accesses from the fast path, and a plugin
+        // sends every access down the bus path.
+        let block_only = block_only.dispatch_stats();
+        prop_assert_eq!(block_only.mem_fast_hits, 0);
         if mem_heavy {
-            prop_assert!(full.dispatch_stats().mem_fast_hits > 0);
+            prop_assert!(uops.dispatch_stats().mem_fast_hits > 0);
+            prop_assert!(block_only.mem_slow_hits > 0);
         }
     }
 
