@@ -150,8 +150,8 @@ fn main() {
     // JIT-in-mutants A/B arm on the same 1120-spec sweep: mutant
     // suffixes now execute natively (the arena survives each per-mutant
     // restore, the flight ring is written from the native prologues,
-    // and armed fault masks cost a per-dispatch bail), so the jit-off
-    // arm times what the whole campaign loses without the native tier.
+    // and stuck-at masks select the masked engine), so the jit-off arm
+    // times what the whole campaign loses without the native tier.
     // Classifications must be bit-identical either way.
     let nojit_campaign = Campaign::prepare(
         image.base(),
@@ -250,11 +250,10 @@ fn main() {
     println!(
         "native suffix coverage: {campaign_jit_exec} block executions, \
          {campaign_jit_retained} retained adoptions, {campaign_jit_bailouts} bailouts \
-         (mem={} budget={} smc={} mask={} reval={})",
+         (mem={} budget={} smc={} reval={})",
         jit_counter("campaign_jit_bail_mem_slow_path"),
         jit_counter("campaign_jit_bail_budget_expiry"),
         jit_counter("campaign_jit_bail_smc_store"),
-        jit_counter("campaign_jit_bail_mask_armed"),
         jit_counter("campaign_jit_bail_revalidation_miss"),
     );
 
@@ -647,7 +646,7 @@ fn main() {
              \"mem_fast_hits\": {}, \"mem_slow_hits\": {}, \"translations\": {}, \
              \"warm_translations\": {}, \"jit_blocks\": {}, \"jit_exec\": {}, \
              \"jit_bailouts\": {}, \"jit_bail_mem\": {}, \"jit_bail_budget\": {}, \
-             \"jit_bail_smc\": {}, \"jit_bail_mask\": {}, \"jit_bail_reval_miss\": {}, \
+             \"jit_bail_smc\": {}, \"jit_bail_reval_miss\": {}, \
              \"jit_retained\": {}, \"jit_revalidations\": {}}}",
             s.chain_hits,
             s.chain_links,
@@ -665,7 +664,6 @@ fn main() {
             s.jit_bail_mem,
             s.jit_bail_budget,
             s.jit_bail_smc,
-            s.jit_bail_mask,
             s.jit_bail_reval_miss,
             s.jit_retained,
             s.jit_revalidations,
@@ -686,7 +684,6 @@ fn main() {
          \"campaign_jit_bail_mem_slow_path\": {},\n  \
          \"campaign_jit_bail_budget_expiry\": {},\n  \
          \"campaign_jit_bail_smc_store\": {},\n  \
-         \"campaign_jit_bail_mask_armed\": {},\n  \
          \"campaign_jit_bail_revalidation_miss\": {},\n  \
          \"scale_mutants\": {},\n  \"scale_threads1_s\": {:.6},\n  \
          \"scale_threads2_s\": {:.6},\n  \"scale_threads4_s\": {:.6},\n  \
@@ -730,7 +727,6 @@ fn main() {
         jit_counter("campaign_jit_bail_mem_slow_path"),
         jit_counter("campaign_jit_bail_budget_expiry"),
         jit_counter("campaign_jit_bail_smc_store"),
-        jit_counter("campaign_jit_bail_mask_armed"),
         jit_counter("campaign_jit_bail_revalidation_miss"),
         scale_specs.len(),
         t1_s,

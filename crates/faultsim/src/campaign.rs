@@ -127,14 +127,17 @@ pub struct CampaignConfig {
     pub prune: bool,
     /// Whether campaign VPs may promote hot blocks to the template JIT
     /// tier. On by default; classifications are identical either way —
-    /// mutant suffixes now run *natively* too: the JIT arena survives
-    /// each per-mutant snapshot restore (blocks re-validate against the
-    /// code bytes they were compiled from), an armed flight recorder is
-    /// written from the native block prologues, and armed stuck-at
-    /// fault masks cost a per-dispatch bail rather than gating the run,
-    /// so only the injection instant itself interprets. This is the
-    /// `--no-jit` A/B switch over the whole campaign — golden run,
-    /// prefix replays, pruning analysis and every mutant suffix.
+    /// mutant suffixes run *natively* too: the JIT arena survives each
+    /// per-mutant snapshot restore (blocks re-validate against the code
+    /// bytes they were compiled from), an armed flight recorder is
+    /// written from the native block prologues, and stuck-at mutants
+    /// run on the JIT's masked engine, which reads every register
+    /// operand through the armed stuck-at masks. Blocks that are not
+    /// yet hot, or that the JIT cannot compile (CSR, FP and system
+    /// instructions, division), still run on the micro-op engine. This
+    /// is the `--no-jit` A/B switch over the whole campaign — golden
+    /// run, prefix replays, pruning analysis and every mutant suffix —
+    /// and turns both JIT engines off.
     pub jit: bool,
 }
 

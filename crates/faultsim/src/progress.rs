@@ -85,7 +85,6 @@ pub struct CampaignProgress {
     jit_bail_mem: Arc<Counter>,
     jit_bail_budget: Arc<Counter>,
     jit_bail_smc: Arc<Counter>,
-    jit_bail_mask: Arc<Counter>,
     jit_bail_reval_miss: Arc<Counter>,
     jit_retained: Arc<Counter>,
     jit_revalidations: Arc<Counter>,
@@ -150,7 +149,6 @@ impl CampaignProgress {
             jit_bail_mem: registry.counter("campaign_jit_bail_mem_slow_path"),
             jit_bail_budget: registry.counter("campaign_jit_bail_budget_expiry"),
             jit_bail_smc: registry.counter("campaign_jit_bail_smc_store"),
-            jit_bail_mask: registry.counter("campaign_jit_bail_mask_armed"),
             jit_bail_reval_miss: registry.counter("campaign_jit_bail_revalidation_miss"),
             jit_retained: registry.counter("campaign_jit_retained"),
             jit_revalidations: registry.counter("campaign_jit_revalidations"),
@@ -220,7 +218,6 @@ impl CampaignProgress {
         self.jit_bail_mem.add(stats.jit_bail_mem);
         self.jit_bail_budget.add(stats.jit_bail_budget);
         self.jit_bail_smc.add(stats.jit_bail_smc);
-        self.jit_bail_mask.add(stats.jit_bail_mask);
         self.jit_bail_reval_miss.add(stats.jit_bail_reval_miss);
         self.jit_retained.add(stats.jit_retained);
         self.jit_revalidations.add(stats.jit_revalidations);
@@ -466,11 +463,10 @@ impl CampaignProgress {
             if bails > 0 {
                 let _ = write!(
                     line,
-                    " bail={bails}(mem={} budget={} smc={} mask={} reval={})",
+                    " bail={bails}(mem={} budget={} smc={} reval={})",
                     self.jit_bail_mem.value(),
                     self.jit_bail_budget.value(),
                     self.jit_bail_smc.value(),
-                    self.jit_bail_mask.value(),
                     self.jit_bail_reval_miss.value()
                 );
             }

@@ -54,7 +54,7 @@ use crate::FaultResult;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use s4e_obs::Tracer;
-use std::collections::{HashSet, VecDeque};
+use std::collections::{HashMap, HashSet, VecDeque};
 use std::fs::File;
 use std::io::{Read as _, Seek, SeekFrom};
 use std::ops::Range;
@@ -435,6 +435,10 @@ impl<'a> ShardSupervisor<'a> {
             CampaignError::Checkpoint(format!("creating {}: {e}", shard_dir.display()))
         })?;
 
+        // `done` is keyed by spec, but progress announces `specs.len()`:
+        // a spec classified for the first time counts once per
+        // occurrence in the list, so duplicated specs still add up.
+        let occurrences = count_occurrences(specs);
         let mut done = DoneMap::new();
         if resume {
             if let Some(path) = merged_checkpoint {
@@ -443,7 +447,9 @@ impl<'a> ShardSupervisor<'a> {
                 for (result, panic) in load.entries {
                     if done.insert(result.spec, (result.outcome, panic)).is_none() {
                         if let Some(p) = &self.progress {
-                            p.record_resumed(result.outcome);
+                            for _ in 0..occurrences.get(&result.spec).copied().unwrap_or(0) {
+                                p.record_resumed(result.outcome);
+                            }
                         }
                     }
                 }
@@ -598,7 +604,8 @@ impl<'a> ShardSupervisor<'a> {
                     if let Some(p) = &self.progress {
                         p.worker_heartbeat(run.task.id);
                     }
-                    run.fresh += merge_records(fresh, &mut done, self.progress.as_deref());
+                    run.fresh +=
+                        merge_records(fresh, &mut done, self.progress.as_deref(), &occurrences);
                 }
                 let now = Instant::now();
                 if run.kill_at.is_some_and(|at| at <= now)
@@ -619,7 +626,8 @@ impl<'a> ShardSupervisor<'a> {
                         // Final drain: records written between the last
                         // poll and the exit.
                         let fresh = tail_records(&run.task.checkpoint, &mut run.task.offset);
-                        run.fresh += merge_records(fresh, &mut done, self.progress.as_deref());
+                        run.fresh +=
+                            merge_records(fresh, &mut done, self.progress.as_deref(), &occurrences);
                         let status_text = status.to_string();
                         run.task.history.push(format!(
                             "exit ({status_text}) after {} fresh classifications",
@@ -675,7 +683,9 @@ impl<'a> ShardSupervisor<'a> {
                                 done.insert(spec, (FaultOutcome::Quarantined, None));
                                 quarantined.push(spec);
                                 if let Some(p) = &self.progress {
-                                    p.record_outcome(FaultOutcome::Quarantined);
+                                    for _ in 0..occurrences[&spec] {
+                                        p.record_outcome(FaultOutcome::Quarantined);
+                                    }
                                     p.record_shard_done();
                                 }
                                 run.task.history.push(format!("quarantined {spec}"));
@@ -805,7 +815,7 @@ impl<'a> ShardSupervisor<'a> {
             let _ = run.child.kill();
             let _ = run.child.wait();
             let fresh = tail_records(&run.task.checkpoint, &mut run.task.offset);
-            merge_records(fresh, &mut done, self.progress.as_deref());
+            merge_records(fresh, &mut done, self.progress.as_deref(), &occurrences);
         }
 
         // Flush the final merged checkpoint atomically before reporting
@@ -888,20 +898,33 @@ fn remaining_indices(range: &Range<usize>, specs: &[FaultSpec], done: &DoneMap) 
         .collect()
 }
 
-/// Folds tailed records into the merged state, counting only
+/// How many times each spec occurs in the sweep list.
+fn count_occurrences(specs: &[FaultSpec]) -> HashMap<FaultSpec, u64> {
+    let mut counts = HashMap::with_capacity(specs.len());
+    for spec in specs {
+        *counts.entry(*spec).or_insert(0) += 1;
+    }
+    counts
+}
+
+/// Folds tailed records into the merged state, merging only
 /// first-sightings (duplicated specs across shard files merge cleanly).
-/// Returns how many were genuinely new.
+/// Progress counts each first-sighting once per occurrence of its spec
+/// in the list. Returns how many specs were genuinely new.
 fn merge_records(
     fresh: Vec<(FaultResult, Option<String>)>,
     done: &mut DoneMap,
     progress: Option<&CampaignProgress>,
+    occurrences: &HashMap<FaultSpec, u64>,
 ) -> u64 {
     let mut new = 0;
     for (result, panic) in fresh {
         if done.insert(result.spec, (result.outcome, panic)).is_none() {
             new += 1;
             if let Some(p) = progress {
-                p.record_outcome(result.outcome);
+                for _ in 0..occurrences.get(&result.spec).copied().unwrap_or(0) {
+                    p.record_outcome(result.outcome);
+                }
             }
         }
     }

@@ -221,22 +221,34 @@ fn fast_forward_efficiency_metrics_flow_into_progress() {
     assert!(snap.counter("campaign_snapshots_taken").unwrap_or(0) > 0);
     // Restores moved at least the image pages on first touch.
     assert!(snap.counter("campaign_dirty_pages_restored").unwrap_or(0) > 0);
-    // The fast dispatch paths (chained successors plus jump-cache hits)
-    // saw traffic and mostly hit; chaining drains traffic that used to
-    // count as jump-cache hits, so both feed the same assertion.
-    let hits = snap.counter("campaign_jmp_cache_hits").unwrap_or(0);
-    let misses = snap.counter("campaign_jmp_cache_misses").unwrap_or(0);
-    let chained = snap.counter("campaign_chain_hits").unwrap_or(0);
-    assert!(
-        hits + chained > misses,
-        "hits {hits} + chained {chained} vs misses {misses}"
-    );
     // Fault campaigns execute with per-insn replay near injection points,
     // but hot stretches still run lowered: fused micro-ops must execute.
     // (Lowering itself happens on the prepare-run golden VP whose stats
     // are not recorded — workers adopt its blocks warm.)
     assert!(snap.counter("campaign_fused_executed").unwrap_or(0) > 0);
     assert!(snap.counter("campaign_warm_translations").unwrap_or(0) > 0);
+
+    // The interpreter's fast dispatch paths (chained successors plus
+    // jump-cache hits) saw traffic and mostly hit; chaining drains
+    // traffic that used to count as jump-cache hits, so both feed the
+    // same assertion. Checked on the path it describes: with the JIT on,
+    // native chains carry the hot loops (stuck-at mutants included) and
+    // the interpreter sees little beyond each block's first fetch.
+    let mut interpreted = campaign(
+        WORK_PROGRAM,
+        &CampaignConfig::new().threads(2).prune(false).jit(false),
+    );
+    let progress_nojit = Arc::new(CampaignProgress::new());
+    interpreted.set_progress(Arc::clone(&progress_nojit));
+    interpreted.run_all(&specs);
+    let snap_nojit = progress_nojit.snapshot();
+    let hits = snap_nojit.counter("campaign_jmp_cache_hits").unwrap_or(0);
+    let misses = snap_nojit.counter("campaign_jmp_cache_misses").unwrap_or(0);
+    let chained = snap_nojit.counter("campaign_chain_hits").unwrap_or(0);
+    assert!(
+        hits + chained > misses,
+        "hits {hits} + chained {chained} vs misses {misses}"
+    );
 
     // With fast-forward off, no snapshots are restored at all.
     let mut legacy = campaign(
@@ -253,6 +265,43 @@ fn fast_forward_efficiency_metrics_flow_into_progress() {
         progress2.snapshot().counter("campaign_snapshot_restores"),
         Some(0)
     );
+}
+
+#[test]
+fn stuck_at_sweep_classifies_identically_with_jit_on_and_off() {
+    // Every register WORK_PROGRAM touches (x0 through `li` and `bnez`)
+    // × 32 bits × both polarities. Stuck-at mutants run natively on the
+    // masked engine, stuck loop counters included (the Timeouts).
+    let regs = [0u8, 5, 6, 7, 10].map(|r| Gpr::new(r).unwrap());
+    let mut specs = Vec::new();
+    for reg in regs {
+        for bit in 0..32u8 {
+            for value in [false, true] {
+                specs.push(FaultSpec {
+                    target: FaultTarget::GprBit { reg, bit },
+                    kind: FaultKind::StuckAt { value },
+                });
+            }
+        }
+    }
+    let sweep = |jit: bool| {
+        let mut c = campaign(WORK_PROGRAM, &CampaignConfig::new().threads(2).jit(jit));
+        let progress = Arc::new(CampaignProgress::new());
+        c.set_progress(Arc::clone(&progress));
+        (c.run_all(&specs), progress.snapshot())
+    };
+    let (native, snap) = sweep(true);
+    let (interpreted, _) = sweep(false);
+    assert_eq!(native.results(), interpreted.results());
+    assert!(
+        native
+            .results()
+            .iter()
+            .any(|r| r.outcome == FaultOutcome::Timeout),
+        "{:?}",
+        native.counts()
+    );
+    assert!(snap.counter("campaign_jit_blocks_executed").unwrap_or(0) > 0);
 }
 
 #[test]

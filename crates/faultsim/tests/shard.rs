@@ -13,14 +13,16 @@
 use s4e_asm::assemble;
 use s4e_faultsim::{
     atomic_write_file, compact_checkpoint, encode_result, plan_shards, read_checkpoint, run_shard,
-    Campaign, CampaignConfig, CampaignError, FaultKind, FaultOutcome, FaultResult, FaultSpec,
-    FaultTarget, ShardSupervisor, SupervisorConfig,
+    Campaign, CampaignConfig, CampaignError, CampaignProgress, FaultKind, FaultOutcome,
+    FaultResult, FaultSpec, FaultTarget, ShardSupervisor, SupervisorConfig,
 };
 use s4e_isa::Gpr;
+use s4e_obs::names;
 use s4e_vp::CancelToken;
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
 use std::time::Duration;
 
 const SUM_PROGRAM: &str = r#"
@@ -281,6 +283,59 @@ fn supervisor_merges_clean_workers() {
     let load = read_checkpoint(&merged).expect("readable");
     assert_eq!(load.entries.len(), specs.len());
     assert_eq!(load.skipped_lines, 0);
+}
+
+#[test]
+fn sharded_progress_counts_every_list_entry() {
+    // The generator emits duplicate specs. The supervisor merges each
+    // spec once, but progress announces the list length, so a spec must
+    // count once per occurrence: within one shard and across shards.
+    let reference = campaign(&CampaignConfig::new());
+    let mut specs = unique_specs(4, 3);
+    let repeats: Vec<FaultSpec> = [0, 1, 5, 11].iter().map(|&i| specs[i]).collect();
+    specs.extend(repeats);
+    specs.insert(2, specs[0]);
+    let full = reference.run_all(&specs);
+    let dir = temp_dir("sup-dups");
+    let answers = dir.join("answers.jsonl");
+    write_answers(full.results(), &answers);
+
+    let mut config = SupervisorConfig::new(3);
+    config.backoff_base = Duration::from_millis(1);
+    let mut supervisor = ShardSupervisor::new(config, |req| {
+        let mut cmd = std::process::Command::new("sh");
+        cmd.arg("-c").arg(format!(
+            "sed -n '{}p' {} >> {}",
+            sed_range(&req.range),
+            answers.display(),
+            req.checkpoint.display()
+        ));
+        cmd
+    });
+    let progress = Arc::new(CampaignProgress::new());
+    supervisor.set_progress(Arc::clone(&progress));
+    let sharded = supervisor
+        .run(&specs, &dir.join("shards"), None, false)
+        .expect("supervised sweep completes");
+    let report = &sharded.report;
+    assert_eq!(report.results(), full.results());
+    assert_eq!(report.total(), specs.len());
+
+    let snap = progress.snapshot();
+    assert_eq!(snap.gauge("campaign_total"), Some(specs.len() as u64));
+    assert_eq!(snap.counter("campaign_done"), Some(report.total() as u64));
+    let counts = report.counts();
+    for (class, n) in &counts {
+        let name = format!("campaign_outcome_{}", names::sanitize(class));
+        assert_eq!(snap.counter(&name), Some(*n as u64), "{name}");
+    }
+    let outcomes: u64 = snap
+        .metrics()
+        .keys()
+        .filter(|k| k.starts_with("campaign_outcome_"))
+        .filter_map(|k| snap.counter(k))
+        .sum();
+    assert_eq!(outcomes, specs.len() as u64);
 }
 
 #[test]

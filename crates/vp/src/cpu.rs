@@ -12,6 +12,30 @@ const MSTATUS_MPIE: u32 = 1 << 7;
 /// `mstatus.MPP` field (always M-mode here).
 const MSTATUS_MPP: u32 = 0b11 << 11;
 
+/// The permanent-fault (stuck-at) mask table: a GPR read returns
+/// `(raw | one[r]) & keep[r]`. Laid out for the masked template JIT,
+/// which addresses it from one base register pointing at `keep`: with
+/// `one` immediately before it, `one[r]` sits at byte displacement
+/// `4 * r - 128` and `keep[r]` at `4 * r`, both within a signed 8-bit
+/// displacement.
+#[repr(C)]
+#[derive(Debug, Clone)]
+struct GprMasks {
+    /// Bits forced to 1.
+    one: [u32; 32],
+    /// Bits passed through; a cleared bit is stuck at 0.
+    keep: [u32; 32],
+}
+
+const _: () = assert!(std::mem::offset_of!(GprMasks, keep) == 128);
+
+impl GprMasks {
+    const CLEAR: GprMasks = GprMasks {
+        one: [0; 32],
+        keep: [u32::MAX; 32],
+    };
+}
+
 /// The architectural state of the single RV32 hart.
 ///
 /// All register access goes through accessors so that the permanent-fault
@@ -50,8 +74,7 @@ pub struct Cpu {
     fcsr: u32,
     // permanent-fault (stuck-at) masks, applied on GPR read
     faults_enabled: bool,
-    gpr_stuck_one: [u32; 32],
-    gpr_stuck_zero: [u32; 32],
+    masks: GprMasks,
 }
 
 impl Cpu {
@@ -74,8 +97,7 @@ impl Cpu {
             mtval: 0,
             fcsr: 0,
             faults_enabled: false,
-            gpr_stuck_one: [0; 32],
-            gpr_stuck_zero: [0; 32],
+            masks: GprMasks::CLEAR,
         }
     }
 
@@ -100,7 +122,7 @@ impl Cpu {
         let i = reg.index() as usize;
         let v = self.gprs[i];
         if self.faults_enabled {
-            (v | self.gpr_stuck_one[i]) & !self.gpr_stuck_zero[i]
+            (v | self.masks.one[i]) & self.masks.keep[i]
         } else {
             v
         }
@@ -115,12 +137,22 @@ impl Cpu {
     }
 
     /// Raw pointer to the GPR file for the template JIT. Compiled code
-    /// reads and writes `gprs[1..32]` directly (and never writes slot 0,
-    /// preserving the hard-wired `x0`); valid only while no stuck-at
-    /// fault masks are active — the JIT dispatcher checks
-    /// [`faults_enabled`](Cpu::faults_enabled) before every native run.
+    /// writes `gprs[1..32]` directly (never slot 0, preserving the
+    /// hard-wired `x0`). The plain engine reads the file raw, so the
+    /// dispatcher runs it only while
+    /// [`faults_enabled`](Cpu::faults_enabled) is false; with masks
+    /// armed it runs the masked engine, which filters every read
+    /// through [`gpr_masks_ptr`](Cpu::gpr_masks_ptr).
     pub(crate) fn gprs_ptr(&mut self) -> *mut u32 {
         self.gprs.as_mut_ptr()
+    }
+
+    /// Raw pointer to `keep[0]` of the stuck-at mask table, for the
+    /// masked template JIT: `keep[r]` is at byte offset `4 * r` and
+    /// `one[r]` at `4 * r - 128` (see `GprMasks`). Compiled code only
+    /// reads through it.
+    pub(crate) fn gpr_masks_ptr(&self) -> *const u32 {
+        self.masks.keep.as_ptr()
     }
 
     /// Reads a floating-point register (raw bits).
@@ -199,8 +231,13 @@ impl Cpu {
             h = word(h, v);
         }
         h = word(h, u32::from(self.faults_enabled));
-        for &m in self.gpr_stuck_one.iter().chain(&self.gpr_stuck_zero) {
+        // Folded as (stuck-at-1, stuck-at-0) bits, so fingerprints do not
+        // depend on the table's `keep` representation.
+        for &m in &self.masks.one {
             h = word(h, m);
+        }
+        for &k in &self.masks.keep {
+            h = word(h, !k);
         }
         h
     }
@@ -388,11 +425,11 @@ impl Cpu {
         let i = reg.index() as usize;
         let mask = 1u32 << bit;
         if stuck_value {
-            self.gpr_stuck_one[i] |= mask;
-            self.gpr_stuck_zero[i] &= !mask;
+            self.masks.one[i] |= mask;
+            self.masks.keep[i] |= mask;
         } else {
-            self.gpr_stuck_zero[i] |= mask;
-            self.gpr_stuck_one[i] &= !mask;
+            self.masks.keep[i] &= !mask;
+            self.masks.one[i] &= !mask;
         }
         self.faults_enabled = true;
     }
@@ -433,8 +470,7 @@ impl Cpu {
 
     /// Removes all planted permanent faults.
     pub fn clear_faults(&mut self) {
-        self.gpr_stuck_one = [0; 32];
-        self.gpr_stuck_zero = [0; 32];
+        self.masks = GprMasks::CLEAR;
         self.faults_enabled = false;
     }
 }

@@ -65,6 +65,21 @@
 //! entry cookie. That keeps the golden run's native code hot across
 //! every SMC-free mutant of a fault campaign instead of recompiling it
 //! per mutant.
+//!
+//! ## Masked engine
+//!
+//! A `Vp` owns up to two engines. The plain engine reads the GPR file
+//! raw and runs only while no stuck-at register mask is armed; the
+//! masked engine (`JitEngine::new(true)`) runs while masks are armed.
+//! It compiles the unfused lowering — one micro-op per instruction, so
+//! micro-op `k` is instruction `k` and no fused pair computes through
+//! an unmasked intermediate register — and every template reads each
+//! GPR operand as `(raw | one[r]) & keep[r]`, exactly like
+//! `Cpu::gpr`, from the CPU's mask table, whose `keep` base the
+//! trampoline pins in `rbp` (`one` sits 128 bytes below it). Register
+//! writes, path accounting, the flight-ring prologue, chaining,
+//! restore retention and every bail contract are the plain engine's;
+//! the plain engine's block code is unaffected by the flag.
 
 #[cfg(target_arch = "x86_64")]
 pub(crate) use native::JitEngine;
@@ -139,7 +154,7 @@ mod stub {
     pub(crate) struct JitEngine {}
 
     impl JitEngine {
-        pub(crate) fn new() -> Option<JitEngine> {
+        pub(crate) fn new(_masked: bool) -> Option<JitEngine> {
             None
         }
 
@@ -184,6 +199,7 @@ mod stub {
             &mut self,
             _entry: usize,
             _gprs: *mut u32,
+            _masks: *const u32,
             _ram: *mut u8,
             _dirty: *mut u64,
             _remaining: u64,
@@ -425,6 +441,9 @@ mod native {
         instret_bias: u64, // 88 (in)
         /// One of the `BAIL_*` codes (out; meaningful on bail exits).
         bail_reason: u32, // 96
+        /// `keep[0]` of the stuck-at mask table (`Cpu::gpr_masks_ptr`),
+        /// pinned in rbp; only the masked engine's templates read it.
+        masks: *const u32, // 104 (in)
     }
 
     const OFF_GPRS: i8 = 0;
@@ -442,6 +461,7 @@ mod native {
     const OFF_FLIGHT: i8 = 80;
     const OFF_INSTRET_BIAS: i8 = 88;
     const OFF_BAIL_REASON: i8 = 96;
+    const OFF_MASKS: i8 = 104;
 
     // Offsets into the `repr(C)` [`FlightRing`] header (asserted
     // against the real layout by a test in `flight.rs`) and its 32-byte
@@ -461,8 +481,9 @@ mod native {
     // ---------------------------------------------------- assembler
 
     // Host register numbers (x86-64 encoding values). Fixed roles
-    // inside native code: r15 = ctx, rbx = GPR file, r13 = RAM base,
-    // r14 = remaining instruction budget; rax/rcx/rdx are scratch.
+    // inside native code: r15 = ctx, rbx = GPR file, rbp = stuck-at
+    // mask table (`keep[0]`), r13 = RAM base, r14 = remaining
+    // instruction budget; rax/rcx/rdx are scratch.
     const RAX: u8 = 0;
     const RCX: u8 = 1;
     const RDX: u8 = 2;
@@ -935,6 +956,9 @@ mod native {
         /// site to rel32 = 0, i.e. its local fall-through exit stub,
         /// and re-queues it on `pending` for a future recompile.
         applied: HashMap<u32, Vec<usize>>,
+        /// Whether templates read GPR operands through the stuck-at
+        /// mask table (the masked engine) or raw (the plain engine).
+        masked: bool,
         ctx: JitCtx,
     }
 
@@ -946,7 +970,9 @@ mod native {
     unsafe impl Send for JitEngine {}
 
     impl JitEngine {
-        pub(crate) fn new() -> Option<JitEngine> {
+        /// A fresh engine; `masked` selects the masked engine (see the
+        /// module docs). The arena is mapped on the first compile.
+        pub(crate) fn new(masked: bool) -> Option<JitEngine> {
             Some(JitEngine {
                 arena: None,
                 dead: false,
@@ -957,6 +983,7 @@ mod native {
                 blocks: HashMap::new(),
                 pending: HashMap::new(),
                 applied: HashMap::new(),
+                masked,
                 ctx: JitCtx {
                     gprs: core::ptr::null_mut(),
                     ram: core::ptr::null_mut(),
@@ -973,6 +1000,7 @@ mod native {
                     flight: core::ptr::null_mut(),
                     instret_bias: 0,
                     bail_reason: BAIL_NONE,
+                    masks: core::ptr::null(),
                 },
             })
         }
@@ -1150,6 +1178,7 @@ mod native {
             }
             a.mov_rr64(R15, RDI); // ctx
             a.mov_r64_mem(RBX, R15, OFF_GPRS);
+            a.mov_r64_mem(RBP, R15, OFF_MASKS);
             a.mov_r64_mem(R13, R15, OFF_RAM);
             a.mov_r64_mem(R14, R15, OFF_REMAINING);
             a.jmp_reg(RSI);
@@ -1182,11 +1211,15 @@ mod native {
         ///   exclusively borrowed for the duration of the call, with
         ///   `ram`/`dirty` matching the `ram_base`/`ram_len` the
         ///   blocks were compiled against.
+        /// - `masks` must point to `keep[0]` of the same CPU's stuck-at
+        ///   mask table (`Cpu::gpr_masks_ptr`), with `one[0..32]` in the
+        ///   128 bytes below it, readable and unmodified for the
+        ///   duration of the call. Only the masked engine reads it.
         /// - `code_lo..code_hi` must cover every guest address whose
         ///   translation is live (same contract as the interpreter's
         ///   SMC filter).
-        /// - Register faults must be disabled and no plugin attached:
-        ///   templates read the GPR file raw.
+        /// - No plugin attached, and for the plain engine no register
+        ///   fault armed: its templates read the GPR file raw.
         /// - `flight` is either null or an exclusively borrowed
         ///   [`FlightRing`] whose buffer stays valid for the call.
         #[allow(clippy::too_many_arguments)]
@@ -1194,6 +1227,7 @@ mod native {
             &mut self,
             entry: usize,
             gprs: *mut u32,
+            masks: *const u32,
             ram: *mut u8,
             dirty: *mut u64,
             remaining: u64,
@@ -1220,6 +1254,7 @@ mod native {
                 flight,
                 instret_bias,
                 bail_reason: BAIL_NONE,
+                masks,
             };
             // SAFETY (per the function contract): `trampoline` and
             // `entry` point at finalized code in the R+X exec view; the
@@ -1263,6 +1298,11 @@ mod native {
             if self.dead || uops.is_empty() {
                 return Compiled::Ineligible;
             }
+            debug_assert!(
+                !self.masked || uops.iter().all(|u| u.n == 1),
+                "the masked engine compiles the unfused lowering"
+            );
+            let masked = self.masked;
             let mut worst_cyc: u64 = 0;
             let mut total_n: u64 = 0;
             for u in uops {
@@ -1275,7 +1315,9 @@ mod native {
             if worst_cyc > i32::MAX as u64 || total_n > i32::MAX as u64 {
                 return Compiled::Ineligible;
             }
-            if !self.ensure_arena() || self.cursor + 256 + uops.len() * 192 > ARENA_CAP {
+            // Masked templates add up to two mask reads per operand.
+            let per_uop = if masked { 256 } else { 192 };
+            if !self.ensure_arena() || self.cursor + 256 + uops.len() * per_uop > ARENA_CAP {
                 return Compiled::Ineligible;
             }
             let epilogue = self.epilogue;
@@ -1351,7 +1393,6 @@ mod native {
             // Body: one template per micro-op, with running
             // path-constant sums (cycles / retired / fused ops) of the
             // micro-ops *completed before* the one being emitted.
-            let g = |r: u8| -> i8 { (r as i8) * 4 };
             let mut cyc: u64 = 0;
             let mut n: u64 = 0;
             let mut fused: u64 = 0;
@@ -1383,7 +1424,7 @@ mod native {
                                 Op::Andi => 4,
                                 _ => 6,
                             };
-                            a.mov_r32_mem(RAX, RBX, g(rs1));
+                            load_gpr(&mut a, masked, RAX, rs1);
                             if !(u.op == Op::Addi && u.imm == 0) {
                                 a.alu_ri32(ext, RAX, u.imm);
                             }
@@ -1392,7 +1433,7 @@ mod native {
                     }
                     Op::Slti | Op::Sltiu => {
                         if rd != 0 {
-                            a.mov_r32_mem(RAX, RBX, g(rs1));
+                            load_gpr(&mut a, masked, RAX, rs1);
                             a.alu_ri32(7, RAX, u.imm);
                             a.setcc_zx32(if u.op == Op::Slti { CC_L } else { CC_B }, RAX);
                             a.mov_mem_r32(RBX, g(rd), RAX);
@@ -1405,7 +1446,7 @@ mod native {
                                 Op::Srli => 5,
                                 _ => 7,
                             };
-                            a.mov_r32_mem(RAX, RBX, g(rs1));
+                            load_gpr(&mut a, masked, RAX, rs1);
                             a.shift_ri32(ext, RAX, (u.imm as u32 & 31) as u8);
                             a.mov_mem_r32(RBX, g(rd), RAX);
                         }
@@ -1419,15 +1460,15 @@ mod native {
                                 Op::Or => 0x0b,
                                 _ => 0x23,
                             };
-                            a.mov_r32_mem(RAX, RBX, g(rs1));
-                            a.alu_r32_mem(opc, RAX, RBX, g(rs2));
+                            load_gpr(&mut a, masked, RAX, rs1);
+                            alu_gpr(&mut a, masked, opc, RAX, rs2);
                             a.mov_mem_r32(RBX, g(rd), RAX);
                         }
                     }
                     Op::Slt | Op::Sltu => {
                         if rd != 0 {
-                            a.mov_r32_mem(RAX, RBX, g(rs1));
-                            a.alu_r32_mem(0x3b, RAX, RBX, g(rs2));
+                            load_gpr(&mut a, masked, RAX, rs1);
+                            alu_gpr(&mut a, masked, 0x3b, RAX, rs2);
                             a.setcc_zx32(if u.op == Op::Slt { CC_L } else { CC_B }, RAX);
                             a.mov_mem_r32(RBX, g(rd), RAX);
                         }
@@ -1439,16 +1480,16 @@ mod native {
                                 Op::Srl => 5,
                                 _ => 7,
                             };
-                            a.mov_r32_mem(RAX, RBX, g(rs1));
-                            a.mov_r32_mem(RCX, RBX, g(rs2));
+                            load_gpr(&mut a, masked, RAX, rs1);
+                            load_gpr(&mut a, masked, RCX, rs2);
                             a.shift_cl32(ext, RAX);
                             a.mov_mem_r32(RBX, g(rd), RAX);
                         }
                     }
                     Op::Mul => {
                         if rd != 0 {
-                            a.mov_r32_mem(RAX, RBX, g(rs1));
-                            a.mov_r32_mem(RCX, RBX, g(rs2));
+                            load_gpr(&mut a, masked, RAX, rs1);
+                            load_gpr(&mut a, masked, RCX, rs2);
                             a.imul_rr32(RAX, RCX);
                             a.mov_mem_r32(RBX, g(rd), RAX);
                         }
@@ -1456,14 +1497,14 @@ mod native {
                     Op::Mulh | Op::Mulhsu | Op::Mulhu => {
                         if rd != 0 {
                             if u.op == Op::Mulhu {
-                                a.mov_r32_mem(RAX, RBX, g(rs1));
+                                load_gpr(&mut a, masked, RAX, rs1);
                             } else {
-                                a.movsxd_mem(RAX, RBX, g(rs1));
+                                load_gpr_sx(&mut a, masked, RAX, rs1);
                             }
                             if u.op == Op::Mulh {
-                                a.movsxd_mem(RCX, RBX, g(rs2));
+                                load_gpr_sx(&mut a, masked, RCX, rs2);
                             } else {
-                                a.mov_r32_mem(RCX, RBX, g(rs2));
+                                load_gpr(&mut a, masked, RCX, rs2);
                             }
                             a.imul_rr64(RAX, RCX);
                             a.shr_r64(RAX, 32);
@@ -1472,7 +1513,7 @@ mod native {
                     }
                     Op::ShiftPair => {
                         if rd != 0 {
-                            a.mov_r32_mem(RAX, RBX, g(rs1));
+                            load_gpr(&mut a, masked, RAX, rs1);
                             a.shift_ri32(4, RAX, (u.imm as u32 & 31) as u8);
                             a.shift_ri32(5, RAX, (u.imm2 as u32 & 31) as u8);
                             a.mov_mem_r32(RBX, g(rd), RAX);
@@ -1480,7 +1521,7 @@ mod native {
                     }
                     Op::Lb | Op::Lh | Op::Lw | Op::Lbu | Op::Lhu => {
                         let (size, signed) = load_kind(u.op);
-                        a.mov_r32_mem(RAX, RBX, g(rs1));
+                        load_gpr(&mut a, masked, RAX, rs1);
                         if u.imm != 0 {
                             a.alu_ri32(0, RAX, u.imm);
                         }
@@ -1499,7 +1540,7 @@ mod native {
                     }
                     Op::Sb | Op::Sh | Op::Sw => {
                         let size = store_size(u.op);
-                        a.mov_r32_mem(RAX, RBX, g(rs1));
+                        load_gpr(&mut a, masked, RAX, rs1);
                         if u.imm != 0 {
                             a.alu_ri32(0, RAX, u.imm);
                         }
@@ -1529,7 +1570,7 @@ mod native {
                         a.shift_ri32(5, RCX, 12);
                         a.mov_r64_mem(RDX, R15, OFF_DIRTY);
                         a.bts_mem_r64(RDX, RCX);
-                        a.mov_r32_mem(RCX, RBX, g(rs2));
+                        load_gpr(&mut a, masked, RCX, rs2);
                         a.ram_dyn(RCX, size, false, true);
                     }
                     Op::AbsLb | Op::AbsLh | Op::AbsLw | Op::AbsLbu | Op::AbsLhu => {
@@ -1569,7 +1610,7 @@ mod native {
                         a.mov_r64_mem(RDX, R15, OFF_DIRTY);
                         a.mov_ri32(RAX, (off >> 12) as i32);
                         a.bts_mem_r64(RDX, RAX);
-                        a.mov_r32_mem(RCX, RBX, g(rs2));
+                        load_gpr(&mut a, masked, RCX, rs2);
                         a.ram_abs(RCX, size, false, true, off as i32);
                     }
                     Op::Beq | Op::Bne | Op::Blt | Op::Bge | Op::Bltu | Op::Bgeu => {
@@ -1581,8 +1622,8 @@ mod native {
                             Op::Bltu => CC_B,
                             _ => CC_AE,
                         };
-                        a.mov_r32_mem(RAX, RBX, g(rs1));
-                        a.alu_r32_mem(0x3b, RAX, RBX, g(rs2));
+                        load_gpr(&mut a, masked, RAX, rs1);
+                        alu_gpr(&mut a, masked, 0x3b, RAX, rs2);
                         let t = taken_label(
                             &mut a,
                             &mut takens,
@@ -1611,11 +1652,11 @@ mod native {
                             Op::SltiuBrz => (CC_B, true, false),
                             _ => (CC_B, true, true),
                         };
-                        a.mov_r32_mem(RAX, RBX, g(rs1));
+                        load_gpr(&mut a, masked, RAX, rs1);
                         if imm_form {
                             a.alu_ri32(7, RAX, u.imm2);
                         } else {
-                            a.alu_r32_mem(0x3b, RAX, RBX, g(rs2));
+                            alu_gpr(&mut a, masked, 0x3b, RAX, rs2);
                         }
                         a.setcc_zx32(cc, RAX);
                         if rd != 0 {
@@ -1633,14 +1674,14 @@ mod native {
                         a.jcc(if take_if_set { CC_NE } else { CC_E }, t);
                     }
                     Op::AddBeq | Op::AddBne => {
-                        a.mov_r32_mem(RAX, RBX, g(rs1));
+                        load_gpr(&mut a, masked, RAX, rs1);
                         if u.imm2 != 0 {
                             a.alu_ri32(0, RAX, u.imm2);
                         }
                         if rd != 0 {
                             a.mov_mem_r32(RBX, g(rd), RAX);
                         }
-                        a.alu_r32_mem(0x3b, RAX, RBX, g(rs2));
+                        alu_gpr(&mut a, masked, 0x3b, RAX, rs2);
                         let t = taken_label(
                             &mut a,
                             &mut takens,
@@ -1666,7 +1707,7 @@ mod native {
                         );
                     }
                     Op::Jalr => {
-                        a.mov_r32_mem(RAX, RBX, g(rs1));
+                        load_gpr(&mut a, masked, RAX, rs1);
                         if u.imm != 0 {
                             a.alu_ri32(0, RAX, u.imm);
                         }
@@ -1782,6 +1823,68 @@ mod native {
             self.rex(false, src, dst);
             self.byte(0x89);
             self.modrm(3, src, dst);
+        }
+
+        /// 32-bit ALU `op r32, r32` via the `op r32, r/m32` opcodes of
+        /// [`alu_r32_mem`](Asm::alu_r32_mem).
+        fn alu_rr32(&mut self, opc: u8, dst: u8, src: u8) {
+            self.rex(false, dst, src);
+            self.byte(opc);
+            self.modrm(3, dst, src);
+        }
+
+        /// `movsxd r64, r32`.
+        fn movsxd_rr(&mut self, dst: u8, src: u8) {
+            self.rex(true, dst, src);
+            self.byte(0x63);
+            self.modrm(3, dst, src);
+        }
+    }
+
+    /// Byte displacement of guest register `r` in the GPR file (rbx),
+    /// and of `keep[r]` in the mask table (rbp).
+    fn g(r: u8) -> i8 {
+        (r as i8) * 4
+    }
+
+    /// Byte displacement of `one[r]` from rbp: the `one` half of the
+    /// mask table sits 128 bytes below `keep`.
+    fn one_disp(r: u8) -> i8 {
+        (i16::from(g(r)) - 128) as i8
+    }
+
+    /// Loads guest register `r` into `dst` the way the hart reads it:
+    /// raw in the plain engine, `(raw | one[r]) & keep[r]` in the masked
+    /// engine (`Cpu::gpr`).
+    fn load_gpr(a: &mut Asm, masked: bool, dst: u8, r: u8) {
+        a.mov_r32_mem(dst, RBX, g(r));
+        if masked {
+            a.alu_r32_mem(0x0b, dst, RBP, one_disp(r));
+            a.alu_r32_mem(0x23, dst, RBP, g(r));
+        }
+    }
+
+    /// [`load_gpr`] sign-extended to 64 bits.
+    fn load_gpr_sx(a: &mut Asm, masked: bool, dst: u8, r: u8) {
+        if masked {
+            load_gpr(a, true, dst, r);
+            a.movsxd_rr(dst, dst);
+        } else {
+            a.movsxd_mem(dst, RBX, g(r));
+        }
+    }
+
+    /// 32-bit ALU `op dst, <guest register r>` (opcodes as for
+    /// [`Asm::alu_r32_mem`]): a GPR-file memory operand in the plain
+    /// engine; the masked engine first loads `r` through the masks into
+    /// rcx, so `dst` must not be rcx.
+    fn alu_gpr(a: &mut Asm, masked: bool, opc: u8, dst: u8, r: u8) {
+        if masked {
+            debug_assert_ne!(dst, RCX);
+            load_gpr(a, true, RCX, r);
+            a.alu_rr32(opc, dst, RCX);
+        } else {
+            a.alu_r32_mem(opc, dst, RBX, g(r));
         }
     }
 
@@ -1986,11 +2089,40 @@ mod native {
         }
 
         #[test]
+        fn masked_operand_reads_encode() {
+            let mut a = Asm::new(0);
+            load_gpr(&mut a, true, RAX, 10);
+            alu_gpr(&mut a, true, 0x3b, RAX, 31);
+            load_gpr_sx(&mut a, true, RCX, 0);
+            assert_eq!(
+                a.finalize(),
+                vec![
+                    0x8b, 0x43, 0x28, // mov eax, [rbx+40]
+                    0x0b, 0x45, 0xa8, // or eax, [rbp-88]   (one[10])
+                    0x23, 0x45, 0x28, // and eax, [rbp+40]  (keep[10])
+                    0x8b, 0x4b, 0x7c, // mov ecx, [rbx+124]
+                    0x0b, 0x4d, 0xfc, // or ecx, [rbp-4]    (one[31])
+                    0x23, 0x4d, 0x7c, // and ecx, [rbp+124] (keep[31])
+                    0x3b, 0xc1, // cmp eax, ecx
+                    0x8b, 0x4b, 0x00, // mov ecx, [rbx+0]
+                    0x0b, 0x4d, 0x80, // or ecx, [rbp-128]  (one[0])
+                    0x23, 0x4d, 0x00, // and ecx, [rbp+0]   (keep[0])
+                    0x48, 0x63, 0xc9, // movsxd rcx, ecx
+                ]
+            );
+            // The plain engine reads the register file directly.
+            let mut a = Asm::new(0);
+            load_gpr(&mut a, false, RAX, 10);
+            alu_gpr(&mut a, false, 0x3b, RAX, 31);
+            assert_eq!(a.finalize(), vec![0x8b, 0x43, 0x28, 0x3b, 0x43, 0x7c]);
+        }
+
+        #[test]
         #[ignore = "scratch perf probe; run with --ignored --nocapture"]
         fn compile_throughput_probe() {
             use crate::uop::MicroOp;
             use s4e_isa::Gpr;
-            let mut e = JitEngine::new().unwrap();
+            let mut e = JitEngine::new(false).unwrap();
             let x1 = Gpr::new(1).unwrap();
             let uop = |op: Op| {
                 let mut u = MicroOp {
@@ -2032,7 +2164,7 @@ mod native {
 
         #[test]
         fn trampoline_round_trips_budget() {
-            let mut e = JitEngine::new().unwrap();
+            let mut e = JitEngine::new(false).unwrap();
             assert!(e.ensure_arena());
             let mut gprs = [0u32; 32];
             let mut ram = [0u8; 64];
@@ -2044,6 +2176,7 @@ mod native {
                 e.run(
                     entry,
                     gprs.as_mut_ptr(),
+                    core::ptr::null(),
                     ram.as_mut_ptr(),
                     dirty.as_mut_ptr(),
                     42,
@@ -2064,7 +2197,7 @@ mod native {
         fn retention_drops_dirty_pages_and_keeps_clean_ones() {
             use crate::uop::MicroOp;
             use s4e_isa::Gpr;
-            let mut e = JitEngine::new().unwrap();
+            let mut e = JitEngine::new(false).unwrap();
             let x1 = Gpr::new(1).unwrap();
             let uops = vec![MicroOp {
                 op: Op::Addi,
@@ -2119,7 +2252,7 @@ mod native {
         fn invalidate_span_drops_only_overlapping_blocks() {
             use crate::uop::MicroOp;
             use s4e_isa::Gpr;
-            let mut e = JitEngine::new().unwrap();
+            let mut e = JitEngine::new(false).unwrap();
             let x1 = Gpr::new(1).unwrap();
             let uops = vec![MicroOp {
                 op: Op::Addi,

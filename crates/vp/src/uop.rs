@@ -21,7 +21,12 @@
 //! block containing [`Op::Generic`] is never promoted, and a compiled
 //! block that bails mid-flight resumes interpretation at exactly the
 //! bailing micro-op — keeping this array the single semantic authority
-//! for everything the JIT emits.
+//! for everything the JIT emits. The JIT's masked engine, which runs
+//! while stuck-at register masks are armed, compiles the *unfused*
+//! lowering instead (`fuse = false`): one micro-op per instruction, so
+//! every register an instruction reads passes through the masks — no
+//! fused pair computes through its intermediate register unmasked —
+//! and micro-op `k` is instruction `k`.
 
 use crate::timing::TimingModel;
 use s4e_isa::fusion::{detect, FusionPattern};
@@ -179,19 +184,21 @@ fn c32(cost: u64) -> Option<u32> {
     u32::try_from(cost).ok()
 }
 
-/// Lowers a decoded block to micro-ops. Returns the ops and the number
-/// of macro-op fusions performed.
+/// Lowers a decoded block to micro-ops, fusing adjacent pairs when
+/// `fuse` is set. Returns the ops and the number of macro-op fusions
+/// performed.
 pub(crate) fn lower_block(
     insns: &[(u32, Insn)],
     timing: &TimingModel,
     isa: &IsaConfig,
+    fuse: bool,
 ) -> (Vec<MicroOp>, u32) {
     let ialign: u32 = if isa.has(Extension::C) { 2 } else { 4 };
     let mut uops = Vec::with_capacity(insns.len());
     let mut fused = 0u32;
     let mut i = 0usize;
     while i < insns.len() {
-        if i + 1 < insns.len() {
+        if fuse && i + 1 < insns.len() {
             if let Some(pattern) = detect(&insns[i].1, &insns[i + 1].1) {
                 if let Some(u) = lower_fused(pattern, i, insns, timing, ialign) {
                     uops.push(u);
@@ -500,7 +507,7 @@ mod tests {
     fn lowers_li_idiom_to_one_uop() {
         // lui t0, 0x12345 ; addi t0, t0, 0x678 ; add t1, t0, t0
         let insns = program(&[0x123452b7, 0x67828293, 0x00528333], 0x8000_0000);
-        let (uops, fused) = lower_block(&insns, &TimingModel::new(), &IsaConfig::full());
+        let (uops, fused) = lower_block(&insns, &TimingModel::new(), &IsaConfig::full(), true);
         assert_eq!(fused, 1);
         assert_eq!(uops.len(), 2);
         assert_eq!(uops[0].op, Op::LoadConst);
@@ -518,12 +525,12 @@ mod tests {
     fn branch_targets_are_absolute() {
         // beq a0, a1, +16
         let insns = program(&[0x00b50863], 0x8000_0100);
-        let (uops, fused) = lower_block(&insns, &TimingModel::new(), &IsaConfig::full());
+        let (uops, fused) = lower_block(&insns, &TimingModel::new(), &IsaConfig::full(), true);
         assert_eq!(fused, 0);
         assert_eq!(uops[0].op, Op::Beq);
         assert_eq!(uops[0].imm as u32, 0x8000_0110);
         let flat = TimingModel::flat();
-        let (uops, _) = lower_block(&insns, &flat, &IsaConfig::full());
+        let (uops, _) = lower_block(&insns, &flat, &IsaConfig::full(), true);
         assert_eq!(uops[0].cost, 1);
         assert_eq!(uops[0].cost2, 0);
     }
@@ -533,10 +540,10 @@ mod tests {
         // beq a0, a1, +18 would trap when taken under IALIGN=4.
         // (encode imm 18 in B-type: imm[12|10:5]=0, imm[4:1|11]=1001_0)
         let insns = program(&[0x00b50963], 0x8000_0100);
-        let (uops, _) = lower_block(&insns, &TimingModel::new(), &IsaConfig::rv32i());
+        let (uops, _) = lower_block(&insns, &TimingModel::new(), &IsaConfig::rv32i(), true);
         assert_eq!(uops[0].op, Op::Generic);
         // With the C extension (IALIGN=2) the same target is legal.
-        let (uops, _) = lower_block(&insns, &TimingModel::new(), &IsaConfig::full());
+        let (uops, _) = lower_block(&insns, &TimingModel::new(), &IsaConfig::full(), true);
         assert_ne!(uops[0].op, Op::Generic);
     }
 
@@ -544,7 +551,7 @@ mod tests {
     fn csr_and_system_lower_to_generic() {
         // csrrs t0, mcycle, x0 ; ecall
         let insns = program(&[0xb00022f3, 0x00000073], 0x8000_0000);
-        let (uops, _) = lower_block(&insns, &TimingModel::new(), &IsaConfig::full());
+        let (uops, _) = lower_block(&insns, &TimingModel::new(), &IsaConfig::full(), true);
         assert_eq!(uops[0].op, Op::Generic);
         assert_eq!(uops[1].op, Op::Generic);
     }
@@ -553,7 +560,7 @@ mod tests {
     fn lowers_decrement_branch_to_one_uop() {
         // addi s0, s0, -1 ; bne s0, x0, -4 (back to the addi)
         let insns = program(&[0xfff40413, 0xfe041ee3], 0x8000_0000);
-        let (uops, fused) = lower_block(&insns, &TimingModel::new(), &IsaConfig::full());
+        let (uops, fused) = lower_block(&insns, &TimingModel::new(), &IsaConfig::full(), true);
         assert_eq!(fused, 1);
         assert_eq!(uops.len(), 1);
         assert_eq!(uops[0].op, Op::AddBne);
@@ -566,10 +573,24 @@ mod tests {
     }
 
     #[test]
+    fn unfused_lowering_keeps_one_uop_per_insn() {
+        // addi s0, s0, -1 ; bne s0, x0, -4: the masked JIT engine must see
+        // the branch read s0 itself, not the fused pair's intermediate.
+        let insns = program(&[0xfff40413, 0xfe041ee3], 0x8000_0000);
+        let (uops, fused) = lower_block(&insns, &TimingModel::new(), &IsaConfig::full(), false);
+        assert_eq!(fused, 0);
+        assert_eq!(uops.len(), 2);
+        assert_eq!((uops[0].op, uops[1].op), (Op::Addi, Op::Bne));
+        for (k, u) in uops.iter().enumerate() {
+            assert_eq!((u.n, u.idx as usize), (1, k));
+        }
+    }
+
+    #[test]
     fn fused_costs_split_for_pcrel_loads() {
         // auipc t0, 0x1 ; lw t1, -4(t0)
         let insns = program(&[0x00001297, 0xffc2a303], 0x8000_0000);
-        let (uops, fused) = lower_block(&insns, &TimingModel::new(), &IsaConfig::full());
+        let (uops, fused) = lower_block(&insns, &TimingModel::new(), &IsaConfig::full(), true);
         assert_eq!(fused, 1);
         assert_eq!(uops[0].op, Op::AbsLw);
         assert_eq!(uops[0].imm as u32, 0x8000_0ffc);

@@ -98,10 +98,11 @@ struct Block {
     /// links point into *this* VP's cache and are rebuilt locally by
     /// each VP that adopts a shared body.
     links: [ChainLink; 2],
-    /// This VP's template-JIT promotion state for the block. Like
-    /// `links`, strictly VP-private: shared bodies carry no JIT state,
-    /// so a warm-adopted block starts counting from zero, and
-    /// invalidation discards the state together with the block.
+    /// This VP's template-JIT promotion state for the block, one per
+    /// engine (plain, masked). Like `links`, strictly VP-private: shared
+    /// bodies carry no JIT state, so a warm-adopted block starts counting
+    /// from zero, and invalidation discards the state together with the
+    /// block.
     jit: JitSlot,
 }
 
@@ -168,6 +169,13 @@ pub(crate) fn fnv1a(bytes: &[u8]) -> u64 {
     hash
 }
 
+/// The smallest range covering every `(lo, hi)` in `ranges`, or `None`
+/// when there are none: the union of the JIT engines' surviving code
+/// ranges.
+fn union_ranges(ranges: impl Iterator<Item = (u32, u32)>) -> Option<(u32, u32)> {
+    ranges.reduce(|(lo, hi), (l, h)| (lo.min(l), hi.max(h)))
+}
+
 /// An interior-mutable successor pointer for direct block chaining.
 ///
 /// Links are raw pointers, not `Arc`s: blocks readily form cycles (any
@@ -212,14 +220,17 @@ impl std::fmt::Debug for ChainLink {
     }
 }
 
-/// Per-block template-JIT promotion state.
+/// Per-block template-JIT promotion state, indexed by engine: `0` for
+/// the plain engine, `1` for the masked engine that runs while stuck-at
+/// register masks are armed. The engines compile different lowerings
+/// into different arenas, so each keeps its own count and cookie.
 ///
 /// Interior-mutable for the same reason — and under the same safety
 /// argument — as [`ChainLink`]: every read and write goes through the
 /// uniquely-owning `Vp` (`&mut self`), which is `Send` but not `Sync`,
 /// so no two threads can race on the cell. The `unsafe impl`s only keep
 /// `Arc<Block>` (and thereby `Vp`) `Send`.
-struct JitSlot(UnsafeCell<JitState>);
+struct JitSlot(UnsafeCell<[JitState; 2]>);
 
 /// Where a block stands on the path to native code.
 #[derive(Debug, Clone, Copy)]
@@ -240,7 +251,7 @@ unsafe impl Sync for JitSlot {}
 
 impl Default for JitSlot {
     fn default() -> JitSlot {
-        JitSlot(UnsafeCell::new(JitState::Counting(0)))
+        JitSlot(UnsafeCell::new([JitState::Counting(0); 2]))
     }
 }
 
@@ -314,10 +325,10 @@ pub struct DispatchStats {
     /// in a chained native run counts once).
     pub jit_exec: u64,
     /// JIT bail-outs: a compiled block hit a condition its templates do
-    /// not cover and fell back to the micro-op engine before any
-    /// architectural effect of the uncovered micro-op, or a native
-    /// dispatch was declined for armed fault masks / a failed
-    /// revalidation. Always the sum of the five `jit_bail_*` counters.
+    /// not cover and fell back to the interpreter before any
+    /// architectural effect of the uncovered micro-op, or a retained
+    /// native entry failed revalidation. Always the sum of the four
+    /// `jit_bail_*` counters.
     pub jit_bailouts: u64,
     /// Bails through the memory slow path: MMIO, misaligned or RAM-edge
     /// access (including a misaligned `jalr` target).
@@ -329,10 +340,6 @@ pub struct DispatchStats {
     /// Bails on a store overlapping the translated code range
     /// (self-modifying code).
     pub jit_bail_smc: u64,
-    /// Native dispatches declined because a register fault mask was
-    /// armed — the interpreter applies masks on every register read, so
-    /// the whole dispatch runs interpreted.
-    pub jit_bail_mask: u64,
     /// Retained native entries dropped because the code-bytes hash no
     /// longer matched at re-adoption after a snapshot restore.
     pub jit_bail_reval_miss: u64,
@@ -391,7 +398,6 @@ impl DispatchStats {
         self.jit_bail_mem += other.jit_bail_mem;
         self.jit_bail_budget += other.jit_bail_budget;
         self.jit_bail_smc += other.jit_bail_smc;
-        self.jit_bail_mask += other.jit_bail_mask;
         self.jit_bail_reval_miss += other.jit_bail_reval_miss;
         self.jit_retained += other.jit_retained;
         self.jit_revalidations += other.jit_revalidations;
@@ -520,11 +526,12 @@ impl VpBuilder {
             bus.map_device(CLINT_BASE, CLINT_SIZE, Box::new(Clint::new()));
         }
         let pages = self.ram_size.div_ceil(PAGE_SIZE) as usize;
-        // `JitEngine::new` returns `None` off x86-64.
+        // `JitEngine::new` returns `None` off x86-64. The masked engine
+        // is created on the first native dispatch with masks armed.
         let jit = if self.jit_enabled && self.cache_enabled {
-            JitEngine::new().map(Box::new)
+            [JitEngine::new(false).map(Box::new), None]
         } else {
-            None
+            [None, None]
         };
         Vp {
             cpu: Cpu::new(self.isa, self.ram_base),
@@ -596,9 +603,12 @@ pub struct Vp {
     /// micro-op engine) or decoded afresh per dispatch and interpreted
     /// per instruction (the oracle); see [`VpBuilder::block_cache`].
     cache_enabled: bool,
-    /// The template JIT engine — `None` when disabled at build time,
-    /// without a block cache, or on hosts other than x86-64.
-    jit: Option<Box<JitEngine>>,
+    /// The template JIT engines: `[plain, masked]`, indexed like
+    /// [`JitSlot`]. The plain engine is `None` when the JIT is disabled
+    /// at build time, without a block cache, or on hosts other than
+    /// x86-64; the masked engine is created on the first native dispatch
+    /// with stuck-at masks armed.
+    jit: [Option<Box<JitEngine>>; 2],
     /// Block executions before a hot block is promoted to native code.
     jit_threshold: u32,
     /// A warm translation set probed on translation-cache misses before
@@ -729,20 +739,13 @@ impl Vp {
         // they rewrote, not a cold arena.
         if addr >= self.code_lo && addr < self.code_hi {
             self.drop_translations();
-            let survivors = match &mut self.jit {
-                Some(jit) => jit.invalidate_span(addr, 1),
-                None => None,
-            };
-            match survivors {
-                Some((lo, hi)) => {
-                    self.code_lo = lo;
-                    self.code_hi = hi;
-                }
-                None => {
-                    self.code_lo = u32::MAX;
-                    self.code_hi = 0;
-                }
-            }
+            let survivors = union_ranges(
+                self.jit
+                    .iter_mut()
+                    .flatten()
+                    .filter_map(|jit| jit.invalidate_span(addr, 1)),
+            );
+            (self.code_lo, self.code_hi) = survivors.unwrap_or((u32::MAX, 0));
             self.invalidate_pending = false;
             self.stats.invalidations += 1;
         }
@@ -823,7 +826,7 @@ impl Vp {
         // path is the one caller that instead *retains* native code —
         // it calls `drop_translations` directly and lets the engine
         // keep every block whose code pages the restore left alone.)
-        if let Some(jit) = &mut self.jit {
+        for jit in self.jit.iter_mut().flatten() {
             jit.reset();
         }
         self.code_lo = u32::MAX;
@@ -996,24 +999,19 @@ impl Vp {
         // code byte, and the copy re-imposed the snapshot image). Each
         // survivor is additionally re-validated by code-bytes hash when
         // a fresh `JitSlot` first adopts it. The tracked code range
-        // re-keys to the survivor union so both engines' SMC filters
-        // keep covering retained code that has not been re-fetched yet.
+        // re-keys to the survivor union of both JIT engines so the SMC
+        // filters keep covering retained code that has not been
+        // re-fetched yet.
         self.drop_translations();
         let ram_base = self.bus.ram_base();
-        let survivors = match &mut self.jit {
-            Some(jit) => jit.retain_across_restore(&restored_pages, ram_base, self.bus.ram()),
-            None => None,
-        };
-        match survivors {
-            Some((lo, hi)) => {
-                self.code_lo = lo;
-                self.code_hi = hi;
-            }
-            None => {
-                self.code_lo = u32::MAX;
-                self.code_hi = 0;
-            }
-        }
+        let ram = self.bus.ram();
+        let survivors = union_ranges(
+            self.jit
+                .iter_mut()
+                .flatten()
+                .filter_map(|jit| jit.retain_across_restore(&restored_pages, ram_base, ram)),
+        );
+        (self.code_lo, self.code_hi) = survivors.unwrap_or((u32::MAX, 0));
         self.invalidate_pending = false;
         self.stats.invalidations += 1;
         self.irq_resample = true;
@@ -1064,10 +1062,8 @@ impl Vp {
         // armed flight recorder no longer disqualifies native entry:
         // the templates write the block-entry ring inline, identically
         // to `FlightRecorder::record_block`. Armed register fault masks
-        // are a per-dispatch *bail* inside `jit_dispatch` (compiled code
-        // reads the GPR file raw), not a run-long gate, so campaigns
-        // interpret only while the injection masks are actually armed.
-        let use_jit = self.jit.is_some() && use_uops && self.plugins.is_empty();
+        // select the masked engine inside `jit_dispatch`.
+        let use_jit = self.jit[0].is_some() && use_uops && self.plugins.is_empty();
         // The block to dispatch next via a direct chain link, and the
         // (predecessor, slot) pair waiting for its successor to be
         // resolved so the link can be installed. Both are dropped at
@@ -1135,14 +1131,13 @@ impl Vp {
             //
             // Try the native tier first. It declines (returning `None`)
             // while the block is cold or uncompilable, when a device
-            // event or block-exit request is pending, when fault masks
-            // are armed, or when the interpreter must poll `mip` before
-            // running anything — the micro-op engine is the
-            // unconditional fallback either way. Native blocks write
-            // the flight ring from their own prologues, so the recorder
-            // (and plugin block hooks, which gate the JIT off entirely)
-            // fire here only on the interpreted path — exactly once per
-            // block entry either way.
+            // event or block-exit request is pending, or when the
+            // interpreter must poll `mip` before running anything — the
+            // micro-op engine is the unconditional fallback either way.
+            // Native blocks write the flight ring from their own
+            // prologues, so the recorder (and plugin block hooks, which
+            // gate the JIT off entirely) fire here only on the
+            // interpreted path — exactly once per block entry either way.
             let native = if use_jit && !self.block_exit_pending && self.bus.peek_event().is_none() {
                 self.jit_dispatch(block, &mut remaining)
             } else {
@@ -1198,36 +1193,36 @@ impl Vp {
         }
     }
 
-    /// Tries to execute `block` natively through the template JIT.
+    /// Tries to execute `block` natively through the template JIT: the
+    /// plain engine, or the masked engine while stuck-at register masks
+    /// are armed.
     ///
     /// Returns `None` — the caller falls back to the micro-op engine —
     /// while the block is cold, when it has no native translation
     /// (ineligible micro-ops or a full arena), when the budget is
-    /// already spent, when register fault masks are armed (a counted
-    /// per-dispatch bail), or when the interpreter is due to poll `mip`
+    /// already spent, or when the interpreter is due to poll `mip`
     /// before running anything. Otherwise runs native code (following
     /// direct native chains) until a block boundary at the `mip`
     /// deadline, budget exhaustion, or a template bail-out, then folds
     /// the accumulated cycle/instret deltas into the CPU. A bail-out
-    /// resumes the bailing block mid-way through the micro-op engine
-    /// with no architectural effect of the bailing micro-op applied.
+    /// resumes the bailing block mid-way through the interpreter with
+    /// no architectural effect of the bailing micro-op applied.
     fn jit_dispatch(&mut self, block: *const Block, remaining: &mut u64) -> Option<BlockExit> {
         if *remaining == 0 {
             return None;
         }
-        // Armed register fault masks filter every GPR read through the
-        // stuck-at bits; compiled code reads the file raw. Bail per
-        // dispatch (counted, so campaigns can see the cost) rather than
-        // gating the whole run — a campaign mutant interprets only for
-        // the blocks where its injection masks are actually armed.
-        if self.cpu.faults_enabled() {
-            self.stats.jit_bail_mask += 1;
-            self.stats.jit_bailouts += 1;
-            return None;
+        // Armed stuck-at masks filter every GPR read; the plain engine
+        // reads the file raw, so they select the masked engine, whose
+        // templates read through the mask table. Masks only change
+        // between runs, so a native chain never crosses engines.
+        let masked = self.cpu.faults_enabled();
+        if masked && self.jit[1].is_none() {
+            self.jit[1] = JitEngine::new(true).map(Box::new);
         }
+        let engine = usize::from(masked);
         // SAFETY: dispatch-boundary argument as in `exec_block_uops`;
         // slot access follows the `JitSlot` exclusive-`Vp` rule.
-        let state = unsafe { &mut *(*block).jit.0.get() };
+        let state = unsafe { &mut (*(*block).jit.0.get())[engine] };
         let entry = match *state {
             JitState::Ineligible => return None,
             JitState::Compiled(entry) => entry,
@@ -1244,8 +1239,7 @@ impl Vp {
                 // keys on. A miss means this pc re-used pages whose
                 // contents changed under the survivor — drop it and
                 // fall back to counting.
-                let retained = self
-                    .jit
+                let retained = self.jit[engine]
                     .as_ref()
                     .expect("jit_dispatch requires an engine")
                     .retained(pc);
@@ -1255,7 +1249,10 @@ impl Vp {
                         self.stats.jit_revalidations += 1;
                         Some(entry)
                     } else {
-                        self.jit.as_mut().expect("probed above").drop_retained(pc);
+                        self.jit[engine]
+                            .as_mut()
+                            .expect("probed above")
+                            .drop_retained(pc);
                         self.stats.jit_bail_reval_miss += 1;
                         self.stats.jit_bailouts += 1;
                         None
@@ -1275,10 +1272,21 @@ impl Vp {
                     // failed dump hashes to 0, which is never retained).
                     let len = body.fall_pc.wrapping_sub(pc);
                     let hash = self.bus.dump(pc, len as usize).map(fnv1a).unwrap_or(0);
-                    let jit = self.jit.as_mut().expect("jit_dispatch requires an engine");
+                    // The masked engine compiles the unfused lowering
+                    // (see `uop.rs`); it is only built at compile time.
+                    let unfused;
+                    let uops: &[MicroOp] = if masked {
+                        unfused = lower_block(&body.insns, &self.timing, self.cpu.isa(), false).0;
+                        &unfused
+                    } else {
+                        &body.uops
+                    };
+                    let jit = self.jit[engine]
+                        .as_mut()
+                        .expect("jit_dispatch requires an engine");
                     match jit.compile(
                         pc,
-                        &body.uops,
+                        uops,
                         body.fall_pc,
                         self.bus.ram_base(),
                         self.bus.ram_size(),
@@ -1311,6 +1319,7 @@ impl Vp {
         let code_lo = self.code_lo;
         let code_hi = self.code_hi;
         let gprs = self.cpu.gprs_ptr();
+        let masks = self.cpu.gpr_masks_ptr();
         let ram = self.bus.ram_ptr();
         let dirty = self.bus.dirty_ptr();
         // The native block-entry ring write stamps `bias - budget`,
@@ -1322,18 +1331,20 @@ impl Vp {
             .flight
             .as_mut()
             .map_or(std::ptr::null_mut(), FlightRecorder::ring_ptr);
-        let jit = self.jit.as_mut().expect("compiled above");
+        let jit = self.jit[engine].as_mut().expect("compiled above");
         // SAFETY: `entry` was produced by this engine since its last
-        // reset — cookies live in `JitSlot`s (dropped with the blocks
-        // whenever the engine resets) and retained entries are hash-
-        // revalidated at adoption. The GPR/RAM/dirty pointers and the
-        // flight ring are exclusively ours through `&mut self` for the
-        // duration of the call; fault masks bailed above and plugins
-        // are gated off by `use_jit`.
+        // reset — cookies live in per-engine `JitSlot` entries (dropped
+        // with the blocks whenever the engines reset) and retained
+        // entries are hash-revalidated at adoption. The GPR/mask/RAM/
+        // dirty pointers and the flight ring are exclusively ours
+        // through `&mut self` for the duration of the call; armed masks
+        // selected the masked engine above and plugins are gated off by
+        // `use_jit`.
         let res = unsafe {
             jit.run(
                 entry,
                 gprs,
+                masks,
                 ram,
                 dirty,
                 *remaining,
@@ -1390,8 +1401,15 @@ impl Vp {
                 // SAFETY: cache-owned block, same boundary argument.
                 let body: &BlockBody = unsafe { &*Arc::as_ptr(&(*bail).body) };
                 let k = k as usize;
-                self.cpu.set_pc(body.insns[body.uops[k].idx as usize].0);
-                Some(self.exec_block_uops(bail, k, remaining))
+                if masked {
+                    // The masked engine ran the unfused lowering:
+                    // micro-op `k` is instruction `k`.
+                    self.cpu.set_pc(body.insns[k].0);
+                    Some(self.exec_block_insns(bail, k, remaining))
+                } else {
+                    self.cpu.set_pc(body.insns[body.uops[k].idx as usize].0);
+                    Some(self.exec_block_uops(bail, k, remaining))
+                }
             }
         }
     }
@@ -2172,7 +2190,7 @@ impl Vp {
             }
         }
         let (uops, fused) = if self.cache_enabled {
-            lower_block(&insns, &self.timing, &isa)
+            lower_block(&insns, &self.timing, &isa, true)
         } else {
             (Vec::new(), 0)
         };

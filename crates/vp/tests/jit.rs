@@ -4,7 +4,8 @@
 //! mid-chain, snapshot restore retaining the arena (and dropping
 //! exactly the entries whose code pages the restore rewrote), interrupt
 //! delivery while a hot loop runs natively, and an instruction budget
-//! expiring inside a compiled block. Every test is a differential
+//! expiring inside a compiled block — plus the masked engine that runs
+//! while stuck-at register masks are armed. Every test is a differential
 //! against the identical program with the JIT pinned off.
 
 use s4e_asm::assemble;
@@ -257,4 +258,167 @@ fn jit_is_a_pure_performance_feature_on_stats() {
     assert_eq!(stats.jit_blocks, 0, "{stats:?}");
     assert_eq!(stats.jit_exec, 0, "{stats:?}");
     assert_eq!(stats.jit_bailouts, 0, "{stats:?}");
+}
+
+// ------------------------------------------------------ stuck-at masks
+//
+// Armed stuck-at register masks run on the masked engine: every GPR
+// operand is read through the mask table, from the unfused lowering.
+// Each test is a three-way differential: the uncached interpreter
+// (the oracle), the micro-op engine and the JIT at threshold 1.
+
+fn oracle_vp() -> Vp {
+    Vp::builder()
+        .isa(IsaConfig::rv32imc())
+        .block_cache(false)
+        .build()
+}
+
+/// Loads `src` on each of the three tiers, plants the stuck-at
+/// `faults` and runs each for `budget` instructions. Asserts identical
+/// outcome and architectural state (masks included) and returns the
+/// JIT VP for further checks.
+fn masked_differential(src: &str, faults: &[(u8, u8, bool)], budget: u64) -> (RunOutcome, Vp) {
+    let mut results = Vec::new();
+    for mut vp in [oracle_vp(), nojit_vp(), jit_vp()] {
+        load_src(&mut vp, src);
+        for &(reg, bit, value) in faults {
+            vp.cpu_mut()
+                .plant_gpr_fault(Gpr::new(reg).unwrap(), bit, value);
+        }
+        let outcome = vp.run_for(budget);
+        results.push((outcome, vp));
+    }
+    let (jit_outcome, jit) = results.pop().expect("three tiers");
+    for (outcome, vp) in &results {
+        assert_eq!(*outcome, jit_outcome);
+        assert_eq!(cpu_state(vp), cpu_state(&jit));
+        assert_eq!(
+            vp.bus().dump(0x8000_0000, 4096).unwrap(),
+            jit.bus().dump(0x8000_0000, 4096).unwrap()
+        );
+    }
+    (jit_outcome, jit)
+}
+
+/// The counted loop a stuck counter bit never lets terminate: the
+/// fused lowering would compute `addi` + `bnez` through the unmasked
+/// intermediate, so this only matches when the masked engine compiles
+/// the unfused lowering.
+const COUNTED_LOOP: &str = r#"
+    li s3, 100
+    li a0, 0
+loop:
+    addi a0, a0, 2
+    addi s3, s3, -1
+    bnez s3, loop
+    ebreak
+"#;
+
+#[test]
+fn stuck_loop_counter_times_out_natively() {
+    // s3 bit 0 stuck at 1: the counter always reads odd, never zero.
+    let (outcome, jit) = masked_differential(COUNTED_LOOP, &[(19, 0, true)], 50_000);
+    assert_eq!(outcome, RunOutcome::InsnLimit);
+    assert_eq!(jit.cpu().instret(), 50_000);
+    let stats = jit.dispatch_stats();
+    assert!(
+        stats.jit_exec > 1000,
+        "the stuck loop must run natively: {stats:?}"
+    );
+    // Without the fault the same program terminates.
+    let (outcome, _) = masked_differential(COUNTED_LOOP, &[], 50_000);
+    assert_eq!(outcome, RunOutcome::Break);
+}
+
+#[test]
+fn x0_stuck_at_one_reads_through_the_mask() {
+    // x0 bit 4 stuck at 1: `li` (addi from x0) and `bnez` (bne against
+    // x0) both see 16, so t0 starts at 66 and the loop stops after 50
+    // iterations, when t0 reaches 16.
+    const SRC: &str = r#"
+        li t0, 50
+        li a0, 0
+    loop:
+        addi a1, zero, 3
+        add a0, a0, a1
+        addi t0, t0, -1
+        bnez t0, loop
+        ebreak
+    "#;
+    let (outcome, jit) = masked_differential(SRC, &[(0, 4, true)], 100_000);
+    assert_eq!(outcome, RunOutcome::Break);
+    assert_eq!(gpr(&jit, 0), 16);
+    assert_eq!(gpr(&jit, 11), 3 | 16);
+    assert_eq!(gpr(&jit, 5), 16);
+    assert_eq!(gpr(&jit, 10), 16 + 50 * 19);
+    let stats = jit.dispatch_stats();
+    assert!(stats.jit_exec > 10, "{stats:?}");
+}
+
+#[test]
+fn masked_block_bails_mid_block_on_mmio_store() {
+    // The UART store sits between masked ALU ops: the masked block
+    // bails at the store (instruction 1) and the interpreter resumes
+    // at exactly that instruction.
+    const SRC: &str = r#"
+        .equ UART, 0x10000000
+        li t0, 40
+        li t1, UART
+        li a0, 0
+    loop:
+        addi a0, a0, 1
+        sb a0, 0(t1)
+        addi a1, a0, 7
+        addi t0, t0, -1
+        bnez t0, loop
+        ebreak
+    "#;
+    let (outcome, jit) = masked_differential(SRC, &[(10, 5, true), (11, 1, false)], 100_000);
+    assert_eq!(outcome, RunOutcome::Break);
+    let stats = jit.dispatch_stats();
+    assert!(stats.jit_exec > 10, "{stats:?}");
+    assert!(
+        stats.jit_bail_mem > 0,
+        "the MMIO store must bail from masked code: {stats:?}"
+    );
+}
+
+#[test]
+fn masked_blocks_survive_restore() {
+    let mut jit = jit_vp();
+    load_src(&mut jit, HOT_LOOP);
+    let snap = jit.snapshot();
+    // t0 bit 9 stuck at 0: the 500-iteration counter skips a range.
+    jit.cpu_mut()
+        .plant_gpr_fault(Gpr::new(5).unwrap(), 9, false);
+    assert_eq!(jit.run(), RunOutcome::Break);
+    let first = cpu_state(&jit);
+    let stats = jit.take_dispatch_stats();
+    assert!(stats.jit_blocks > 0 && stats.jit_exec > 100, "{stats:?}");
+
+    // The snapshot predates the fault: restore clears the masks, so the
+    // fault is planted again, and the masked blocks compiled above are
+    // re-adopted after hash revalidation instead of recompiled.
+    jit.restore(&snap);
+    assert!(!jit.cpu().faults_enabled());
+    jit.cpu_mut()
+        .plant_gpr_fault(Gpr::new(5).unwrap(), 9, false);
+    assert_eq!(jit.run(), RunOutcome::Break);
+    assert_eq!(cpu_state(&jit), first);
+    let stats = jit.take_dispatch_stats();
+    assert_eq!(stats.jit_blocks, 0, "{stats:?}");
+    assert!(
+        stats.jit_retained > 0 && stats.jit_retained == stats.jit_revalidations,
+        "{stats:?}"
+    );
+    assert!(stats.jit_exec > 100, "{stats:?}");
+
+    let mut oracle = oracle_vp();
+    load_src(&mut oracle, HOT_LOOP);
+    oracle
+        .cpu_mut()
+        .plant_gpr_fault(Gpr::new(5).unwrap(), 9, false);
+    assert_eq!(oracle.run(), RunOutcome::Break);
+    assert_eq!(cpu_state(&oracle), first);
 }

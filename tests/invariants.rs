@@ -3,7 +3,7 @@
 
 use proptest::prelude::*;
 use scale4edge::prelude::*;
-use scale4edge::vp::VpBuilder;
+use scale4edge::vp::{FlightRecorder, VpBuilder};
 
 /// Boots `image` on a VP from `builder`, attaches `plugin` if given and
 /// runs it to its `ebreak`.
@@ -55,6 +55,115 @@ fn assert_same_state(arm: &str, vp: &Vp, oracle: &Vp, base: u32) -> Result<(), T
         arm
     );
     Ok(())
+}
+
+/// One case of [`masked_execution_matches_reference_dispatch`]: runs
+/// the torture program from `seed` with the stuck-at `faults` planted
+/// on every arm and returns the JIT arm's native block count.
+fn masked_case(
+    seed: u64,
+    mem_heavy: bool,
+    faults: &[(u8, u8, bool)],
+) -> Result<u64, TestCaseError> {
+    /// Masks can loop or trap a program, so every arm runs under a
+    /// budget.
+    const BUDGET: u64 = 20_000;
+    let isa = IsaConfig::rv32imfc();
+    let cfg = TortureConfig::new(seed)
+        .insns(120)
+        .isa(isa)
+        .with_loops(true)
+        .mem_heavy(mem_heavy);
+    let p = torture_program(&cfg);
+    let image = assemble(&p.source).expect("generated programs assemble");
+    let run = |builder: VpBuilder, flight: bool| {
+        let mut vp = builder.isa(isa).build();
+        boot(&mut vp, &image).expect("boots");
+        for &(reg, bit, value) in faults {
+            let reg = Gpr::new(reg).expect("index");
+            vp.cpu_mut().plant_gpr_fault(reg, bit, value);
+        }
+        if flight {
+            vp.set_flight_recorder(Some(FlightRecorder::new(32)));
+        }
+        let outcome = vp.run_for(BUDGET);
+        (outcome, vp)
+    };
+    // Outcome, the full CPU state (masks included) and 4 KiB of RAM.
+    let state = |(outcome, vp): &(RunOutcome, Vp)| {
+        (
+            *outcome,
+            format!("{:?}", vp.cpu()),
+            vp.bus().dump(image.base(), 4096).expect("ram").to_vec(),
+        )
+    };
+    let tail = |(_, vp): &(RunOutcome, Vp)| {
+        let recorder = vp.flight_recorder().expect("armed");
+        (
+            recorder.tail(),
+            recorder.blocks_recorded(),
+            recorder.evicted(),
+        )
+    };
+
+    let oracle = run(Vp::builder().block_cache(false), false);
+    let uops = run(Vp::builder().jit(false), false);
+    let jit = run(Vp::builder().jit_threshold(1), false);
+    let uops_flight = run(Vp::builder().jit(false), true);
+    let jit_flight = run(Vp::builder().jit_threshold(1), true);
+    let expected = state(&oracle);
+    for (arm, vp) in [
+        ("jit(false)", &uops),
+        ("jit_threshold(1)", &jit),
+        ("jit(false) + flight", &uops_flight),
+        ("jit_threshold(1) + flight", &jit_flight),
+    ] {
+        prop_assert_eq!(state(vp), expected, "{}", arm);
+    }
+    prop_assert_eq!(tail(&jit_flight), tail(&uops_flight), "flight tail");
+    Ok(jit.1.dispatch_stats().jit_exec)
+}
+
+/// Stuck-at register masks are invisible to the execution tier. For
+/// generated programs (counted loops included) with one or two seeded
+/// stuck-at masks planted — any register including `x0`, any bit,
+/// either polarity — the micro-op engine and the template JIT at
+/// threshold 1, with and without a flight recorder, end in exactly the
+/// uncached interpreter's outcome, CPU state and RAM, and the JIT arm's
+/// flight tail equals the micro-op engine's. Masked native blocks must
+/// actually run somewhere in the sweep, so the cases are drawn by hand
+/// (deterministically, like `proptest!`) to sum them.
+#[test]
+fn masked_execution_matches_reference_dispatch() {
+    const CASES: u32 = 128;
+    let mut rng = proptest::Gen::new(0x6d61_736b_6564);
+    let mut native_blocks = 0;
+    for case in 0..CASES {
+        let seed = any::<u64>().sample(&mut rng, case);
+        let mem_heavy = any::<bool>().sample(&mut rng, case);
+        // The first mask cycles through every register, so each one is
+        // covered four times; a second mask, when drawn, is random.
+        let mut faults = vec![(
+            (case % 32) as u8,
+            (0u8..32).sample(&mut rng, case),
+            any::<bool>().sample(&mut rng, case),
+        )];
+        if any::<bool>().sample(&mut rng, case) {
+            faults.push((
+                (0u8..32).sample(&mut rng, case),
+                (0u8..32).sample(&mut rng, case),
+                any::<bool>().sample(&mut rng, case),
+            ));
+        }
+        match masked_case(seed, mem_heavy, &faults) {
+            Ok(native) => native_blocks += native,
+            Err(e) => panic!(
+                "case {case} failed: {e}\n  inputs: seed = {seed}, \
+                 mem_heavy = {mem_heavy}, faults = {faults:?}"
+            ),
+        }
+    }
+    assert!(native_blocks > 0, "no masked block ran natively");
 }
 
 proptest! {
