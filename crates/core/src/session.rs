@@ -204,7 +204,7 @@ impl QtaSession {
             qta_cycles: qta.worst_case_cycles(),
             static_wcet: self.timed_cfg.total_wcet(),
             instret,
-            visits: qta.visits().clone(),
+            visits: qta.visits(),
             violations: qta.violations().to_vec(),
             unmapped_insns: qta.unmapped_insns(),
             metrics: qta.snapshot(),

@@ -195,12 +195,25 @@ fn plugin_reset() {
     let src = "li t0, 3\nl: addi t0, t0, -1\nbnez t0, l\nebreak";
     let s = session(src, &WcetOptions::new());
     let mut vp = s.build_vp().expect("builds");
-    vp.run();
-    let first = vp.plugin::<QtaPlugin>().unwrap().worst_case_cycles();
-    assert!(first > 0);
+    let outcome = vp.run();
+    let first = s.collect(&mut vp, outcome);
+    assert!(first.qta_cycles > 0);
     vp.plugin_mut::<QtaPlugin>().unwrap().reset();
     assert_eq!(vp.plugin::<QtaPlugin>().unwrap().worst_case_cycles(), 0);
     assert!(vp.plugin::<QtaPlugin>().unwrap().visits().is_empty());
+
+    // A re-run on the same VP reports exactly the first run: the CPU's
+    // cycle counter kept running, and none of its earlier cycles may
+    // reach the first block entered after the reset.
+    vp.cpu_mut().set_pc(s.timed_cfg().entry());
+    let outcome = vp.run();
+    let second = s.collect(&mut vp, outcome);
+    assert_eq!(second.outcome, RunOutcome::Break);
+    assert_eq!(second.qta_cycles, first.qta_cycles);
+    assert_eq!(second.visits, first.visits);
+    assert_eq!(second.violations, first.violations);
+    assert_eq!(second.metrics, first.metrics);
+    assert_eq!(second.metrics.counter("qta_overruns"), Some(0));
 }
 
 #[test]
@@ -293,6 +306,31 @@ fn shipped_timed_cfg_round_trip_session() {
     assert_eq!(a.qta_cycles, b.qta_cycles);
     assert_eq!(a.static_wcet, b.static_wcet);
     assert!(b.invariant_holds());
+}
+
+#[test]
+fn shipped_graph_with_far_and_empty_blocks_co_simulates() {
+    // A shipped graph is outside input. Blocks at both ends of the
+    // address space, one of them empty, must not change what the
+    // program's own blocks report.
+    let src = "li t0, 9\nl: addi t0, t0, -1\nbnez t0, l\nebreak";
+    let img = assemble(src).expect("assembles");
+    let analyzed = session(src, &WcetOptions::new());
+    let text = analyzed.timed_cfg().to_text()
+        + "block 0x00000000 0x00000000 7\nblock 0xfffffff0 0xfffffffe 7\n";
+    let shipped = QtaSession::from_timed_cfg(
+        img.base(),
+        img.bytes(),
+        img.entry(),
+        IsaConfig::full(),
+        TimingModel::new(),
+        s4e_wcet::TimedCfg::from_text(&text).expect("parses"),
+    );
+    let (a, b) = (analyzed.run().expect("runs"), shipped.run().expect("runs"));
+    assert_eq!(b.qta_cycles, a.qta_cycles);
+    assert_eq!(b.visits, a.visits);
+    assert_eq!(b.unmapped_insns, 0);
+    assert_eq!(b.metrics, a.metrics);
 }
 
 #[test]

@@ -210,6 +210,40 @@ impl Histogram {
         self.max.fetch_max(value, Ordering::Relaxed);
     }
 
+    /// Merges a batch of observations tallied elsewhere, e.g. in plain
+    /// locals on a hot path: `buckets[i]` observations fell into bucket
+    /// `i` (see [`bucket_index`]), summing to `sum` with maximum `max`.
+    /// The result equals recording each observation, for one RMW per
+    /// non-empty bucket plus three.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use s4e_obs::{bucket_index, Histogram, NUM_BUCKETS};
+    /// let (one, batch) = (Histogram::new(), Histogram::new());
+    /// let mut buckets = [0u64; NUM_BUCKETS];
+    /// for v in [3, 9, 9] {
+    ///     one.record(v);
+    ///     buckets[bucket_index(v)] += 1;
+    /// }
+    /// batch.merge_counts(&buckets, 21, 9);
+    /// assert_eq!(batch.snapshot(), one.snapshot());
+    /// ```
+    pub fn merge_counts(&self, buckets: &[u64; NUM_BUCKETS], sum: u64, max: u64) {
+        let mut count = 0u64;
+        for (bucket, &n) in self.buckets.iter().zip(buckets) {
+            if n > 0 {
+                bucket.fetch_add(n, Ordering::Relaxed);
+                count += n;
+            }
+        }
+        if count > 0 {
+            self.count.fetch_add(count, Ordering::Relaxed);
+            self.sum.fetch_add(sum, Ordering::Relaxed);
+            self.max.fetch_max(max, Ordering::Relaxed);
+        }
+    }
+
     /// Observations recorded so far.
     pub fn count(&self) -> u64 {
         self.count.load(Ordering::Relaxed)
@@ -399,6 +433,26 @@ mod tests {
         b.add(3);
         assert_eq!(a.value(), 5);
         assert_eq!(r.len(), 1);
+    }
+
+    #[test]
+    fn merged_batches_equal_recording_one_by_one() {
+        let (one, batched) = (Histogram::new(), Histogram::new());
+        one.record(40);
+        batched.record(40);
+        // An empty batch changes nothing, not even `max`.
+        batched.merge_counts(&[0; NUM_BUCKETS], 0, 0);
+        assert_eq!(batched.snapshot(), one.snapshot());
+        let mut buckets = [0u64; NUM_BUCKETS];
+        let (mut sum, mut max) = (0u64, 0u64);
+        for v in [0, 1, 7, 8, 1 << 40, 5] {
+            one.record(v);
+            buckets[bucket_index(v)] += 1;
+            sum += v;
+            max = max.max(v);
+        }
+        batched.merge_counts(&buckets, sum, max);
+        assert_eq!(batched.snapshot(), one.snapshot());
     }
 
     #[test]

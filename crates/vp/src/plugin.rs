@@ -9,6 +9,16 @@
 //! block executed (`tb_exec`), instruction executed (`insn_exec`), memory
 //! access (`mem`), plus device accesses and traps which QEMU exposes
 //! through the same mechanism.
+//!
+//! Like the TCG plugin API, instruction callbacks are subscribed per
+//! translated block: [`Plugin::wants_insn_events`] is asked once for
+//! every block as it is translated, and only blocks some plugin
+//! subscribes run instruction by instruction; the rest run on the
+//! micro-op engine with block, memory, device and trap hooks only. A
+//! plugin whose block-level accounting needs blocks to begin at given
+//! addresses (QTA's annotated block starts) names them through
+//! [`Plugin::block_starts`], and translation never lets a block run
+//! across one.
 
 use crate::cpu::Cpu;
 use crate::trap::Trap;
@@ -118,28 +128,49 @@ impl<T: Any> AsAny for T {
 /// ```
 #[allow(unused_variables)]
 pub trait Plugin: AsAny + std::fmt::Debug + Send {
+    /// Addresses at which translation must begin a new block: no
+    /// translated block runs across one, so every time execution reaches
+    /// a listed address, [`on_block_executed`](Plugin::on_block_executed)
+    /// fires for a block starting there. Collected once by
+    /// [`Vp::add_plugin`][crate::Vp::add_plugin], which drops the blocks
+    /// translated so far. The default declares none.
+    ///
+    /// Blocks are where the VP samples interrupts, so declared starts
+    /// can move an asynchronous interrupt earlier, identically on every
+    /// execution tier.
+    fn block_starts(&self) -> Vec<u32> {
+        Vec::new()
+    }
+
     /// A basic block was translated (decoded into the block cache).
     fn on_block_translated(&mut self, block: &BlockInfo<'_>) {}
 
-    /// A basic block is about to execute.
+    /// A basic block is about to execute. Fires only when at least one
+    /// of its instructions will run: a `run_for` budget spent at the
+    /// block boundary ends the run without the hook.
     fn on_block_executed(&mut self, cpu: &Cpu, start_pc: u32) {}
 
     /// Whether this plugin needs
-    /// [`on_insn_executed`](Plugin::on_insn_executed) callbacks.
+    /// [`on_insn_executed`](Plugin::on_insn_executed) callbacks inside
+    /// `block`.
     ///
-    /// The default is `true` — conservative, and correct for any plugin
-    /// that overrides `on_insn_executed`. A plugin that leaves
-    /// `on_insn_executed` at its empty default should return `false`
-    /// here: while no attached plugin wants per-instruction events, the
-    /// VP's micro-op engine executes blocks with per-instruction plugin
-    /// dispatch elided entirely (block, memory, device and trap hooks
-    /// still fire). Queried once per [`Vp::add_plugin`][crate::Vp::add_plugin],
-    /// so the answer must not change over the plugin's lifetime.
-    fn wants_insn_events(&self) -> bool {
+    /// Asked once per translated block (the uncached interpreter
+    /// translates, and so asks, at every dispatch), so the answer must
+    /// depend on the block alone. A block no attached plugin subscribes
+    /// runs on the micro-op engine with per-instruction plugin dispatch
+    /// elided entirely (block, memory, device and trap hooks still
+    /// fire); a subscribed block runs instruction by instruction, and
+    /// `on_insn_executed` then reaches every attached plugin. The
+    /// default is `true` — conservative, and correct for any plugin
+    /// that overrides `on_insn_executed`.
+    fn wants_insn_events(&self, block: &BlockInfo<'_>) -> bool {
         true
     }
 
-    /// An instruction retired (state already updated).
+    /// An instruction retired (state already updated), inside a block
+    /// some plugin subscribed (see
+    /// [`wants_insn_events`](Plugin::wants_insn_events)). Also fires for
+    /// an instruction that traps instead of retiring.
     fn on_insn_executed(&mut self, cpu: &Cpu, pc: u32, insn: &Insn) {}
 
     /// A data-memory access to RAM completed.

@@ -104,6 +104,13 @@ struct Block {
     /// from zero, and invalidation discards the state together with the
     /// block.
     jit: JitSlot,
+    /// Whether an attached plugin subscribed this block's instruction
+    /// events ([`Plugin::wants_insn_events`], asked when the block
+    /// entered this VP). Subscribed blocks run instruction by
+    /// instruction; the rest run on the micro-op engine and notify no
+    /// instruction. VP-private like the links: another VP sharing the
+    /// body may have other plugins attached.
+    insn_events: bool,
 }
 
 /// A read-only set of translated (and lowered) blocks exported from one
@@ -543,7 +550,8 @@ impl VpBuilder {
             jit,
             jit_threshold: self.jit_threshold.max(1),
             warm: None,
-            insn_hooks: false,
+            block_starts: Vec::new(),
+            insn_events: false,
             jmp_cache: vec![None; JMP_CACHE_SLOTS],
             scratch: None,
             code_lo: u32::MAX,
@@ -614,12 +622,18 @@ pub struct Vp {
     /// A warm translation set probed on translation-cache misses before
     /// decoding from guest memory. Survives [`Vp::invalidate_caches`] on
     /// purpose: entries are hash-validated against current RAM at every
-    /// probe, so stale entries miss instead of mispredicting.
+    /// probe, so stale entries miss instead of mispredicting. Not probed
+    /// while `block_starts` is non-empty: shared bodies were cut without
+    /// the declared starts.
     warm: Option<Arc<SharedTranslations>>,
-    /// Whether any attached plugin wants per-instruction callbacks
-    /// (recomputed on [`Vp::add_plugin`]). While `false`, the micro-op
-    /// engine elides per-instruction plugin dispatch entirely.
-    insn_hooks: bool,
+    /// Addresses no translated block may run across, sorted and
+    /// deduplicated: the union of every attached plugin's
+    /// [`Plugin::block_starts`].
+    block_starts: Vec<u32>,
+    /// Whether the block being executed is subscribed to instruction
+    /// events (its `Block::insn_events`), set at every dispatch; gates
+    /// `notify_insn` on every tier.
+    insn_events: bool,
     /// Direct-mapped front for `cache`, indexed by [`jmp_cache_slot`]:
     /// `(start_pc, block)` pairs, probed before the `HashMap` on every
     /// dispatch (QEMU's `tb_jmp_cache`).
@@ -782,10 +796,20 @@ impl Vp {
         self.flight.take()
     }
 
-    /// Attaches an instrumentation plugin.
+    /// Attaches an instrumentation plugin, adding its
+    /// [`block_starts`](Plugin::block_starts) to the VP's. Blocks
+    /// translated so far are dropped, so every block is cut at the
+    /// declared starts and asked for its instruction subscription with
+    /// this plugin attached.
     pub fn add_plugin(&mut self, plugin: Box<dyn Plugin>) {
-        self.insn_hooks = self.insn_hooks || plugin.wants_insn_events();
+        let starts = plugin.block_starts();
+        if !starts.is_empty() {
+            self.block_starts.extend(starts);
+            self.block_starts.sort_unstable();
+            self.block_starts.dedup();
+        }
         self.plugins.push(plugin);
+        self.drop_translations();
     }
 
     /// Recovers an attached plugin by concrete type (first match).
@@ -867,8 +891,14 @@ impl Vp {
     /// [`SharedTranslations`] set, each entry stamped with a hash of the
     /// code bytes it was decoded from. Seed the set into other VPs with
     /// [`set_warm_translations`](Vp::set_warm_translations) so they skip
-    /// re-translating (and re-lowering) identical code.
+    /// re-translating (and re-lowering) identical code. Empty while
+    /// plugin block starts are declared: those blocks are cut where a VP
+    /// without the starts would not cut them, and block boundaries are
+    /// where interrupts are sampled.
     pub fn export_translations(&self) -> SharedTranslations {
+        if !self.block_starts.is_empty() {
+            return SharedTranslations::default();
+        }
         let mut blocks = HashMap::with_capacity(self.cache.len());
         for (&pc, block) in &self.cache {
             let len = block.body.fall_pc.wrapping_sub(pc);
@@ -1051,19 +1081,15 @@ impl Vp {
         let mut blocks = 0u32;
         // Device or bus state may have been mutated between runs.
         self.irq_resample = true;
-        // Micro-op execution requires the block cache and that no plugin
-        // wants per-insn callbacks; chaining only requires the cache
-        // (both fixed for the duration of a run: `add_plugin` needs
-        // `&mut self`).
-        let use_uops = self.cache_enabled && !self.insn_hooks;
-        // The template JIT additionally requires that no plugin wants
-        // block hooks (native chains skip intermediate boundaries — and
-        // plugins observe exact per-block state the JIT batches). An
+        // The template JIT requires the block cache and that no plugin
+        // is attached (native chains skip intermediate boundaries — and
+        // plugins observe exact per-block state the JIT batches; fixed
+        // for the duration of a run: `add_plugin` needs `&mut self`). An
         // armed flight recorder no longer disqualifies native entry:
         // the templates write the block-entry ring inline, identically
         // to `FlightRecorder::record_block`. Armed register fault masks
         // select the masked engine inside `jit_dispatch`.
-        let use_jit = self.jit[0].is_some() && use_uops && self.plugins.is_empty();
+        let use_jit = self.jit[0].is_some() && self.cache_enabled && self.plugins.is_empty();
         // The block to dispatch next via a direct chain link, and the
         // (predecessor, slot) pair waiting for its successor to be
         // resolved so the link can be installed. Both are dropped at
@@ -1138,6 +1164,10 @@ impl Vp {
             // prologues, so the recorder (and plugin block hooks, which
             // gate the JIT off entirely) fire here only on the
             // interpreted path — exactly once per block entry either way.
+            // The ring records every dispatch, matching the native
+            // prologue, which writes it before its budget check; plugin
+            // block hooks fire only for blocks that will run, not for
+            // one fetched after the budget ran out (it fires on resume).
             let native = if use_jit && !self.block_exit_pending && self.bus.peek_event().is_none() {
                 self.jit_dispatch(block, &mut remaining)
             } else {
@@ -1149,13 +1179,15 @@ impl Vp {
                     if let Some(flight) = &mut self.flight {
                         flight.record_block(self.cpu.instret(), self.cpu.pc());
                     }
-                    if !self.plugins.is_empty() {
+                    if !self.plugins.is_empty() && remaining > 0 {
                         let pc = self.cpu.pc();
                         for p in &mut self.plugins {
                             p.on_block_executed(&self.cpu, pc);
                         }
                     }
-                    if use_uops {
+                    // SAFETY: dispatch-boundary argument above.
+                    self.insn_events = unsafe { (*block).insn_events };
+                    if self.cache_enabled && !self.insn_events {
                         self.exec_block_uops(block, 0, &mut remaining)
                     } else {
                         self.exec_block_insns(block, 0, &mut remaining)
@@ -1415,8 +1447,8 @@ impl Vp {
     }
 
     /// Executes `block` per-instruction starting at `insns[start]`: the
-    /// whole of the uncached interpreter, the cached path for plugins
-    /// that want per-instruction events, and the exact-boundary tail of
+    /// whole of the uncached interpreter, the cached path for blocks
+    /// subscribed to instruction events, and the exact-boundary tail of
     /// the micro-op engine. The caller guarantees `cpu.pc()` equals the
     /// pc of `insns[start]` on entry.
     fn exec_block_insns(
@@ -1986,8 +2018,11 @@ impl Vp {
         self.notify_insn(pc, insn);
     }
 
+    /// Reports an executed instruction to the plugins, inside a block
+    /// they subscribed: unsubscribed blocks notify nothing on any tier,
+    /// including their `Op::Generic` instructions and budget replays.
     fn notify_insn(&mut self, pc: u32, insn: &Insn) {
-        if !self.plugins.is_empty() {
+        if self.insn_events {
             for p in &mut self.plugins {
                 p.on_insn_executed(&self.cpu, pc, insn);
             }
@@ -2082,8 +2117,10 @@ impl Vp {
         // Translation-cache miss: probe the warm shared set (never set
         // without a cache) before decoding. The code-bytes hash is
         // re-checked against *this* VP's RAM, so mutated code misses and
-        // translates fresh.
-        let warm_body = self.warm.as_ref().and_then(|warm| {
+        // translates fresh. Declared block starts skip the probe: a
+        // shared body may run across one.
+        let warm = self.warm.as_ref().filter(|_| self.block_starts.is_empty());
+        let warm_body = warm.and_then(|warm| {
             let shared = warm.blocks.get(&pc)?;
             let bytes = self.bus.dump(pc, shared.len as usize).ok()?;
             (fnv1a(bytes) == shared.hash).then(|| Arc::clone(&shared.body))
@@ -2099,6 +2136,7 @@ impl Vp {
                 body
             }
         };
+        let mut insn_events = false;
         if !self.plugins.is_empty() {
             let info = BlockInfo {
                 start_pc: pc,
@@ -2106,14 +2144,17 @@ impl Vp {
             };
             for p in &mut self.plugins {
                 p.on_block_translated(&info);
+                insn_events |= p.wants_insn_events(&info);
             }
         }
-        // Links and JIT state are VP-local, so an adopted body starts
-        // with fresh ones, rebuilt by this VP's own dispatch loop.
+        // Links, JIT state and the subscription are VP-local, so an
+        // adopted body starts with fresh ones, rebuilt by this VP's own
+        // dispatch loop.
         let block = Arc::new(Block {
             body,
             links: Default::default(),
             jit: JitSlot::default(),
+            insn_events,
         });
         let ptr = Arc::as_ptr(&block);
         if self.cache_enabled {
@@ -2132,7 +2173,16 @@ impl Vp {
         let mut insns = Vec::new();
         let mut addr = pc;
         let isa = *self.cpu.isa();
+        // The block ends before the first declared start past `pc`.
+        let next_start = self
+            .block_starts
+            .get(self.block_starts.partition_point(|&s| s <= pc))
+            .copied()
+            .unwrap_or(u32::MAX);
         for _ in 0..MAX_BLOCK_INSNS {
+            if addr >= next_start {
+                break;
+            }
             if !addr.is_multiple_of(2) {
                 if insns.is_empty() {
                     return Err(Trap::InsnMisaligned { addr });

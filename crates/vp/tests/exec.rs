@@ -4,7 +4,7 @@
 use s4e_asm::{assemble, assemble_with, AsmOptions};
 use s4e_isa::{Gpr, Insn, IsaConfig};
 use s4e_vp::dev::{Syscon, Uart};
-use s4e_vp::{Cpu, DeviceAccess, MemAccess, Plugin, RunOutcome, Trap, Vp};
+use s4e_vp::{BlockInfo, Cpu, DeviceAccess, MemAccess, Plugin, RunOutcome, Trap, Vp};
 
 fn run_src(src: &str) -> Vp {
     let mut vp = Vp::new(IsaConfig::full());
@@ -625,6 +625,84 @@ fn plugin_observes_everything() {
     assert!(rec.mem[0].is_store && !rec.mem[1].is_store);
     assert_eq!(rec.mem[1].value, 65);
     assert!(rec.traps.is_empty());
+}
+
+/// A `run_for` budget spent at a block boundary ends the run without
+/// the next block's hook; the hook fires once, when the block runs
+/// after the resume. Under one-instruction slices every dispatch then
+/// runs exactly one instruction, so on every tier the block hooks equal
+/// the retired instructions.
+#[test]
+fn spent_budget_fires_no_block_hook() {
+    let src = "li t0, 5\nloop: addi t0, t0, -1\nbnez t0, loop\nebreak";
+    let img = assemble(src).unwrap();
+    for builder in [
+        Vp::builder().block_cache(false),
+        Vp::builder().jit(false),
+        Vp::builder(),
+    ] {
+        let mut vp = builder.isa(IsaConfig::rv32imc()).build();
+        vp.load(img.base(), img.bytes()).unwrap();
+        vp.add_plugin(Box::<Recorder>::default());
+        let outcome = loop {
+            match vp.run_for(1) {
+                RunOutcome::InsnLimit => {}
+                outcome => break outcome,
+            }
+        };
+        assert_eq!(outcome, RunOutcome::Break);
+        let rec = vp.plugin::<Recorder>().unwrap();
+        assert_eq!(rec.blocks_executed as u64, vp.cpu().instret());
+        assert_eq!(rec.insns as u64, vp.cpu().instret());
+    }
+}
+
+/// Declares block starts and subscribes no block to instruction events.
+#[derive(Debug)]
+struct Splitter(Vec<u32>);
+
+impl Plugin for Splitter {
+    fn block_starts(&self) -> Vec<u32> {
+        self.0.clone()
+    }
+    fn wants_insn_events(&self, _block: &BlockInfo<'_>) -> bool {
+        false
+    }
+}
+
+/// Warm translation sets and declared block starts do not mix: a VP
+/// with starts declared translates every block itself rather than
+/// adopt bodies cut without them, and exports none of its own blocks,
+/// which are cut where other VPs would not cut them.
+#[test]
+fn declared_block_starts_bypass_warm_translations() {
+    let src = "li t0, 5\nloop: addi t0, t0, -1\nnop\nbnez t0, loop\nebreak";
+    let img = assemble(src).unwrap();
+    let boot = || {
+        let mut vp = Vp::builder().isa(IsaConfig::rv32imc()).jit(false).build();
+        vp.load(img.base(), img.bytes()).unwrap();
+        vp.cpu_mut().set_pc(img.entry());
+        vp
+    };
+    let mut donor = boot();
+    assert_eq!(donor.run(), RunOutcome::Break);
+    let warm = std::sync::Arc::new(donor.export_translations());
+    assert!(!warm.is_empty());
+
+    let mut plain = boot();
+    plain.set_warm_translations(Some(warm.clone()));
+    assert_eq!(plain.run(), RunOutcome::Break);
+    assert!(plain.dispatch_stats().warm_translations > 0);
+
+    let mut split = boot();
+    split.add_plugin(Box::new(Splitter(vec![img.symbol("loop").unwrap() + 4])));
+    split.set_warm_translations(Some(warm));
+    assert_eq!(split.run(), RunOutcome::Break);
+    let stats = split.dispatch_stats();
+    assert_eq!(stats.warm_translations, 0);
+    assert!(stats.translations > 0);
+    assert!(split.export_translations().is_empty());
+    assert_eq!(format!("{:?}", split.cpu()), format!("{:?}", donor.cpu()));
 }
 
 #[test]

@@ -3,7 +3,7 @@
 
 use proptest::prelude::*;
 use scale4edge::prelude::*;
-use scale4edge::vp::{FlightRecorder, VpBuilder};
+use scale4edge::vp::{BlockInfo, Cpu, FlightRecorder, VpBuilder};
 
 /// Boots `image` on a VP from `builder`, attaches `plugin` if given and
 /// runs it to its `ebreak`.
@@ -25,8 +25,70 @@ fn run_to_break(builder: VpBuilder, image: &Image, plugin: Option<Box<dyn Plugin
 struct BlockOnly;
 
 impl Plugin for BlockOnly {
-    fn wants_insn_events(&self) -> bool {
+    fn wants_insn_events(&self, _block: &BlockInfo<'_>) -> bool {
         false
+    }
+}
+
+/// A plugin that declares seeded block starts and subscribes only the
+/// blocks whose start pc passes a seeded predicate, logging every block
+/// and instruction event with the `(pc, cycles, instret)` it observed.
+#[derive(Debug)]
+struct MixedSubscriber {
+    starts: Vec<u32>,
+    salt: u32,
+    /// The block being executed, from the last block event.
+    current: u32,
+    log: Vec<(char, u32, u64, u64)>,
+    /// Instruction events from an unsubscribed block, or at a declared
+    /// start that did not begin the block.
+    stray: u32,
+}
+
+impl MixedSubscriber {
+    /// Declares `count` seeded starts in `[base, base + len)`.
+    fn new(seed: u64, base: u32, len: u32, count: usize) -> MixedSubscriber {
+        let mut x = seed;
+        let starts = (0..count)
+            .map(|_| {
+                x = x.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1);
+                base + ((x >> 33) as u32 % (len / 2)) * 2
+            })
+            .collect();
+        MixedSubscriber {
+            starts,
+            salt: (seed >> 7) as u32,
+            current: 0,
+            log: Vec::new(),
+            stray: 0,
+        }
+    }
+
+    fn subscribes(&self, start_pc: u32) -> bool {
+        ((start_pc >> 1) ^ self.salt).wrapping_mul(0x9e37_79b9) >> 31 == 0
+    }
+}
+
+impl Plugin for MixedSubscriber {
+    fn block_starts(&self) -> Vec<u32> {
+        self.starts.clone()
+    }
+
+    fn wants_insn_events(&self, block: &BlockInfo<'_>) -> bool {
+        self.subscribes(block.start_pc)
+    }
+
+    fn on_block_executed(&mut self, cpu: &Cpu, pc: u32) {
+        self.current = pc;
+        self.log.push(('b', pc, cpu.cycles(), cpu.instret()));
+    }
+
+    fn on_insn_executed(&mut self, cpu: &Cpu, pc: u32, _insn: &Insn) {
+        let start_mid_block = pc != self.current && self.starts.contains(&pc);
+        if start_mid_block || !self.subscribes(self.current) {
+            self.stray += 1;
+        }
+        self.log.push(('i', pc, cpu.cycles(), cpu.instret()));
     }
 }
 
@@ -257,6 +319,16 @@ proptest! {
         let jit = run_to_break(builder().jit_threshold(1), &image, None);
         let per_insn = run_to_break(builder(), &image, Some(Box::new(CoveragePlugin::new(isa))));
         let block_only = run_to_break(builder(), &image, Some(Box::new(BlockOnly)));
+        let len = image.bytes().len() as u32;
+        let mixed = |builder: VpBuilder| {
+            let plugin = MixedSubscriber::new(seed, image.base(), len, 4);
+            run_to_break(builder, &image, Some(Box::new(plugin)))
+        };
+        let mixed_arms = [
+            ("mixed plugin, block_cache(false)", mixed(builder().block_cache(false))),
+            ("mixed plugin, jit(false)", mixed(builder().jit(false))),
+            ("mixed plugin, default", mixed(builder())),
+        ];
 
         let arms = [
             ("jit(false)", &uops),
@@ -266,6 +338,19 @@ proptest! {
         ];
         for (arm, vp) in arms {
             assert_same_state(arm, vp, &oracle, image.base())?;
+        }
+        // The mixed-subscription plugin sees the same event stream on
+        // every tier, and instruction events only inside the blocks it
+        // subscribed, `Op::Generic` CSR and FP instructions included.
+        let events = |vp: &Vp| {
+            let plugin = vp.plugin::<MixedSubscriber>().expect("attached");
+            (plugin.log.clone(), plugin.stray)
+        };
+        let want = events(&mixed_arms[0].1);
+        prop_assert_eq!(want.1, 0);
+        for (arm, vp) in &mixed_arms {
+            assert_same_state(arm, vp, &oracle, image.base())?;
+            prop_assert!(events(vp) == want, "{} event log", arm);
         }
         // The arms must actually take the memory paths they stand for
         // (otherwise this differential proves little): the micro-op
