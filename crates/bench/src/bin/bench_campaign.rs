@@ -207,15 +207,16 @@ fn main() {
     // and execute all 1120 mutants, so the wall-time ratio is exactly
     // the executed-mutant throughput ratio.
     let campaign_jit_speedup = nojit_s / ff_s;
-    let jit_snap = jit_progress.snapshot();
-    let jit_counter = |name: &str| jit_snap.counter(name).unwrap_or(0);
-    let campaign_jit_retained = jit_counter("campaign_jit_retained");
-    let campaign_jit_exec = jit_counter("campaign_jit_blocks_executed");
-    let campaign_jit_bailouts = jit_counter("campaign_jit_bailouts");
+    // The native tier's rows of the campaign's dispatch counters.
+    let campaign_jit = jit_progress.dispatch_stats();
+    let campaign_jit_rows: Vec<_> = campaign_jit
+        .counters()
+        .into_iter()
+        .filter(|c| c.suffix.starts_with("jit_"))
+        .collect();
     assert!(
-        campaign_jit_retained > 0 && campaign_jit_exec > 0,
-        "mutant suffixes must actually adopt retained native code \
-         (retained {campaign_jit_retained}, executed {campaign_jit_exec})"
+        campaign_jit.jit_retained > 0 && campaign_jit.jit_exec > 0,
+        "mutant suffixes must actually adopt retained native code: {campaign_jit:?}"
     );
 
     println!("# C1 — campaign fast-forward throughput");
@@ -247,15 +248,11 @@ fn main() {
         "JIT-on vs --no-jit classification identity: PASS ({} specs)",
         specs.len()
     );
-    println!(
-        "native suffix coverage: {campaign_jit_exec} block executions, \
-         {campaign_jit_retained} retained adoptions, {campaign_jit_bailouts} bailouts \
-         (mem={} budget={} smc={} reval={})",
-        jit_counter("campaign_jit_bail_mem_slow_path"),
-        jit_counter("campaign_jit_bail_budget_expiry"),
-        jit_counter("campaign_jit_bail_smc_store"),
-        jit_counter("campaign_jit_bail_revalidation_miss"),
-    );
+    print!("native suffix coverage:");
+    for c in &campaign_jit_rows {
+        print!(" {}={}", c.suffix, c.value);
+    }
+    println!();
 
     // --- scale sweep: 10^5+ mutants, threads × pruning -----------------
     // The generator's balanced shape scaled until the sweep crosses
@@ -291,7 +288,7 @@ fn main() {
         let pruned = snap.counter("campaign_pruned_dead").unwrap_or(0)
             + snap.counter("campaign_pruned_dedup").unwrap_or(0);
         let steals = snap.counter("campaign_queue_steals").unwrap_or(0);
-        let lock_waits = snap.counter("campaign_lock_waits").unwrap_or(0);
+        let lock_waits = progress.dispatch_stats().lock_waits;
         (report, secs, pruned, steals, lock_waits)
     };
 
@@ -640,35 +637,17 @@ fn main() {
     );
 
     let stats_json = |s: &DispatchStats| {
-        format!(
-            "{{\"chain_hits\": {}, \"chain_links\": {}, \"jmp_cache_hits\": {}, \
-             \"jmp_cache_misses\": {}, \"fused_lowered\": {}, \"fused_exec\": {}, \
-             \"mem_fast_hits\": {}, \"mem_slow_hits\": {}, \"translations\": {}, \
-             \"warm_translations\": {}, \"jit_blocks\": {}, \"jit_exec\": {}, \
-             \"jit_bailouts\": {}, \"jit_bail_mem\": {}, \"jit_bail_budget\": {}, \
-             \"jit_bail_smc\": {}, \"jit_bail_reval_miss\": {}, \
-             \"jit_retained\": {}, \"jit_revalidations\": {}}}",
-            s.chain_hits,
-            s.chain_links,
-            s.jmp_cache_hits,
-            s.jmp_cache_misses,
-            s.fused_lowered,
-            s.fused_exec,
-            s.mem_fast_hits,
-            s.mem_slow_hits,
-            s.translations,
-            s.warm_translations,
-            s.jit_blocks,
-            s.jit_exec,
-            s.jit_bailouts,
-            s.jit_bail_mem,
-            s.jit_bail_budget,
-            s.jit_bail_smc,
-            s.jit_bail_reval_miss,
-            s.jit_retained,
-            s.jit_revalidations,
-        )
+        let fields: Vec<String> = s
+            .counters()
+            .iter()
+            .map(|c| format!("\"{}\": {}", c.field, c.value))
+            .collect();
+        format!("{{{}}}", fields.join(", "))
     };
+    let campaign_jit_json: String = campaign_jit_rows
+        .iter()
+        .map(|c| format!("\"campaign_{}\": {},\n  ", c.suffix, c.value))
+        .collect();
     let json = format!(
         "{{\n  \"git_revision\": \"{}\",\n  \"threads\": {},\n  \"host_cores\": {},\n  \
          \"host_cpu\": \"{}\",\n  \
@@ -677,14 +656,7 @@ fn main() {
          \"campaign_speedup\": {:.3},\n  \"classification_identical\": true,\n  \
          \"campaign_jit_s\": {:.6},\n  \"campaign_nojit_s\": {:.6},\n  \
          \"campaign_jit_speedup\": {:.3},\n  \
-         \"campaign_jit_classification_identical\": {},\n  \
-         \"campaign_jit_retained\": {},\n  \
-         \"campaign_jit_blocks_executed\": {},\n  \
-         \"campaign_jit_bailouts\": {},\n  \
-         \"campaign_jit_bail_mem_slow_path\": {},\n  \
-         \"campaign_jit_bail_budget_expiry\": {},\n  \
-         \"campaign_jit_bail_smc_store\": {},\n  \
-         \"campaign_jit_bail_revalidation_miss\": {},\n  \
+         \"campaign_jit_classification_identical\": {},\n  {}\
          \"scale_mutants\": {},\n  \"scale_threads1_s\": {:.6},\n  \
          \"scale_threads2_s\": {:.6},\n  \"scale_threads4_s\": {:.6},\n  \
          \"scale_speedup_2t\": {:.3},\n  \"scale_speedup_2t_oversubscribed\": {},\n  \
@@ -721,13 +693,7 @@ fn main() {
         nojit_s,
         campaign_jit_speedup,
         jit_classification_identical,
-        campaign_jit_retained,
-        campaign_jit_exec,
-        campaign_jit_bailouts,
-        jit_counter("campaign_jit_bail_mem_slow_path"),
-        jit_counter("campaign_jit_bail_budget_expiry"),
-        jit_counter("campaign_jit_bail_smc_store"),
-        jit_counter("campaign_jit_bail_revalidation_miss"),
+        campaign_jit_json,
         scale_specs.len(),
         t1_s,
         t2_s,

@@ -65,34 +65,12 @@ pub struct CampaignProgress {
     shard_restarts: Arc<Counter>,
     shard_bisections: Arc<Counter>,
     shard_backoff_ms: Arc<Counter>,
-    snapshots: Arc<Counter>,
-    pages_flushed: Arc<Counter>,
-    restores: Arc<Counter>,
-    pages_restored: Arc<Counter>,
-    jmp_hits: Arc<Counter>,
-    jmp_misses: Arc<Counter>,
-    chain_hits: Arc<Counter>,
-    chain_links: Arc<Counter>,
-    fused_lowered: Arc<Counter>,
-    fused_exec: Arc<Counter>,
-    translations: Arc<Counter>,
-    warm_translations: Arc<Counter>,
-    mem_fast_hits: Arc<Counter>,
-    mem_slow_hits: Arc<Counter>,
-    jit_blocks: Arc<Counter>,
-    jit_exec: Arc<Counter>,
-    jit_bailouts: Arc<Counter>,
-    jit_bail_mem: Arc<Counter>,
-    jit_bail_budget: Arc<Counter>,
-    jit_bail_smc: Arc<Counter>,
-    jit_bail_reval_miss: Arc<Counter>,
-    jit_retained: Arc<Counter>,
-    jit_revalidations: Arc<Counter>,
+    /// One `campaign_<suffix>` counter per [`DispatchStats`] row, in
+    /// table order.
+    dispatch: Vec<Arc<Counter>>,
     pruned_dead: Arc<Counter>,
     pruned_dedup: Arc<Counter>,
     queue_steals: Arc<Counter>,
-    lock_waits: Arc<Counter>,
-    lock_wait_us: Arc<Counter>,
     started: Instant,
 }
 
@@ -129,34 +107,14 @@ impl CampaignProgress {
             shard_restarts: registry.counter("campaign_shard_restarts"),
             shard_bisections: registry.counter("campaign_shard_bisections"),
             shard_backoff_ms: registry.counter("campaign_shard_backoff_ms"),
-            snapshots: registry.counter("campaign_snapshots_taken"),
-            pages_flushed: registry.counter("campaign_dirty_pages_flushed"),
-            restores: registry.counter("campaign_snapshot_restores"),
-            pages_restored: registry.counter("campaign_dirty_pages_restored"),
-            jmp_hits: registry.counter("campaign_jmp_cache_hits"),
-            jmp_misses: registry.counter("campaign_jmp_cache_misses"),
-            chain_hits: registry.counter("campaign_chain_hits"),
-            chain_links: registry.counter("campaign_chain_links"),
-            fused_lowered: registry.counter("campaign_fused_lowered"),
-            fused_exec: registry.counter("campaign_fused_executed"),
-            translations: registry.counter("campaign_translations"),
-            warm_translations: registry.counter("campaign_warm_translations"),
-            mem_fast_hits: registry.counter("campaign_mem_fast_hits"),
-            mem_slow_hits: registry.counter("campaign_mem_slow_hits"),
-            jit_blocks: registry.counter("campaign_jit_blocks_compiled"),
-            jit_exec: registry.counter("campaign_jit_blocks_executed"),
-            jit_bailouts: registry.counter("campaign_jit_bailouts"),
-            jit_bail_mem: registry.counter("campaign_jit_bail_mem_slow_path"),
-            jit_bail_budget: registry.counter("campaign_jit_bail_budget_expiry"),
-            jit_bail_smc: registry.counter("campaign_jit_bail_smc_store"),
-            jit_bail_reval_miss: registry.counter("campaign_jit_bail_revalidation_miss"),
-            jit_retained: registry.counter("campaign_jit_retained"),
-            jit_revalidations: registry.counter("campaign_jit_revalidations"),
+            dispatch: DispatchStats::default()
+                .counters()
+                .iter()
+                .map(|c| registry.counter(&format!("campaign_{}", c.suffix)))
+                .collect(),
             pruned_dead: registry.counter("campaign_pruned_dead"),
             pruned_dedup: registry.counter("campaign_pruned_dedup"),
             queue_steals: registry.counter("campaign_queue_steals"),
-            lock_waits: registry.counter("campaign_lock_waits"),
-            lock_wait_us: registry.counter("campaign_lock_wait_us"),
             registry,
             started: Instant::now(),
         }
@@ -188,41 +146,19 @@ impl CampaignProgress {
         self.record_outcome(outcome);
     }
 
-    /// Merges one VP's [`DispatchStats`] into the campaign metrics: the
-    /// fast-forward efficiency counters (snapshots taken and restored,
-    /// dirty pages moved each way), the interpreter's jump-cache
-    /// hit/miss split, the micro-op engine's chain and fusion counters,
-    /// the memory fast/slow path split, the warm-vs-fresh translation
-    /// split, and the native tier's compile/execute/retention counters
-    /// with the per-reason bailout breakdown. Workers call this per mutant with their reusable
-    /// VP's reset-on-read stats; the runner adds the shared golden
-    /// replay VP's share once at the end of the sweep.
+    /// Merges one VP's [`DispatchStats`] into the campaign metrics, one
+    /// `campaign_<suffix>` counter per row. Workers call this per mutant
+    /// with their reusable VP's reset-on-read stats; the runner adds the
+    /// shared golden replay VP's share once at the end of the sweep.
     pub fn record_dispatch(&self, stats: &DispatchStats) {
-        self.snapshots.add(stats.snapshots);
-        self.pages_flushed.add(stats.pages_flushed);
-        self.restores.add(stats.restores);
-        self.pages_restored.add(stats.pages_restored);
-        self.jmp_hits.add(stats.jmp_cache_hits);
-        self.jmp_misses.add(stats.jmp_cache_misses);
-        self.chain_hits.add(stats.chain_hits);
-        self.chain_links.add(stats.chain_links);
-        self.fused_lowered.add(stats.fused_lowered);
-        self.fused_exec.add(stats.fused_exec);
-        self.translations.add(stats.translations);
-        self.warm_translations.add(stats.warm_translations);
-        self.mem_fast_hits.add(stats.mem_fast_hits);
-        self.mem_slow_hits.add(stats.mem_slow_hits);
-        self.jit_blocks.add(stats.jit_blocks);
-        self.jit_exec.add(stats.jit_exec);
-        self.jit_bailouts.add(stats.jit_bailouts);
-        self.jit_bail_mem.add(stats.jit_bail_mem);
-        self.jit_bail_budget.add(stats.jit_bail_budget);
-        self.jit_bail_smc.add(stats.jit_bail_smc);
-        self.jit_bail_reval_miss.add(stats.jit_bail_reval_miss);
-        self.jit_retained.add(stats.jit_retained);
-        self.jit_revalidations.add(stats.jit_revalidations);
-        self.lock_waits.add(stats.lock_waits);
-        self.lock_wait_us.add(stats.lock_wait_us);
+        for (counter, c) in self.dispatch.iter().zip(stats.counters()) {
+            counter.add(c.value);
+        }
+    }
+
+    /// The dispatch stats merged so far, summed over every VP.
+    pub fn dispatch_stats(&self) -> DispatchStats {
+        DispatchStats::from_values(std::array::from_fn(|i| self.dispatch[i].value()))
     }
 
     /// A mutant classified by the def-use dead-bit analysis without
@@ -409,13 +345,9 @@ impl CampaignProgress {
         if self.queue_steals.value() > 0 {
             let _ = write!(line, " steals={}", self.queue_steals.value());
         }
-        if self.lock_waits.value() > 0 {
-            let _ = write!(
-                line,
-                " lockwait={}x{}us",
-                self.lock_waits.value(),
-                self.lock_wait_us.value()
-            );
+        let d = self.dispatch_stats();
+        if d.lock_waits > 0 {
+            let _ = write!(line, " lockwait={}x{}us", d.lock_waits, d.lock_wait_us);
         }
         if self.shards.value() > 0 {
             let _ = write!(
@@ -436,38 +368,32 @@ impl CampaignProgress {
                 let _ = write!(line, " bisections={}", self.shard_bisections.value());
             }
         }
-        let (fast, slow) = (self.mem_fast_hits.value(), self.mem_slow_hits.value());
+        let (fast, slow) = (d.mem_fast_hits, d.mem_slow_hits);
         if fast + slow > 0 {
             let pct = fast as f64 * 100.0 / (fast + slow) as f64;
             let _ = write!(line, " memfast={pct:.1}%");
         }
-        if self.warm_translations.value() > 0 {
+        if d.warm_translations > 0 {
             let _ = write!(
                 line,
                 " warm={} translated={}",
-                self.warm_translations.value(),
-                self.translations.value()
+                d.warm_translations, d.translations
             );
         }
         // Native-tier health: how much ran at JIT speed, how much was
         // retained across restores, and the per-reason bail split that
         // explains any coverage regression at a glance.
-        if self.jit_exec.value() > 0 || self.jit_bailouts.value() > 0 {
-            let _ = write!(
-                line,
-                " jit={} retained={}",
-                self.jit_exec.value(),
-                self.jit_retained.value()
-            );
-            let bails = self.jit_bailouts.value();
-            if bails > 0 {
+        if d.jit_exec > 0 || d.jit_bailouts > 0 {
+            let _ = write!(line, " jit={} retained={}", d.jit_exec, d.jit_retained);
+            if d.jit_bailouts > 0 {
                 let _ = write!(
                     line,
-                    " bail={bails}(mem={} budget={} smc={} reval={})",
-                    self.jit_bail_mem.value(),
-                    self.jit_bail_budget.value(),
-                    self.jit_bail_smc.value(),
-                    self.jit_bail_reval_miss.value()
+                    " bail={}(mem={} budget={} smc={} reval={})",
+                    d.jit_bailouts,
+                    d.jit_bail_mem,
+                    d.jit_bail_budget,
+                    d.jit_bail_smc,
+                    d.jit_bail_reval_miss
                 );
             }
         }
@@ -610,6 +536,43 @@ mod tests {
         for class in CLASSES {
             let name = format!("campaign_outcome_{}", names::sanitize(class));
             assert_eq!(snap.counter(&name), Some(1), "{name}");
+        }
+    }
+
+    #[test]
+    fn every_dispatch_counter_reaches_metrics_help_and_ticker() {
+        // Distinct nonzero values, so a row exported under another
+        // row's name, or not at all, shows.
+        let fed = DispatchStats::from_values(std::array::from_fn(|i| 1 + i as u64));
+        let progress = CampaignProgress::new();
+        progress.record_dispatch(&fed);
+        assert_eq!(progress.dispatch_stats(), fed);
+        let snap = progress.snapshot();
+        let text = snap.to_text();
+        for c in fed.counters() {
+            let name = format!("campaign_{}", c.suffix);
+            assert_eq!(snap.counter(&name), Some(c.value), "{name}");
+            assert!(
+                text.contains(&format!("# HELP {name} {}\n", c.help)),
+                "no HELP line for {name}"
+            );
+        }
+        let line = progress.status_line();
+        let memfast =
+            fed.mem_fast_hits as f64 * 100.0 / (fed.mem_fast_hits + fed.mem_slow_hits) as f64;
+        for want in [
+            format!(" memfast={memfast:.1}%"),
+            format!(" jit={} retained={}", fed.jit_exec, fed.jit_retained),
+            format!(
+                " bail={}(mem={} budget={} smc={} reval={})",
+                fed.jit_bailouts,
+                fed.jit_bail_mem,
+                fed.jit_bail_budget,
+                fed.jit_bail_smc,
+                fed.jit_bail_reval_miss
+            ),
+        ] {
+            assert!(line.contains(&want), "{line:?} lacks {want:?}");
         }
     }
 

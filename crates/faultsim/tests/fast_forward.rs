@@ -302,6 +302,14 @@ fn stuck_at_sweep_classifies_identically_with_jit_on_and_off() {
         native.counts()
     );
     assert!(snap.counter("campaign_jit_blocks_executed").unwrap_or(0) > 0);
+    // Every bail-out is counted under exactly one reason.
+    let reasons: u64 = snap
+        .metrics()
+        .keys()
+        .filter(|name| name.starts_with("campaign_jit_bail_"))
+        .filter_map(|name| snap.counter(name))
+        .sum();
+    assert_eq!(snap.counter("campaign_jit_bailouts"), Some(reasons));
 }
 
 #[test]

@@ -165,6 +165,8 @@ pub mod names {
 
     /// The `# HELP` text for a metric name, when the name belongs to one
     /// of the ecosystem's known families (exact names first, then the
+    /// `campaign_<suffix>` rows of the
+    /// [`DispatchStats`](s4e_vp::DispatchStats) table, then the
     /// generated-name prefixes). [`Snapshot::to_text`](crate::Snapshot::to_text)
     /// emits the returned line ahead of the metric's `# TYPE`; unknown
     /// names get no `# HELP` line, which scrapers accept.
@@ -191,35 +193,24 @@ pub mod names {
             "campaign_shard_restarts" => "Shard workers restarted from their checkpoints.",
             "campaign_shard_bisections" => "Crashing shard ranges split to isolate the culprit.",
             "campaign_shard_backoff_ms" => "Milliseconds spent backing off before restarts.",
-            "campaign_snapshots_taken" => {
-                "Golden-prefix snapshots taken by the fast-forward cache."
-            }
-            "campaign_dirty_pages_flushed" => "Pages copied while taking prefix snapshots.",
-            "campaign_snapshot_restores" => "Per-mutant restores from a shared prefix snapshot.",
-            "campaign_dirty_pages_restored" => "Pages copied while restoring prefix snapshots.",
-            "campaign_jmp_cache_hits" => "Jump-cache hits in the lowered dispatch loop.",
-            "campaign_jmp_cache_misses" => "Jump-cache misses in the lowered dispatch loop.",
-            "campaign_chain_hits" => "Block-to-block transfers taken without a dispatch lookup.",
-            "campaign_chain_links" => "Chain links patched between translated blocks.",
-            "campaign_fused_lowered" => "Micro-op pairs fused at lowering time.",
-            "campaign_fused_executed" => "Fused micro-ops executed.",
-            "campaign_translations" => "Blocks translated across all mutant executions.",
-            "campaign_warm_translations" => {
-                "Blocks adopted from the shared golden translation set."
-            }
-            "campaign_mem_fast_hits" => "Memory accesses served by the RAM fast path.",
-            "campaign_mem_slow_hits" => "Memory accesses that fell back to the full bus walk.",
             "campaign_pruned_dead" => "Mutants classified by def-use analysis without executing.",
             "campaign_pruned_dedup" => {
                 "Mutants sharing an identical already-executed classification."
             }
             "campaign_queue_steals" => "Queue claims that migrated between worker threads.",
-            "campaign_lock_waits" => "Contended acquisitions of the golden-prefix advancer lock.",
-            "campaign_lock_wait_us" => "Microseconds spent blocked on the advancer lock.",
             _ => "",
         };
         if !exact.is_empty() {
             return Some(exact);
+        }
+        let dispatch = name.strip_prefix("campaign_").and_then(|suffix| {
+            s4e_vp::DispatchStats::default()
+                .counters()
+                .into_iter()
+                .find(|c| c.suffix == suffix)
+        });
+        if let Some(counter) = dispatch {
+            return Some(counter.help);
         }
         if name.starts_with("vp_trap_irq_") {
             return Some("Interrupts taken with this IRQ number.");

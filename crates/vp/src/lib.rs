@@ -35,6 +35,7 @@ mod flight;
 mod jit;
 mod plugin;
 mod snapshot;
+mod stats;
 mod timing;
 mod trap;
 mod uop;
@@ -46,6 +47,7 @@ pub use cpu::Cpu;
 pub use flight::{FlightEvent, FlightRecorder};
 pub use plugin::{AsAny, BlockInfo, DeviceAccess, MemAccess, Plugin};
 pub use snapshot::VpSnapshot;
+pub use stats::{DispatchCounter, DispatchStats};
 pub use timing::TimingModel;
 pub use trap::Trap;
-pub use vp::{DispatchStats, RunOutcome, SharedTranslations, Vp, VpBuilder, DEFAULT_INSN_LIMIT};
+pub use vp::{RunOutcome, SharedTranslations, Vp, VpBuilder, DEFAULT_INSN_LIMIT};

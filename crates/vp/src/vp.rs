@@ -11,6 +11,7 @@ use crate::flight::FlightRecorder;
 use crate::jit::{self, JitEngine};
 use crate::plugin::{BlockInfo, DeviceAccess, MemAccess, Plugin};
 use crate::snapshot::{zero_page, VpSnapshot};
+use crate::stats::{Bail, DispatchStats};
 use crate::timing::TimingModel;
 use crate::trap::Trap;
 use crate::uop::{lower_block, MicroOp, Op};
@@ -268,146 +269,6 @@ impl std::fmt::Debug for JitSlot {
         f.debug_tuple("JitSlot")
             .field(unsafe { &*self.0.get() })
             .finish()
-    }
-}
-
-/// Counters for the dispatch fast path and the snapshot machinery.
-///
-/// Retrieved with [`Vp::dispatch_stats`] (cumulative) or
-/// [`Vp::take_dispatch_stats`] (reset-on-read, for periodic merging into
-/// an `s4e-obs` metrics registry).
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
-pub struct DispatchStats {
-    /// Block dispatches served by a direct chain link — the predecessor
-    /// block remembered its successor, skipping both the jump cache and
-    /// the `HashMap`.
-    pub chain_hits: u64,
-    /// Chain links installed between translated blocks.
-    pub chain_links: u64,
-    /// Block dispatches served by the direct-mapped jump cache.
-    pub jmp_cache_hits: u64,
-    /// Block dispatches that fell back to the `HashMap` probe (including
-    /// those that went on to translate a new block).
-    pub jmp_cache_misses: u64,
-    /// Macro-op fusions performed at lowering time (instruction pairs
-    /// collapsed into one micro-op).
-    pub fused_lowered: u64,
-    /// Fused micro-ops dispatched by the execution loop (each covers two
-    /// guest instructions).
-    pub fused_exec: u64,
-    /// Blocks decoded from guest memory (translation-cache misses not
-    /// served by a warm shared set).
-    pub translations: u64,
-    /// Translation-cache misses served by adopting a block from a warm
-    /// [`SharedTranslations`] set (code-bytes hash verified) instead of
-    /// decoding from guest memory.
-    pub warm_translations: u64,
-    /// Memory micro-ops served by the RAM fast path: aligned accesses
-    /// wholly inside RAM that bypass bus dispatch and keep cycle/instret
-    /// accounting batched.
-    pub mem_fast_hits: u64,
-    /// Memory micro-ops that took the full bus slow path (MMIO,
-    /// misalignment, RAM-edge accesses, or plugins attached).
-    pub mem_slow_hits: u64,
-    /// Translated-code invalidations (self-modifying stores, `fence.i`,
-    /// `load`, bus mutation, restore).
-    pub invalidations: u64,
-    /// Snapshots captured.
-    pub snapshots: u64,
-    /// Dirty RAM pages flushed while capturing snapshots.
-    pub pages_flushed: u64,
-    /// Snapshot restores applied.
-    pub restores: u64,
-    /// RAM pages copied back from snapshots during restores.
-    pub pages_restored: u64,
-    /// Contended acquisitions of a shared-state lock (the fault
-    /// campaign's golden-prefix advancer): `try_lock` failed and the
-    /// caller had to block. Uncontended acquisitions are not counted.
-    pub lock_waits: u64,
-    /// Microseconds spent blocked on those contended acquisitions.
-    pub lock_wait_us: u64,
-    /// Hot blocks compiled to host machine code by the template JIT.
-    pub jit_blocks: u64,
-    /// Translation blocks executed as JIT'd host code (each block entry
-    /// in a chained native run counts once).
-    pub jit_exec: u64,
-    /// JIT bail-outs: a compiled block hit a condition its templates do
-    /// not cover and fell back to the interpreter before any
-    /// architectural effect of the uncovered micro-op, or a retained
-    /// native entry failed revalidation. Always the sum of the four
-    /// `jit_bail_*` counters.
-    pub jit_bailouts: u64,
-    /// Bails through the memory slow path: MMIO, misaligned or RAM-edge
-    /// access (including a misaligned `jalr` target).
-    pub jit_bail_mem: u64,
-    /// Entry bails because the remaining instruction budget did not
-    /// cover the whole block (the micro-op engine reproduces the exact
-    /// expiry boundary).
-    pub jit_bail_budget: u64,
-    /// Bails on a store overlapping the translated code range
-    /// (self-modifying code).
-    pub jit_bail_smc: u64,
-    /// Retained native entries dropped because the code-bytes hash no
-    /// longer matched at re-adoption after a snapshot restore.
-    pub jit_bail_reval_miss: u64,
-    /// Compiled blocks retained across a snapshot restore and
-    /// re-adopted without recompiling.
-    pub jit_retained: u64,
-    /// Code-bytes hash checks performed when re-adopting retained
-    /// native entries after a restore.
-    pub jit_revalidations: u64,
-}
-
-impl DispatchStats {
-    /// The jump-cache hit rate over all block dispatches, in `[0, 1]`.
-    pub fn jmp_cache_hit_rate(&self) -> f64 {
-        let total = self.jmp_cache_hits + self.jmp_cache_misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.jmp_cache_hits as f64 / total as f64
-        }
-    }
-
-    /// The fraction of all block dispatches served by a direct chain
-    /// link, in `[0, 1]`.
-    pub fn chain_hit_rate(&self) -> f64 {
-        let total = self.chain_hits + self.jmp_cache_hits + self.jmp_cache_misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.chain_hits as f64 / total as f64
-        }
-    }
-
-    /// Accumulates `other` into `self`.
-    pub fn merge(&mut self, other: &DispatchStats) {
-        self.chain_hits += other.chain_hits;
-        self.chain_links += other.chain_links;
-        self.jmp_cache_hits += other.jmp_cache_hits;
-        self.jmp_cache_misses += other.jmp_cache_misses;
-        self.fused_lowered += other.fused_lowered;
-        self.fused_exec += other.fused_exec;
-        self.translations += other.translations;
-        self.warm_translations += other.warm_translations;
-        self.mem_fast_hits += other.mem_fast_hits;
-        self.mem_slow_hits += other.mem_slow_hits;
-        self.invalidations += other.invalidations;
-        self.snapshots += other.snapshots;
-        self.pages_flushed += other.pages_flushed;
-        self.restores += other.restores;
-        self.pages_restored += other.pages_restored;
-        self.lock_waits += other.lock_waits;
-        self.lock_wait_us += other.lock_wait_us;
-        self.jit_blocks += other.jit_blocks;
-        self.jit_exec += other.jit_exec;
-        self.jit_bailouts += other.jit_bailouts;
-        self.jit_bail_mem += other.jit_bail_mem;
-        self.jit_bail_budget += other.jit_bail_budget;
-        self.jit_bail_smc += other.jit_bail_smc;
-        self.jit_bail_reval_miss += other.jit_bail_reval_miss;
-        self.jit_retained += other.jit_retained;
-        self.jit_revalidations += other.jit_revalidations;
     }
 }
 
@@ -1278,15 +1139,13 @@ impl Vp {
                 let adopted = retained.and_then(|(entry, hash, len)| {
                     if self.bus.dump(pc, len as usize).map(fnv1a).ok() == Some(hash) {
                         self.stats.jit_retained += 1;
-                        self.stats.jit_revalidations += 1;
                         Some(entry)
                     } else {
                         self.jit[engine]
                             .as_mut()
                             .expect("probed above")
                             .drop_retained(pc);
-                        self.stats.jit_bail_reval_miss += 1;
-                        self.stats.jit_bailouts += 1;
+                        self.stats.count_bail(Bail::RevalMiss);
                         None
                     }
                 });
@@ -1398,13 +1257,12 @@ impl Vp {
                 Some(BlockExit::Done)
             }
             Some(k) => {
-                self.stats.jit_bailouts += 1;
-                match res.reason {
-                    jit::BAIL_MEM => self.stats.jit_bail_mem += 1,
-                    jit::BAIL_BUDGET => self.stats.jit_bail_budget += 1,
-                    jit::BAIL_SMC => self.stats.jit_bail_smc += 1,
-                    _ => {}
-                }
+                self.stats.count_bail(match res.reason {
+                    jit::BAIL_MEM => Bail::Mem,
+                    jit::BAIL_BUDGET => Bail::Budget,
+                    jit::BAIL_SMC => Bail::Smc,
+                    code => unreachable!("native bail with unknown reason code {code}"),
+                });
                 // The bailing block can be any block reached through
                 // native chaining, not necessarily `block` — including
                 // a *retained* survivor from before a restore that no

@@ -92,10 +92,25 @@ impl Plugin for MixedSubscriber {
     }
 }
 
+/// Checks that every JIT bail-out of `vp` (the `arm` under test) was
+/// counted under exactly one reason.
+fn assert_bails_add_up(arm: &str, vp: &Vp) -> Result<(), TestCaseError> {
+    let s = vp.dispatch_stats();
+    prop_assert_eq!(
+        s.jit_bailouts,
+        s.jit_bail_mem + s.jit_bail_budget + s.jit_bail_smc + s.jit_bail_reval_miss,
+        "{} bail-out split: {:?}",
+        arm,
+        s
+    );
+    Ok(())
+}
+
 /// Checks that `vp` (the `arm` under test) finished in exactly the
-/// state of `oracle`: pc, cycles, instret, all GPRs and FPRs and the
-/// first 4 KiB of RAM from `base`.
+/// state of `oracle` (pc, cycles, instret, all GPRs and FPRs and the
+/// first 4 KiB of RAM from `base`) and that its bail-outs add up.
 fn assert_same_state(arm: &str, vp: &Vp, oracle: &Vp, base: u32) -> Result<(), TestCaseError> {
+    assert_bails_add_up(arm, vp)?;
     prop_assert_eq!(vp.cpu().pc(), oracle.cpu().pc(), "{} pc", arm);
     prop_assert_eq!(vp.cpu().cycles(), oracle.cpu().cycles(), "{} cycles", arm);
     prop_assert_eq!(
@@ -183,6 +198,8 @@ fn masked_case(
         prop_assert_eq!(state(vp), expected, "{}", arm);
     }
     prop_assert_eq!(tail(&jit_flight), tail(&uops_flight), "flight tail");
+    assert_bails_add_up("jit_threshold(1)", &jit.1)?;
+    assert_bails_add_up("jit_threshold(1) + flight", &jit_flight.1)?;
     Ok(jit.1.dispatch_stats().jit_exec)
 }
 
@@ -281,6 +298,7 @@ proptest! {
             prop_assert_eq!(worker.run_for(10_000_000), RunOutcome::Break);
             prop_assert_eq!(worker.cpu().cycles(), straight.cpu().cycles());
             prop_assert_eq!(worker.cpu().instret(), straight.cpu().instret());
+            assert_bails_add_up("restored worker", &worker)?;
             for i in 0..32u8 {
                 let r = Gpr::new(i).expect("index");
                 prop_assert_eq!(worker.cpu().gpr(r), straight.cpu().gpr(r));
