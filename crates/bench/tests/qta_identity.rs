@@ -3,8 +3,11 @@
 //! replaced, kept verbatim below as [`ReferenceQta`].
 //!
 //! The reference runs on the uncached interpreter (`block_cache(false)`);
-//! the plugin runs on the interpreter, the micro-op engine (`jit(false)`)
-//! and the default builder. Every run must report the same outcome,
+//! the plugin runs on the interpreter, the micro-op engine (`jit(false)`),
+//! the default builder and the template JIT with every block promoted
+//! at once (`jit_threshold(1)`), where its unsubscribed blocks run
+//! natively and native code writes their block events. Every run must
+//! report the same outcome,
 //! cycles, instret, QTA path cycles, visits, loop-bound violations,
 //! unmapped instructions and flushed metrics snapshot, unsliced, sliced
 //! into `run_for(k)` pieces, and split once. The programs are F1's six
@@ -19,7 +22,8 @@ use s4e_isa::{Insn, IsaConfig};
 use s4e_obs::{names, Counter, Histogram, MetricsRegistry, Snapshot};
 use s4e_torture::{torture_program, TortureConfig};
 use s4e_vp::{
-    BlockInfo, Cpu, DeviceAccess, MemAccess, Plugin, RunOutcome, TimingModel, Trap, Vp, VpBuilder,
+    BlockEntry, BlockInfo, Cpu, DeviceAccess, MemAccess, Plugin, RunOutcome, TimingModel, Trap, Vp,
+    VpBuilder,
 };
 use s4e_wcet::{TimedCfg, WcetOptions};
 use std::collections::BTreeMap;
@@ -154,8 +158,8 @@ impl Plugin for Counted {
     fn on_block_translated(&mut self, block: &BlockInfo<'_>) {
         self.qta.on_block_translated(block);
     }
-    fn on_block_executed(&mut self, cpu: &Cpu, pc: u32) {
-        self.qta.on_block_executed(cpu, pc);
+    fn on_block_executed(&mut self, entries: &[BlockEntry]) {
+        self.qta.on_block_executed(entries);
     }
     fn wants_insn_events(&self, block: &BlockInfo<'_>) -> bool {
         self.qta.wants_insn_events(block)
@@ -279,8 +283,9 @@ impl Case {
         }
     }
 
-    /// Runs [`QtaPlugin`]; also returns the instruction events it got.
-    fn block_events(&self, builder: VpBuilder, schedule: Schedule) -> (Observed, u64) {
+    /// Runs [`QtaPlugin`]; also returns the instruction events it got
+    /// and the block entries the VP ran natively.
+    fn block_events(&self, builder: VpBuilder, schedule: Schedule) -> (Observed, u64, u64) {
         let plugin = Box::new(Counted {
             qta: QtaPlugin::new(self.cfg.clone()),
             insn_events: 0,
@@ -288,6 +293,7 @@ impl Case {
         let mut vp = self.vp(builder, plugin);
         let outcome = drive(&mut vp, schedule);
         let (cycles, instret) = (vp.cpu().cycles(), vp.cpu().instret());
+        let native = vp.dispatch_stats().jit_exec;
         let counted = vp.plugin_mut::<Counted>().expect("attached");
         let qta = &mut counted.qta;
         qta.flush(cycles);
@@ -301,24 +307,28 @@ impl Case {
             unmapped_insns: qta.unmapped_insns(),
             metrics: qta.snapshot().to_json(),
         };
-        (observed, counted.insn_events)
+        (observed, counted.insn_events, native)
     }
 
     /// Checks every tier and schedule against the reference, and that
     /// each run delivers the plugin the same number of instruction
-    /// events. Returns the unsliced reference run and that number.
-    fn check(&self) -> (Observed, u64) {
+    /// events. Returns the unsliced reference run, that number, and the
+    /// block entries the `jit_threshold(1)` tier ran natively over all
+    /// schedules.
+    fn check(&self) -> (Observed, u64, u64) {
         let tiers = [
             ("block_cache(false)", Vp::builder().block_cache(false)),
             ("jit(false)", Vp::builder().jit(false)),
             ("default", Vp::builder()),
+            ("jit_threshold(1)", Vp::builder().jit_threshold(1)),
         ];
         let mut unsliced = None;
         let mut events = None;
+        let mut native = 0;
         for schedule in SCHEDULES {
             let want = self.reference(schedule);
             for (tier, builder) in &tiers {
-                let (got, got_events) = self.block_events(builder.clone(), schedule);
+                let (got, got_events, got_native) = self.block_events(builder.clone(), schedule);
                 assert_eq!(got, want, "{}: {tier}, {schedule:?}", self.name);
                 let first = *events.get_or_insert(got_events);
                 assert_eq!(
@@ -326,12 +336,16 @@ impl Case {
                     "{}: instruction events on {tier}, {schedule:?}",
                     self.name
                 );
+                if *tier == "jit_threshold(1)" {
+                    native += got_native;
+                }
             }
             unsliced.get_or_insert(want);
         }
         (
             unsliced.expect("at least one schedule"),
             events.expect("at least one run"),
+            native,
         )
     }
 }
@@ -342,10 +356,11 @@ impl Case {
 #[test]
 fn f1_kernels_match_the_per_instruction_reference() {
     for kernel in wcet_benchmarks() {
-        let (run, insn_events) = Case::kernel(&kernel, IsaConfig::full()).check();
+        let (run, insn_events, native) = Case::kernel(&kernel, IsaConfig::full()).check();
         assert_eq!(run.outcome, RunOutcome::Break, "{}", kernel.name);
         assert!(!run.visits.is_empty(), "{}", kernel.name);
         assert_eq!(insn_events, run.unmapped_insns, "{}", kernel.name);
+        assert!(native > 0, "{}: no native block entries", kernel.name);
     }
 }
 
@@ -356,15 +371,17 @@ fn benchmark_kernels_match_the_per_instruction_reference() {
         kernels::matmul(5),
         kernels::crc32(96),
     ] {
-        let (run, insn_events) = Case::kernel(&kernel, IsaConfig::rv32imc()).check();
+        let (run, insn_events, native) = Case::kernel(&kernel, IsaConfig::rv32imc()).check();
         assert_eq!(run.outcome, RunOutcome::Break, "{}", kernel.name);
         assert_eq!(insn_events, run.unmapped_insns, "{}", kernel.name);
+        assert!(native > 0, "{}: no native block entries", kernel.name);
     }
 }
 
 #[test]
 fn torture_programs_match_the_per_instruction_reference() {
     let isa = IsaConfig::rv32imfc();
+    let mut native = 0;
     for seed in 0..64u64 {
         let cfg = TortureConfig::new(0x9_7a5e_0000 + seed)
             .insns(120)
@@ -374,10 +391,12 @@ fn torture_programs_match_the_per_instruction_reference() {
         let program = torture_program(&cfg);
         let image = build(&program.source, isa);
         let case = Case::prepare(format!("torture {seed}"), image, isa, &WcetOptions::new());
-        let (run, insn_events) = case.check();
+        let (run, insn_events, case_native) = case.check();
         assert_eq!(run.outcome, RunOutcome::Break, "{}", case.name);
         assert_eq!(insn_events, run.unmapped_insns, "{}", case.name);
+        native += case_native;
     }
+    assert!(native > 0, "no torture block ran natively");
 }
 
 /// Prepares a directed program with default analysis options.
@@ -496,23 +515,23 @@ woke:
 
 #[test]
 fn trap_timer_and_wfi_programs_match_the_per_instruction_reference() {
-    let (run, insn_events) = directed("ecall handler", ECALL_HANDLER).check();
+    let (run, insn_events, _) = directed("ecall handler", ECALL_HANDLER).check();
     assert_eq!(run.unmapped_insns, 6 * 5);
     assert_eq!(insn_events, run.unmapped_insns);
 
-    let (run, insn_events) = directed("periodic timer", PERIODIC_TIMER).check();
+    let (run, insn_events, _) = directed("periodic timer", PERIODIC_TIMER).check();
     let ticks = run.unmapped_insns / 7;
     assert!(ticks >= 5, "the timer must tick repeatedly: {run:?}");
     assert_eq!(run.unmapped_insns, ticks * 7);
     assert_eq!(insn_events, run.unmapped_insns);
 
     // Each `wfi` sits alone in its block: one more event per `wfi`.
-    let (run, insn_events) = directed("wfi, timer trap", WFI_TIMER_TRAP).check();
+    let (run, insn_events, _) = directed("wfi, timer trap", WFI_TIMER_TRAP).check();
     assert_eq!(run.unmapped_insns, 3 * 5);
     assert_eq!(insn_events, run.unmapped_insns + 3);
 
     let case = directed("wfi, no trap", WFI_NO_TRAP);
-    let (run, insn_events) = case.check();
+    let (run, insn_events, _) = case.check();
     assert_eq!(run.outcome, RunOutcome::Break);
     assert_eq!(run.unmapped_insns, 0);
     assert_eq!(insn_events, 3);

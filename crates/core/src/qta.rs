@@ -18,11 +18,14 @@
 //! start. Instruction events are subscribed only where a block event
 //! cannot stand in for them: blocks outside the graph (counted into
 //! [`unmapped_insns`](QtaPlugin::unmapped_insns)) and blocks holding a
-//! `wfi`, whose sleep the VP adds after the instruction retires.
+//! `wfi`, whose sleep the VP adds after the instruction retires. Every
+//! other block runs on the VP's template JIT once hot, whose native
+//! code records the entries the plugin then accounts in batches, each
+//! stamped with the cycle count at its entry.
 
 use s4e_isa::{Insn, InsnKind};
 use s4e_obs::{bucket_index, names, Counter, Histogram, MetricsRegistry, Snapshot, NUM_BUCKETS};
-use s4e_vp::{BlockInfo, Cpu, Plugin};
+use s4e_vp::{BlockEntry, BlockInfo, Cpu, Plugin};
 use s4e_wcet::TimedCfg;
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -338,8 +341,26 @@ impl Plugin for QtaPlugin {
             .any(|(pc, insn)| locate(&self.blocks, *pc) == 0 || insn.kind() == InsnKind::Wfi)
     }
 
-    fn on_block_executed(&mut self, cpu: &Cpu, pc: u32) {
-        let entry_cycles = self.after_wfi.take().unwrap_or_else(|| cpu.cycles());
+    fn on_block_executed(&mut self, entries: &[BlockEntry]) {
+        for entry in entries {
+            self.enter(entry.pc, entry.cycles);
+        }
+    }
+
+    fn on_insn_executed(&mut self, cpu: &Cpu, pc: u32, insn: &Insn) {
+        if locate(&self.blocks, pc) == 0 {
+            self.unmapped_insns += 1;
+        }
+        self.after_wfi = (insn.kind() == InsnKind::Wfi).then(|| cpu.cycles());
+    }
+}
+
+impl QtaPlugin {
+    /// Accounts one VP block entry at `pc`, made at `cycles`: an
+    /// annotated block entry when `pc` is an annotated start.
+    #[inline]
+    fn enter(&mut self, pc: u32, cycles: u64) {
+        let entry_cycles = self.after_wfi.take().unwrap_or(cycles);
         let slot = self.memo_locate(pc);
         if slot & START == 0 {
             return;
@@ -372,12 +393,5 @@ impl Plugin for QtaPlugin {
             }
         }
         self.last_block = Some(pc);
-    }
-
-    fn on_insn_executed(&mut self, cpu: &Cpu, pc: u32, insn: &Insn) {
-        if locate(&self.blocks, pc) == 0 {
-            self.unmapped_insns += 1;
-        }
-        self.after_wfi = (insn.kind() == InsnKind::Wfi).then(|| cpu.cycles());
     }
 }

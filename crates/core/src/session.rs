@@ -5,7 +5,7 @@ use crate::error::QtaError;
 use crate::qta::{BoundViolation, QtaPlugin};
 use s4e_cfg::Program;
 use s4e_isa::IsaConfig;
-use s4e_vp::{RunOutcome, Vp};
+use s4e_vp::{DispatchStats, RunOutcome, Vp};
 use s4e_wcet::{analyze, TimedCfg, WcetOptions, WcetReport};
 use std::collections::BTreeMap;
 
@@ -34,6 +34,10 @@ pub struct QtaRun {
     /// (`qta_block_{pc}_cycles`), the WCET-slack distribution and the
     /// overrun counter.
     pub metrics: s4e_obs::Snapshot,
+    /// The VP's dispatch counters for the run: which execution tier ran
+    /// it (`jit_retired` of `instret` retired natively) and how its
+    /// memory accesses and blocks were served.
+    pub dispatch: DispatchStats,
 }
 
 impl QtaRun {
@@ -208,6 +212,7 @@ impl QtaSession {
             violations: qta.violations().to_vec(),
             unmapped_insns: qta.unmapped_insns(),
             metrics: qta.snapshot(),
+            dispatch: vp.dispatch_stats(),
         }
     }
 }

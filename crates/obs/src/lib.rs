@@ -165,7 +165,7 @@ pub mod names {
 
     /// The `# HELP` text for a metric name, when the name belongs to one
     /// of the ecosystem's known families (exact names first, then the
-    /// `campaign_<suffix>` rows of the
+    /// `campaign_<suffix>` and `vp_<suffix>` rows of the
     /// [`DispatchStats`](s4e_vp::DispatchStats) table, then the
     /// generated-name prefixes). [`Snapshot::to_text`](crate::Snapshot::to_text)
     /// emits the returned line ahead of the metric's `# TYPE`; unknown
@@ -203,12 +203,15 @@ pub mod names {
         if !exact.is_empty() {
             return Some(exact);
         }
-        let dispatch = name.strip_prefix("campaign_").and_then(|suffix| {
-            s4e_vp::DispatchStats::default()
-                .counters()
-                .into_iter()
-                .find(|c| c.suffix == suffix)
-        });
+        let dispatch = name
+            .strip_prefix("campaign_")
+            .or_else(|| name.strip_prefix("vp_"))
+            .and_then(|suffix| {
+                s4e_vp::DispatchStats::default()
+                    .counters()
+                    .into_iter()
+                    .find(|c| c.suffix == suffix)
+            });
         if let Some(counter) = dispatch {
             return Some(counter.help);
         }

@@ -13,7 +13,7 @@ use crate::metrics::{Counter, MetricsRegistry};
 use crate::names;
 use crate::snapshot::Snapshot;
 use s4e_isa::{CKind, Insn, InsnClass, InsnKind};
-use s4e_vp::{BlockInfo, Cpu, DeviceAccess, MemAccess, Plugin, Trap};
+use s4e_vp::{BlockEntry, BlockInfo, Cpu, DeviceAccess, MemAccess, Plugin, Trap};
 use std::collections::{BTreeMap, HashMap};
 use std::fmt::Write as _;
 use std::sync::Arc;
@@ -227,23 +227,27 @@ impl Plugin for ProfilePlugin {
         }
     }
 
-    fn on_block_executed(&mut self, _cpu: &Cpu, start_pc: u32) {
-        self.block_execs_total.inc();
-        // Blocks are translated before they first execute, so the probe
-        // hits except when a cache flush raced a re-entry; register then.
-        if !self.blocks.contains_key(&start_pc) {
-            self.blocks.insert(
-                start_pc,
-                BlockCounters {
-                    execs: self.registry.counter(&names::block_execs(start_pc)),
-                    insns: self.registry.counter(&names::block_insns(start_pc)),
-                    len: 0,
-                },
-            );
+    fn on_block_executed(&mut self, entries: &[BlockEntry]) {
+        for entry in entries {
+            let start_pc = entry.pc;
+            self.block_execs_total.inc();
+            // Blocks are translated before they first execute, so the
+            // probe hits except when a cache flush raced a re-entry;
+            // register then.
+            if !self.blocks.contains_key(&start_pc) {
+                self.blocks.insert(
+                    start_pc,
+                    BlockCounters {
+                        execs: self.registry.counter(&names::block_execs(start_pc)),
+                        insns: self.registry.counter(&names::block_insns(start_pc)),
+                        len: 0,
+                    },
+                );
+            }
+            let counters = self.blocks.get(&start_pc).expect("inserted above");
+            counters.execs.inc();
+            self.current = Some(Arc::clone(&counters.insns));
         }
-        let counters = self.blocks.get(&start_pc).expect("inserted above");
-        counters.execs.inc();
-        self.current = Some(Arc::clone(&counters.insns));
     }
 
     fn on_insn_executed(&mut self, _cpu: &Cpu, _pc: u32, insn: &Insn) {

@@ -42,12 +42,22 @@
 //!   invalidation itself — the micro-op engine re-executes the store
 //!   and requests the deferred invalidation, exactly like the
 //!   interpreter's fast path.
+//! - **Block events**: code compiled while a plugin is attached appends
+//!   one entry per block entry to the VP's plugin event buffer, after
+//!   the deadline check and before the flight-ring write, and only when
+//!   an instruction will run (budget above zero). The buffer never
+//!   evicts: a full buffer leaves through the deadline exit before any
+//!   write, and the dispatcher drains it into the plugins whenever
+//!   native code returns. Plugin-free code never contains the write.
 //!
 //! ## Arena lifecycle
 //!
-//! Code lives in one lazily-`mmap`'d arena per VP, toggled between RW
-//! (while compiling/patching) and R+X (while executing) — never
-//! writable and executable at once. `Vp::invalidate_caches` — SMC,
+//! Code lives in one lazily-`mmap`'d arena per engine, toggled between
+//! RW (while compiling/patching) and R+X (while executing) — never
+//! writable and executable at once. A dropped engine keeps its arena
+//! mapped as the process's one spare instead of unmapping it, and the
+//! next engine adopts it, so building a fresh VP per program costs no
+//! mapping syscalls and no TLB flush. `Vp::invalidate_caches` — SMC,
 //! `fence.i`, `load`, `bus_mut` — resets the arena cursor and forgets
 //! all entry points alongside dropping the translated blocks that hold
 //! the entry cookies; this is sound because invalidation only runs at
@@ -137,6 +147,9 @@ pub(crate) struct JitExit {
     pub blocks: u64,
     /// Fused macro-ops executed natively (feeds `fused_exec`).
     pub fused: u64,
+    /// Plugin block events written at the front of the run's event
+    /// buffer (zero for code compiled without events).
+    pub events: usize,
     /// One of the `BAIL_*` codes; meaningful only when `bail_uop` is
     /// `Some` ([`BAIL_NONE`] on clean exits).
     pub reason: u32,
@@ -148,6 +161,7 @@ mod stub {
     //! constructed and every block is "ineligible".
     use super::{Compiled, JitExit};
     use crate::flight::FlightRing;
+    use crate::plugin::BlockEntry;
     use crate::uop::MicroOp;
 
     #[derive(Debug)]
@@ -188,6 +202,7 @@ mod stub {
             _ram_base: u32,
             _ram_len: u32,
             _hash: u64,
+            _events: bool,
         ) -> Compiled {
             Compiled::Ineligible
         }
@@ -208,6 +223,7 @@ mod stub {
             _code_hi: u32,
             _flight: *mut FlightRing,
             _instret_bias: u64,
+            _events: &mut [BlockEntry],
         ) -> JitExit {
             unreachable!("stub JIT engine cannot run")
         }
@@ -219,8 +235,10 @@ mod native {
     use super::{Compiled, JitExit, BAIL_BUDGET, BAIL_MEM, BAIL_NONE, BAIL_SMC};
     use crate::bus::PAGE_SHIFT;
     use crate::flight::FlightRing;
+    use crate::plugin::BlockEntry;
     use crate::uop::{MicroOp, Op};
     use std::collections::HashMap;
+    use std::sync::{Mutex, PoisonError};
 
     /// Arena capacity. Blocks average a few hundred bytes of host
     /// code; 4 MiB covers tens of thousands of hot blocks — far beyond
@@ -282,8 +300,17 @@ mod native {
 
     // SAFETY: the arena exclusively owns its mapping(s); all access
     // goes through the uniquely-owning `JitEngine` inside a `Vp`, which
-    // moves between threads only as a whole (`Vp: Send`).
+    // moves between threads only as a whole (`Vp: Send`), or through
+    // `SPARE_ARENA`'s lock while no engine owns it.
     unsafe impl Send for CodeArena {}
+
+    /// One dropped engine's arena, kept mapped for the next engine to
+    /// adopt. Workloads that build a fresh VP per program (a QTA session
+    /// per run, one VP per binary) would otherwise map and unmap an
+    /// arena per VP, and unmapping a range that large flushes the whole
+    /// TLB, slowing whatever the process runs next. One spare covers
+    /// them; keeping more would hold idle arenas' pages resident.
+    static SPARE_ARENA: Mutex<Option<CodeArena>> = Mutex::new(None);
 
     impl CodeArena {
         fn new(cap: usize) -> Option<CodeArena> {
@@ -444,6 +471,12 @@ mod native {
         /// `keep[0]` of the stuck-at mask table (`Cpu::gpr_masks_ptr`),
         /// pinned in rbp; only the masked engine's templates read it.
         masks: *const u32, // 104 (in)
+        /// The next free slot of the plugin event buffer (in/out): code
+        /// compiled with events writes a [`BlockEntry`] there and
+        /// advances it.
+        events: *mut BlockEntry, // 112
+        /// One past the buffer's last slot (in).
+        events_end: *mut BlockEntry, // 120
     }
 
     const OFF_GPRS: i8 = 0;
@@ -462,6 +495,15 @@ mod native {
     const OFF_INSTRET_BIAS: i8 = 88;
     const OFF_BAIL_REASON: i8 = 96;
     const OFF_MASKS: i8 = 104;
+    const OFF_EVENTS: i8 = 112;
+    const OFF_EVENTS_END: i8 = 120;
+
+    // Field offsets of the `repr(C)` [`BlockEntry`] (asserted against
+    // the real layout by a test in `plugin.rs`) and its size.
+    const EVENT_PC: i8 = 0;
+    const EVENT_INSTRET: i8 = 8;
+    const EVENT_CYCLES: i8 = 16;
+    const EVENT_SIZE: i32 = core::mem::size_of::<BlockEntry>() as i32;
 
     // Offsets into the `repr(C)` [`FlightRing`] header (asserted
     // against the real layout by a test in `flight.rs`) and its 32-byte
@@ -962,6 +1004,24 @@ mod native {
         ctx: JitCtx,
     }
 
+    /// Keeps the arena as `SPARE_ARENA` unless one is already spare,
+    /// in which case it is unmapped. Nothing can run from it afterwards:
+    /// the engine is going away, and with it the `Vp` holding every
+    /// entry cookie; an engine adopting it re-emits the trampoline and
+    /// compiles from scratch.
+    impl Drop for JitEngine {
+        fn drop(&mut self) {
+            let Some(arena) = self.arena.take() else {
+                return;
+            };
+            // Otherwise `arena` drops after the guard: unmapped unlocked.
+            let mut spare = SPARE_ARENA.lock().unwrap_or_else(PoisonError::into_inner);
+            if spare.is_none() {
+                *spare = Some(arena);
+            }
+        }
+    }
+
     // SAFETY: the raw pointers in `ctx` are parameters of the *current*
     // `run` call only — they are rewritten from `&mut` borrows at every
     // entry and never dereferenced between runs — so moving the engine
@@ -1001,6 +1061,8 @@ mod native {
                     instret_bias: 0,
                     bail_reason: BAIL_NONE,
                     masks: core::ptr::null(),
+                    events: core::ptr::null_mut(),
+                    events_end: core::ptr::null_mut(),
                 },
             })
         }
@@ -1154,9 +1216,9 @@ mod native {
             }
         }
 
-        /// Lazily maps the arena and emits the trampoline and shared
-        /// epilogue. Returns `false` when mapping fails; the engine is
-        /// then permanently dead.
+        /// Lazily adopts the spare arena or maps a new one, and emits the
+        /// trampoline and shared epilogue. Returns `false` when mapping
+        /// fails; the engine is then permanently dead.
         fn ensure_arena(&mut self) -> bool {
             if self.arena.is_some() {
                 return true;
@@ -1164,7 +1226,11 @@ mod native {
             if self.dead {
                 return false;
             }
-            let Some(mut arena) = CodeArena::new(ARENA_CAP) else {
+            let spare = SPARE_ARENA
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner)
+                .take();
+            let Some(mut arena) = spare.or_else(|| CodeArena::new(ARENA_CAP)) else {
                 self.dead = true;
                 return false;
             };
@@ -1192,6 +1258,8 @@ mod native {
             }
             a.ret();
             let code = a.finalize();
+            // A spare single-mapping arena comes back executable.
+            arena.set_exec(false);
             arena.write(0, &code);
             arena.set_exec(true);
             self.code_start = code.len();
@@ -1218,10 +1286,18 @@ mod native {
         /// - `code_lo..code_hi` must cover every guest address whose
         ///   translation is live (same contract as the interpreter's
         ///   SMC filter).
-        /// - No plugin attached, and for the plain engine no register
-        ///   fault armed: its templates read the GPR file raw.
+        /// - For the plain engine, no register fault armed: its
+        ///   templates read the GPR file raw.
+        /// - No block reachable from `entry` is subscribed to plugin
+        ///   instruction events: native code reports no instruction or
+        ///   RAM-access event.
         /// - `flight` is either null or an exclusively borrowed
         ///   [`FlightRing`] whose buffer stays valid for the call.
+        /// - `events` is the plugin event buffer, non-empty whenever
+        ///   blocks compiled with events can run (an empty buffer is
+        ///   always full, so they would only ever take the deadline
+        ///   exit). Native code writes through the raw cursor derived
+        ///   from it, never past its end.
         #[allow(clippy::too_many_arguments)]
         pub(crate) unsafe fn run(
             &mut self,
@@ -1236,8 +1312,10 @@ mod native {
             code_hi: u32,
             flight: *mut FlightRing,
             instret_bias: u64,
+            events: &mut [BlockEntry],
         ) -> JitExit {
             let arena = self.arena.as_ref().expect("JIT run without an arena");
+            let events = events.as_mut_ptr_range();
             self.ctx = JitCtx {
                 gprs,
                 ram,
@@ -1255,6 +1333,8 @@ mod native {
                 instret_bias,
                 bail_reason: BAIL_NONE,
                 masks,
+                events: events.start,
+                events_end: events.end,
             };
             // SAFETY (per the function contract): `trampoline` and
             // `entry` point at finalized code in the R+X exec view; the
@@ -1265,6 +1345,9 @@ mod native {
                     core::mem::transmute(arena.exec_base.add(self.trampoline).cast_const());
                 tramp(&mut self.ctx, arena.exec_base.add(entry).cast_const());
             }
+            // SAFETY: native code only advances the cursor from the
+            // buffer's start, one whole entry at a time, up to its end.
+            let written = unsafe { self.ctx.events.offset_from(events.start) };
             JitExit {
                 exit_pc: self.ctx.exit_pc,
                 bail_uop: (self.ctx.bail_uop != NO_BAIL).then_some(self.ctx.bail_uop),
@@ -1273,6 +1356,7 @@ mod native {
                 remaining: self.ctx.remaining,
                 blocks: self.ctx.blocks,
                 fused: self.ctx.fused,
+                events: written as usize,
                 reason: self.ctx.bail_reason,
             }
         }
@@ -1285,6 +1369,9 @@ mod native {
         /// when any micro-op lacks a template, a fused-`auipc` access
         /// is not statically a valid RAM fast-path access, path sums
         /// overflow an `imm32`, or the arena is full/unavailable.
+        /// `events` emits the plugin block-event write into the entry
+        /// prologue (see the module docs); without it the block's code
+        /// is exactly that of a VP with no plugin attached.
         #[allow(clippy::too_many_arguments)]
         pub(crate) fn compile(
             &mut self,
@@ -1294,6 +1381,7 @@ mod native {
             ram_base: u32,
             ram_len: u32,
             hash: u64,
+            events: bool,
         ) -> Compiled {
             if self.dead || uops.is_empty() {
                 return Compiled::Ineligible;
@@ -1327,15 +1415,16 @@ mod native {
             let mut takens: Vec<TakenStub> = Vec::new();
             let mut bails: Vec<BailStub> = Vec::new();
 
-            // Entry checks: deadline, then the inline flight-recorder
-            // write, then whole-block budget. The ordering is the
-            // equivalence contract with the interpreter: a deadline
-            // exit redispatches the same block (which records then),
-            // while an entry-budget bail resumes *this* dispatch in the
-            // micro-op engine without re-recording — so the ring write
-            // must sit between the two checks to record each dispatch
-            // exactly once. The block-execution counter only advances
-            // once both checks pass.
+            // Entry checks: deadline, then the inline plugin-event and
+            // flight-recorder writes, then whole-block budget. The
+            // ordering is the equivalence contract with the
+            // interpreter: a deadline exit redispatches the same block
+            // (which records then), while an entry-budget bail resumes
+            // *this* dispatch in the micro-op engine without
+            // re-recording — so the writes must sit between the two
+            // checks to record each dispatch exactly once. The
+            // block-execution counter only advances once both checks
+            // pass.
             let deadline_lbl = a.label();
             let bail0 = a.label();
             bails.push(BailStub {
@@ -1349,6 +1438,27 @@ mod native {
             a.mov_r64_mem(RAX, R15, OFF_CYC);
             a.cmp_r64_mem(RAX, R15, OFF_DEADLINE);
             a.jcc(CC_AE, deadline_lbl);
+            // Plugin block event (compiled in only with a plugin
+            // attached). A full buffer takes the deadline exit, before
+            // any write: the dispatcher drains it and redispatches this
+            // block. Otherwise, when an instruction will run (r14 > 0,
+            // the interpreter's hook rule), slot = {pc, budget, cycles
+            // so far}; the dispatcher rebases budget and cycles into
+            // the entry's instret and cycles as it drains.
+            if events {
+                let no_event = a.label();
+                a.mov_r64_mem(RSI, R15, OFF_EVENTS);
+                a.cmp_r64_mem(RSI, R15, OFF_EVENTS_END);
+                a.jcc(CC_AE, deadline_lbl);
+                a.test_rr64(R14, R14);
+                a.jcc(CC_E, no_event);
+                a.mov_mem32_imm(RSI, EVENT_PC, pc as i32);
+                a.mov_mem_r64(RSI, EVENT_INSTRET, R14);
+                a.mov_r64_mem(RAX, R15, OFF_CYC);
+                a.mov_mem_r64(RSI, EVENT_CYCLES, RAX);
+                a.add_mem64_imm(R15, OFF_EVENTS, EVENT_SIZE);
+                a.bind(no_event);
+            }
             // Flight ring append (skipped when no recorder is armed):
             // slot = buf + pos*32; slot = {instret_bias - budget, pc,
             // TAG_BLOCK}; pos = (pos+1) % cap; len < cap ? len++ :
@@ -2150,7 +2260,7 @@ mod native {
             for r in 0..rounds {
                 for b in 0..15u32 {
                     let pc = 0x8000_0000 + b * 0x40;
-                    match e.compile(pc, &uops, pc + 0x10, 0x8000_0000, 0x100000, 1) {
+                    match e.compile(pc, &uops, pc + 0x10, 0x8000_0000, 0x100000, 1, false) {
                         Compiled::Entry(_) => {}
                         Compiled::Ineligible => panic!("round {r}: ineligible"),
                     }
@@ -2185,6 +2295,7 @@ mod native {
                     0,
                     core::ptr::null_mut(),
                     0,
+                    &mut [],
                 )
             };
             assert_eq!(x.remaining, 42);
@@ -2226,7 +2337,7 @@ mod native {
                 (ram_base + 0x1000, 13),
             ] {
                 assert!(matches!(
-                    e.compile(pc, &uops, pc + 4, ram_base, 0x10000, hash),
+                    e.compile(pc, &uops, pc + 4, ram_base, 0x10000, hash, false),
                     Compiled::Entry(_)
                 ));
             }
@@ -2272,7 +2383,7 @@ mod native {
             // Three adjacent 4-byte blocks on one page.
             for pc in [ram_base, ram_base + 4, ram_base + 8] {
                 assert!(matches!(
-                    e.compile(pc, &uops, pc + 4, ram_base, 0x10000, 7),
+                    e.compile(pc, &uops, pc + 4, ram_base, 0x10000, 7, false),
                     Compiled::Entry(_)
                 ));
             }

@@ -45,7 +45,7 @@ pub use bus::{Bus, BusEvent, BusFault, PAGE_SIZE, RAM_BASE, RAM_SIZE};
 pub use cancel::CancelToken;
 pub use cpu::Cpu;
 pub use flight::{FlightEvent, FlightRecorder};
-pub use plugin::{AsAny, BlockInfo, DeviceAccess, MemAccess, Plugin};
+pub use plugin::{AsAny, BlockEntry, BlockInfo, DeviceAccess, MemAccess, Plugin};
 pub use snapshot::VpSnapshot;
 pub use stats::{DispatchCounter, DispatchStats};
 pub use timing::TimingModel;

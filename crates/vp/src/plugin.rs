@@ -13,10 +13,14 @@
 //! Like the TCG plugin API, instruction callbacks are subscribed per
 //! translated block: [`Plugin::wants_insn_events`] is asked once for
 //! every block as it is translated, and only blocks some plugin
-//! subscribes run instruction by instruction; the rest run on the
-//! micro-op engine with block, memory, device and trap hooks only. A
-//! plugin whose block-level accounting needs blocks to begin at given
-//! addresses (QTA's annotated block starts) names them through
+//! subscribes run instruction by instruction and report their RAM
+//! accesses. The rest run on the micro-op engine or the template JIT
+//! with block, device and trap hooks only; native code writes their
+//! block entries ([`BlockEntry`]) into a buffer the VP hands to
+//! [`Plugin::on_block_executed`] in batches, so attaching a plugin that
+//! subscribes few blocks keeps most of a run native. A plugin whose
+//! block-level accounting needs blocks to begin at given addresses
+//! (QTA's annotated block starts) names them through
 //! [`Plugin::block_starts`], and translation never lets a block run
 //! across one.
 
@@ -42,6 +46,23 @@ impl BlockInfo<'_> {
             None => self.start_pc,
         }
     }
+}
+
+/// One block entry, as [`Plugin::on_block_executed`] reports it: where
+/// the block starts and the hart's counters right before its first
+/// instruction.
+///
+/// `repr(C)` because the template JIT writes these records from native
+/// code; a test in this module pins the layout its templates assume.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+#[repr(C)]
+pub struct BlockEntry {
+    /// Address of the block's first instruction.
+    pub pc: u32,
+    /// Retired instructions (`minstret`) at entry.
+    pub instret: u64,
+    /// Elapsed cycles (`mcycle`) at entry.
+    pub cycles: u64,
 }
 
 /// A data-memory access performed by the guest.
@@ -101,8 +122,8 @@ impl<T: Any> AsAny for T {
 /// corresponding events. All methods have empty defaults; implement only
 /// what the tool needs.
 ///
-/// Callbacks receive the CPU state *read-only*: observation is
-/// non-invasive by construction.
+/// Callbacks receive the CPU state, or for block entries its counters,
+/// *read-only*: observation is non-invasive by construction.
 ///
 /// Plugins must be [`Send`]: a [`Vp`](crate::Vp) moves between campaign
 /// worker threads (never shared concurrently — `Vp` is `Send`, not
@@ -131,7 +152,7 @@ pub trait Plugin: AsAny + std::fmt::Debug + Send {
     /// Addresses at which translation must begin a new block: no
     /// translated block runs across one, so every time execution reaches
     /// a listed address, [`on_block_executed`](Plugin::on_block_executed)
-    /// fires for a block starting there. Collected once by
+    /// reports an entry for a block starting there. Collected once by
     /// [`Vp::add_plugin`][crate::Vp::add_plugin], which drops the blocks
     /// translated so far. The default declares none.
     ///
@@ -145,24 +166,35 @@ pub trait Plugin: AsAny + std::fmt::Debug + Send {
     /// A basic block was translated (decoded into the block cache).
     fn on_block_translated(&mut self, block: &BlockInfo<'_>) {}
 
-    /// A basic block is about to execute. Fires only when at least one
-    /// of its instructions will run: a `run_for` budget spent at the
-    /// block boundary ends the run without the hook.
-    fn on_block_executed(&mut self, cpu: &Cpu, start_pc: u32) {}
+    /// Basic blocks are about to execute: one [`BlockEntry`] per block
+    /// entry, in execution order. An entry is reported only when at
+    /// least one of the block's instructions will run: a `run_for`
+    /// budget spent at the block boundary ends the run without it.
+    ///
+    /// Blocks that no attached plugin subscribes (see
+    /// [`wants_insn_events`](Plugin::wants_insn_events)) may run on the
+    /// template JIT, which records their entries natively and hands them
+    /// over in one slice when it returns to the dispatcher, always
+    /// before any later event. Read the counters from the entries, not
+    /// from a [`Cpu`]: by delivery time the hart may be several blocks
+    /// further on.
+    fn on_block_executed(&mut self, entries: &[BlockEntry]) {}
 
     /// Whether this plugin needs
-    /// [`on_insn_executed`](Plugin::on_insn_executed) callbacks inside
+    /// [`on_insn_executed`](Plugin::on_insn_executed) and RAM
+    /// [`on_mem_access`](Plugin::on_mem_access) callbacks inside
     /// `block`.
     ///
     /// Asked once per translated block (the uncached interpreter
     /// translates, and so asks, at every dispatch), so the answer must
     /// depend on the block alone. A block no attached plugin subscribes
-    /// runs on the micro-op engine with per-instruction plugin dispatch
-    /// elided entirely (block, memory, device and trap hooks still
+    /// runs on the micro-op engine or the template JIT with
+    /// per-instruction plugin dispatch elided and its RAM accesses on
+    /// the fast path, unreported (block, device and trap hooks still
     /// fire); a subscribed block runs instruction by instruction, and
-    /// `on_insn_executed` then reaches every attached plugin. The
-    /// default is `true` — conservative, and correct for any plugin
-    /// that overrides `on_insn_executed`.
+    /// `on_insn_executed` and `on_mem_access` then reach every attached
+    /// plugin. The default is `true` — conservative, and correct for
+    /// any plugin that overrides either callback.
     fn wants_insn_events(&self, block: &BlockInfo<'_>) -> bool {
         true
     }
@@ -173,7 +205,9 @@ pub trait Plugin: AsAny + std::fmt::Debug + Send {
     /// an instruction that traps instead of retiring.
     fn on_insn_executed(&mut self, cpu: &Cpu, pc: u32, insn: &Insn) {}
 
-    /// A data-memory access to RAM completed.
+    /// A data-memory access to RAM completed, inside a block some
+    /// plugin subscribed (see
+    /// [`wants_insn_events`](Plugin::wants_insn_events)).
     fn on_mem_access(&mut self, cpu: &Cpu, access: &MemAccess) {}
 
     /// A data access hit a memory-mapped device.
@@ -204,6 +238,15 @@ mod tests {
             insns: &[],
         };
         assert_eq!(empty.end_pc(), 0x100);
+    }
+
+    #[test]
+    fn block_entry_layout() {
+        // The template JIT's native entry write assumes these offsets.
+        assert_eq!(std::mem::offset_of!(BlockEntry, pc), 0);
+        assert_eq!(std::mem::offset_of!(BlockEntry, instret), 8);
+        assert_eq!(std::mem::offset_of!(BlockEntry, cycles), 16);
+        assert_eq!(std::mem::size_of::<BlockEntry>(), 24);
     }
 
     #[test]

@@ -36,6 +36,7 @@ macro_rules! dispatch_counters {
         /// registry). [`counters`](DispatchStats::counters) lists every
         /// field with its metric suffix and help line.
         #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
+        #[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
         pub struct DispatchStats {
             $( #[doc = $help] pub $field: u64, )+
         }
@@ -90,6 +91,7 @@ dispatch_counters! {
     lock_wait_us => "lock_wait_us", "Microseconds spent blocked on the advancer lock.";
     jit_blocks => "jit_blocks_compiled", "Hot blocks compiled to host code by the template JIT.";
     jit_exec => "jit_blocks_executed", "Block entries executed as native code.";
+    jit_retired => "jit_retired", "Instructions retired in native code.";
     jit_bailouts => "jit_bailouts", "JIT bail-outs for any reason: the sum of the four jit_bail counters.";
     jit_bail_mem => "jit_bail_mem_slow_path", "JIT bail-outs on an MMIO, misaligned or RAM-edge access.";
     jit_bail_budget => "jit_bail_budget_expiry", "JIT bail-outs at a block the instruction budget ends inside.";

@@ -9,7 +9,7 @@ use crate::dev::{
 };
 use crate::flight::FlightRecorder;
 use crate::jit::{self, JitEngine};
-use crate::plugin::{BlockInfo, DeviceAccess, MemAccess, Plugin};
+use crate::plugin::{BlockEntry, BlockInfo, DeviceAccess, MemAccess, Plugin};
 use crate::snapshot::{zero_page, VpSnapshot};
 use crate::stats::{Bail, DispatchStats};
 use crate::timing::TimingModel;
@@ -38,6 +38,10 @@ const JMP_CACHE_SLOTS: usize = 2048;
 fn jmp_cache_slot(pc: u32) -> usize {
     (pc >> 1) as usize & (JMP_CACHE_SLOTS - 1)
 }
+
+/// Capacity of the plugin event buffer: the block entries native code
+/// records before it returns to the dispatcher to have them drained.
+const BLOCK_EVENTS: usize = 1024;
 
 /// Default instruction budget of [`Vp::run`].
 pub const DEFAULT_INSN_LIMIT: u64 = 100_000_000;
@@ -106,11 +110,12 @@ struct Block {
     /// block.
     jit: JitSlot,
     /// Whether an attached plugin subscribed this block's instruction
-    /// events ([`Plugin::wants_insn_events`], asked when the block
-    /// entered this VP). Subscribed blocks run instruction by
-    /// instruction; the rest run on the micro-op engine and notify no
-    /// instruction. VP-private like the links: another VP sharing the
-    /// body may have other plugins attached.
+    /// and RAM-access events ([`Plugin::wants_insn_events`], asked when
+    /// the block entered this VP). Subscribed blocks run instruction by
+    /// instruction; the rest run on the micro-op engine or the template
+    /// JIT and notify no instruction or RAM access. VP-private like the
+    /// links: another VP sharing the body may have other plugins
+    /// attached.
     insn_events: bool,
 }
 
@@ -424,6 +429,7 @@ impl VpBuilder {
             sync_pages: vec![zero_page(); pages],
             stats: DispatchStats::default(),
             flight: None,
+            block_events: Box::default(),
         }
     }
 }
@@ -492,8 +498,9 @@ pub struct Vp {
     /// [`Plugin::block_starts`].
     block_starts: Vec<u32>,
     /// Whether the block being executed is subscribed to instruction
-    /// events (its `Block::insn_events`), set at every dispatch; gates
-    /// `notify_insn` on every tier.
+    /// events (its `Block::insn_events`), set at every interpreted
+    /// dispatch and cleared on native entry; gates `notify_insn` and
+    /// RAM events in `observe_access` on every tier.
     insn_events: bool,
     /// Direct-mapped front for `cache`, indexed by [`jmp_cache_slot`]:
     /// `(start_pc, block)` pairs, probed before the `HashMap` on every
@@ -532,9 +539,16 @@ pub struct Vp {
     /// The crash flight recorder, when armed: a bounded tail of executed
     /// blocks, traps and device accesses, recorded natively (one
     /// `Option` discriminant check per event when disarmed) so arming it
-    /// does not disable the micro-op engine or the RAM fast path the way
-    /// a plugin would.
+    /// keeps every block on the micro-op engine, the RAM fast path and
+    /// the template JIT.
     flight: Option<FlightRecorder>,
+    /// The plugin event buffer: native code compiled while a plugin is
+    /// attached writes one [`BlockEntry`] per block entry here, and
+    /// `jit_dispatch` drains them into [`Plugin::on_block_executed`] as
+    /// soon as native code returns. Empty until the first
+    /// [`add_plugin`](Vp::add_plugin), which sizes it to
+    /// [`BLOCK_EVENTS`].
+    block_events: Box<[BlockEntry]>,
 }
 
 enum Step {
@@ -633,10 +647,11 @@ impl Vp {
         &self.timing
     }
 
-    /// Arms (or with `None`, disarms) the crash flight recorder. Unlike
-    /// a [`Plugin`], an armed recorder keeps the micro-op engine and the
-    /// RAM fast path active: it only observes block dispatches, traps
-    /// and device accesses, all visible off the fast paths.
+    /// Arms (or with `None`, disarms) the crash flight recorder. Like a
+    /// [`Plugin`] that subscribes no block, an armed recorder keeps the
+    /// micro-op engine, the RAM fast path and the template JIT active:
+    /// it only observes block dispatches, traps and device accesses, all
+    /// visible off the fast paths.
     pub fn set_flight_recorder(&mut self, recorder: Option<FlightRecorder>) {
         self.flight = recorder;
     }
@@ -659,9 +674,10 @@ impl Vp {
 
     /// Attaches an instrumentation plugin, adding its
     /// [`block_starts`](Plugin::block_starts) to the VP's. Blocks
-    /// translated so far are dropped, so every block is cut at the
-    /// declared starts and asked for its instruction subscription with
-    /// this plugin attached.
+    /// translated and compiled so far are dropped, so every block is cut
+    /// at the declared starts, asked for its instruction subscription
+    /// with this plugin attached, and compiled with the native
+    /// block-event write.
     pub fn add_plugin(&mut self, plugin: Box<dyn Plugin>) {
         let starts = plugin.block_starts();
         if !starts.is_empty() {
@@ -670,7 +686,13 @@ impl Vp {
             self.block_starts.dedup();
         }
         self.plugins.push(plugin);
+        if self.block_events.is_empty() {
+            self.block_events = vec![BlockEntry::default(); BLOCK_EVENTS].into_boxed_slice();
+        }
         self.drop_translations();
+        for jit in self.jit.iter_mut().flatten() {
+            jit.reset();
+        }
     }
 
     /// Recovers an attached plugin by concrete type (first match).
@@ -942,15 +964,13 @@ impl Vp {
         let mut blocks = 0u32;
         // Device or bus state may have been mutated between runs.
         self.irq_resample = true;
-        // The template JIT requires the block cache and that no plugin
-        // is attached (native chains skip intermediate boundaries — and
-        // plugins observe exact per-block state the JIT batches; fixed
-        // for the duration of a run: `add_plugin` needs `&mut self`). An
-        // armed flight recorder no longer disqualifies native entry:
-        // the templates write the block-entry ring inline, identically
-        // to `FlightRecorder::record_block`. Armed register fault masks
-        // select the masked engine inside `jit_dispatch`.
-        let use_jit = self.jit[0].is_some() && self.cache_enabled && self.plugins.is_empty();
+        // The template JIT requires the block cache. Neither an armed
+        // flight recorder nor an attached plugin disqualifies native
+        // entry: the templates write the block-entry ring and the
+        // plugin block events inline, and the loop below offers no block
+        // a plugin subscribes to `jit_dispatch`. Armed register fault masks select
+        // the masked engine inside `jit_dispatch`.
+        let use_jit = self.jit[0].is_some() && self.cache_enabled;
         // The block to dispatch next via a direct chain link, and the
         // (predecessor, slot) pair waiting for its successor to be
         // resolved so the link can be installed. Both are dropped at
@@ -1016,20 +1036,28 @@ impl Vp {
             // invalidation requests during execution only set
             // `invalidate_pending`.
             //
-            // Try the native tier first. It declines (returning `None`)
-            // while the block is cold or uncompilable, when a device
-            // event or block-exit request is pending, or when the
-            // interpreter must poll `mip` before running anything — the
-            // micro-op engine is the unconditional fallback either way.
-            // Native blocks write the flight ring from their own
-            // prologues, so the recorder (and plugin block hooks, which
-            // gate the JIT off entirely) fire here only on the
-            // interpreted path — exactly once per block entry either way.
-            // The ring records every dispatch, matching the native
-            // prologue, which writes it before its budget check; plugin
-            // block hooks fire only for blocks that will run, not for
-            // one fetched after the budget ran out (it fires on resume).
-            let native = if use_jit && !self.block_exit_pending && self.bus.peek_event().is_none() {
+            // Try the native tier first, for blocks no plugin
+            // subscribed. It declines (returning `None`) while the block
+            // is cold or uncompilable, when a device event or block-exit
+            // request is pending, or when the interpreter must poll
+            // `mip` before running anything — the micro-op engine is the
+            // unconditional fallback either way. Native blocks write the
+            // flight ring and the plugin block events from their own
+            // prologues, so the recorder and plugin block hooks fire
+            // here only on the interpreted path — exactly once per block
+            // entry either way. The ring records every dispatch,
+            // matching the native prologue, which writes it before its
+            // budget check; plugin block hooks fire only for blocks that
+            // will run, not for one fetched after the budget ran out (it
+            // fires on resume), and the native write tests the budget
+            // the same way.
+            // SAFETY: dispatch-boundary argument above.
+            let subscribed = unsafe { (*block).insn_events };
+            let native = if use_jit
+                && !subscribed
+                && !self.block_exit_pending
+                && self.bus.peek_event().is_none()
+            {
                 self.jit_dispatch(block, &mut remaining)
             } else {
                 None
@@ -1041,14 +1069,17 @@ impl Vp {
                         flight.record_block(self.cpu.instret(), self.cpu.pc());
                     }
                     if !self.plugins.is_empty() && remaining > 0 {
-                        let pc = self.cpu.pc();
+                        let entry = [BlockEntry {
+                            pc: self.cpu.pc(),
+                            instret: self.cpu.instret(),
+                            cycles: self.cpu.cycles(),
+                        }];
                         for p in &mut self.plugins {
-                            p.on_block_executed(&self.cpu, pc);
+                            p.on_block_executed(&entry);
                         }
                     }
-                    // SAFETY: dispatch-boundary argument above.
-                    self.insn_events = unsafe { (*block).insn_events };
-                    if self.cache_enabled && !self.insn_events {
+                    self.insn_events = subscribed;
+                    if self.cache_enabled && !subscribed {
                         self.exec_block_uops(block, 0, &mut remaining)
                     } else {
                         self.exec_block_insns(block, 0, &mut remaining)
@@ -1088,19 +1119,23 @@ impl Vp {
 
     /// Tries to execute `block` natively through the template JIT: the
     /// plain engine, or the masked engine while stuck-at register masks
-    /// are armed.
+    /// are armed. The caller offers only blocks no plugin subscribed to
+    /// instruction events: subscribed blocks never run natively.
     ///
     /// Returns `None` — the caller falls back to the micro-op engine —
     /// while the block is cold, when it has no native translation
     /// (ineligible micro-ops or a full arena), when the budget is
     /// already spent, or when the interpreter is due to poll `mip`
-    /// before running anything. Otherwise runs native code (following
-    /// direct native chains) until a block boundary at the `mip`
-    /// deadline, budget exhaustion, or a template bail-out, then folds
-    /// the accumulated cycle/instret deltas into the CPU. A bail-out
+    /// before running anything. Otherwise runs native code (following direct native
+    /// chains) until a block boundary at the `mip` deadline, a full
+    /// plugin event buffer, budget exhaustion, or a template bail-out,
+    /// then folds the accumulated cycle/instret deltas into the CPU and
+    /// hands the recorded block entries to the plugins. A bail-out
     /// resumes the bailing block mid-way through the interpreter with
     /// no architectural effect of the bailing micro-op applied.
     fn jit_dispatch(&mut self, block: *const Block, remaining: &mut u64) -> Option<BlockExit> {
+        // SAFETY: dispatch-boundary argument as in `exec_block_uops`.
+        debug_assert!(!unsafe { (*block).insn_events }, "subscribed block offered");
         if *remaining == 0 {
             return None;
         }
@@ -1182,6 +1217,7 @@ impl Vp {
                         self.bus.ram_base(),
                         self.bus.ram_size(),
                         hash,
+                        !self.plugins.is_empty(),
                     ) {
                         jit::Compiled::Entry(entry) => {
                             self.stats.jit_blocks += 1;
@@ -1222,15 +1258,24 @@ impl Vp {
             .flight
             .as_mut()
             .map_or(std::ptr::null_mut(), FlightRecorder::ring_ptr);
+        let cycles0 = self.cpu.cycles();
+        // Native blocks are unsubscribed: a bail resumes the bailing
+        // block on an engine that must report none of its instruction
+        // or RAM events.
+        self.insn_events = false;
         let jit = self.jit[engine].as_mut().expect("compiled above");
         // SAFETY: `entry` was produced by this engine since its last
         // reset — cookies live in per-engine `JitSlot` entries (dropped
         // with the blocks whenever the engines reset) and retained
         // entries are hash-revalidated at adoption. The GPR/mask/RAM/
-        // dirty pointers and the flight ring are exclusively ours
-        // through `&mut self` for the duration of the call; armed masks
-        // selected the masked engine above and plugins are gated off by
-        // `use_jit`.
+        // dirty pointers, the flight ring and the event buffer are
+        // exclusively ours through `&mut self` for the duration of the
+        // call; armed masks selected the masked engine above. Only
+        // unsubscribed blocks are ever compiled (the run loop never
+        // offers subscribed ones, and subscriptions depend on the block
+        // alone),
+        // and `add_plugin` resets the engines and sizes the event buffer,
+        // so code with event writes always runs with a non-empty buffer.
         let res = unsafe {
             jit.run(
                 entry,
@@ -1244,13 +1289,29 @@ impl Vp {
                 code_hi,
                 flight,
                 instret_bias,
+                &mut self.block_events,
             )
         };
         self.cpu.add_cycles(res.cycles);
         self.cpu.retire_n(res.retired);
         *remaining = res.remaining;
         self.stats.jit_exec += res.blocks;
+        self.stats.jit_retired += res.retired;
         self.stats.fused_exec += res.fused;
+        // Deliver the native block entries before anything else can
+        // raise an event (a bail's resume included), rebasing each from
+        // the budget and run-relative cycles the template wrote to the
+        // hart's counters at that entry.
+        if res.events > 0 {
+            let entries = &mut self.block_events[..res.events];
+            for e in entries.iter_mut() {
+                e.instret = instret_bias - e.instret;
+                e.cycles += cycles0;
+            }
+            for p in &mut self.plugins {
+                p.on_block_executed(entries);
+            }
+        }
         match res.bail_uop {
             None => {
                 self.cpu.set_pc(res.exit_pc);
@@ -1357,8 +1418,8 @@ impl Vp {
     /// traps and at block exits. Aligned accesses wholly inside RAM take
     /// a direct-RAM fast path with *no* flush — RAM has no
     /// time-dependent side effects, so the batched counters are
-    /// unobservable there (and plugins, which do observe accesses,
-    /// disable the fast path for the block).
+    /// unobservable there, and plugins observe RAM accesses only inside
+    /// the blocks they subscribe, which never run here.
     /// Two situations replay the remainder of the block through the
     /// per-instruction engine instead: an instruction budget that expires
     /// inside the block (fault campaigns inject at exact instret
@@ -1381,10 +1442,6 @@ impl Vp {
         // body is immutable and outlives this call.
         let body: &BlockBody = unsafe { &*Arc::as_ptr(&(*block).body) };
         let uops: &[MicroOp] = &body.uops;
-        let plugins_active = !self.plugins.is_empty();
-        // Plugins observe every memory access with exact counters, so
-        // their presence forces the bus slow path for the whole block.
-        let mem_fast = !plugins_active;
         let mut cycles: u64 = 0;
         let mut retired: u64 = 0;
         macro_rules! flush {
@@ -1444,13 +1501,15 @@ impl Vp {
             // access wholly inside RAM reads/writes the RAM slice with
             // *no* accounting flush — RAM has no time-dependent side
             // effects, so nothing can observe the batched counters.
-            // Everything else (MMIO, misalignment, the RAM top edge,
-            // plugins attached) flushes and takes the bus slow path,
-            // keeping trap and event semantics byte-identical.
+            // Everything else (MMIO, misalignment, the RAM top edge)
+            // flushes and takes the bus slow path, keeping trap and
+            // event semantics byte-identical; it also sets pc to the
+            // accessing instruction, so device hooks see the hart as the
+            // per-instruction engine leaves it.
             macro_rules! mem_load {
                 ($addr:expr, $size:expr, $conv:expr) => {{
                     let addr: u32 = $addr;
-                    let fast = if mem_fast && addr.is_multiple_of($size as u32) {
+                    let fast = if addr.is_multiple_of($size as u32) {
                         self.bus.ram_read_fast(addr, $size)
                     } else {
                         None
@@ -1463,9 +1522,7 @@ impl Vp {
                     } else {
                         self.stats.mem_slow_hits += 1;
                         flush!();
-                        if plugins_active {
-                            self.cpu.set_pc(u.pc);
-                        }
+                        self.cpu.set_pc(u.pc);
                         match self.mem_load(u.pc, addr, $size) {
                             Ok(v) => {
                                 self.cpu.set_gpr(u.rd, $conv(v));
@@ -1487,8 +1544,7 @@ impl Vp {
                 ($addr:expr, $size:expr, $val:expr) => {{
                     let addr: u32 = $addr;
                     let val = $val;
-                    let fast = mem_fast
-                        && addr.is_multiple_of($size as u32)
+                    let fast = addr.is_multiple_of($size as u32)
                         && self.bus.ram_write_fast(addr, $size, val);
                     if fast {
                         cycles += u.cost as u64;
@@ -1523,9 +1579,7 @@ impl Vp {
                     } else {
                         self.stats.mem_slow_hits += 1;
                         flush!();
-                        if plugins_active {
-                            self.cpu.set_pc(u.pc);
-                        }
+                        self.cpu.set_pc(u.pc);
                         match self.mem_store(u.pc, addr, $size, val) {
                             Ok(()) => {
                                 cycles += u.cost as u64;
@@ -2185,7 +2239,10 @@ impl Vp {
             for p in &mut self.plugins {
                 p.on_device_access(&self.cpu, &access);
             }
-        } else {
+        } else if self.insn_events {
+            // RAM events follow the block's instruction subscription,
+            // identically on every tier: unsubscribed blocks run their
+            // RAM accesses on the fast paths, unreported.
             let access = MemAccess {
                 pc,
                 addr,

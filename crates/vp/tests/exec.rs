@@ -4,7 +4,7 @@
 use s4e_asm::{assemble, assemble_with, AsmOptions};
 use s4e_isa::{Gpr, Insn, IsaConfig};
 use s4e_vp::dev::{Syscon, Uart};
-use s4e_vp::{BlockInfo, Cpu, DeviceAccess, MemAccess, Plugin, RunOutcome, Trap, Vp};
+use s4e_vp::{BlockEntry, BlockInfo, Cpu, DeviceAccess, MemAccess, Plugin, RunOutcome, Trap, Vp};
 
 fn run_src(src: &str) -> Vp {
     let mut vp = Vp::new(IsaConfig::full());
@@ -572,8 +572,8 @@ impl Plugin for Recorder {
     fn on_block_translated(&mut self, _block: &s4e_vp::BlockInfo<'_>) {
         self.blocks_translated += 1;
     }
-    fn on_block_executed(&mut self, _cpu: &Cpu, _pc: u32) {
-        self.blocks_executed += 1;
+    fn on_block_executed(&mut self, entries: &[BlockEntry]) {
+        self.blocks_executed += entries.len() as u32;
     }
     fn on_insn_executed(&mut self, _cpu: &Cpu, _pc: u32, _insn: &Insn) {
         self.insns += 1;
@@ -655,6 +655,91 @@ fn spent_budget_fires_no_block_hook() {
         assert_eq!(rec.blocks_executed as u64, vp.cpu().instret());
         assert_eq!(rec.insns as u64, vp.cpu().instret());
     }
+}
+
+/// One event seen by [`DeviceLog`].
+#[derive(Debug, Clone, PartialEq, Eq)]
+enum Seen {
+    Block(BlockEntry),
+    /// A device access with the hart's pc, cycles and instret.
+    Device(DeviceAccess, u32, u64, u64),
+}
+
+/// Subscribes no block and logs every block entry and device access,
+/// in delivery order; counts RAM events, which no block it left
+/// unsubscribed may report.
+#[derive(Debug, Default)]
+struct DeviceLog {
+    log: Vec<Seen>,
+    mem_events: u32,
+}
+
+impl Plugin for DeviceLog {
+    fn wants_insn_events(&self, _block: &BlockInfo<'_>) -> bool {
+        false
+    }
+    fn on_block_executed(&mut self, entries: &[BlockEntry]) {
+        self.log.extend(entries.iter().copied().map(Seen::Block));
+    }
+    fn on_mem_access(&mut self, _cpu: &Cpu, _a: &MemAccess) {
+        self.mem_events += 1;
+    }
+    fn on_device_access(&mut self, cpu: &Cpu, a: &DeviceAccess) {
+        self.log
+            .push(Seen::Device(*a, cpu.pc(), cpu.cycles(), cpu.instret()));
+    }
+}
+
+/// A device-only plugin keeps a looping MMIO program native where no
+/// device is touched, and sees the same device accesses, with the same
+/// pc and counters, on every tier: the loop's RAM accesses take the
+/// fast paths unreported, and each UART store bails out of native code
+/// into the micro-op engine, which reports it after the natively
+/// written entry of its block.
+#[test]
+fn device_only_plugin_sees_the_same_accesses_on_every_tier() {
+    let src = r#"
+        .equ UART, 0x10000000
+        li t0, UART
+        li t1, 40
+        la t2, buf
+    loop:
+        sw t1, 0(t2)
+        lw t3, 0(t2)
+        addi t3, t3, 48
+        sb t3, 0(t0)
+        addi t1, t1, -1
+        bnez t1, loop
+        ebreak
+    buf: .word 0
+    "#;
+    let img = assemble(src).unwrap();
+    let run = |builder: s4e_vp::VpBuilder| {
+        let mut vp = builder.isa(IsaConfig::rv32imc()).build();
+        vp.load(img.base(), img.bytes()).unwrap();
+        vp.add_plugin(Box::<DeviceLog>::default());
+        assert_eq!(vp.run(), RunOutcome::Break);
+        let log = vp.plugin::<DeviceLog>().unwrap();
+        assert_eq!(log.mem_events, 0);
+        (log.log.clone(), vp.dispatch_stats())
+    };
+    let (oracle, _) = run(Vp::builder().block_cache(false));
+    let devices: Vec<&DeviceAccess> = oracle
+        .iter()
+        .filter_map(|e| match e {
+            Seen::Device(a, ..) => Some(a),
+            Seen::Block(_) => None,
+        })
+        .collect();
+    assert_eq!(devices.len(), 40);
+    assert!(devices.iter().all(|a| a.device == "uart" && a.is_store));
+    let (uops, uops_stats) = run(Vp::builder().jit(false));
+    let (jit, jit_stats) = run(Vp::builder());
+    assert_eq!(uops, oracle, "jit(false)");
+    assert_eq!(jit, oracle, "default");
+    assert!(uops_stats.mem_fast_hits > 0);
+    assert!(jit_stats.jit_exec > 0 && jit_stats.jit_retired > 0);
+    assert!(jit_stats.jit_bail_mem > 0);
 }
 
 /// Declares block starts and subscribes no block to instruction events.

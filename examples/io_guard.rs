@@ -7,7 +7,7 @@
 //! Run with: `cargo run --example io_guard`
 
 use scale4edge::prelude::*;
-use scale4edge::vp::{Cpu, DeviceAccess};
+use scale4edge::vp::{BlockInfo, Cpu, DeviceAccess};
 
 const FIRMWARE: &str = r#"
     .equ UART, 0x10000000
@@ -55,6 +55,13 @@ impl IoGuard {
 }
 
 impl Plugin for IoGuard {
+    /// Device events fire in every block, so the guard subscribes none
+    /// to instruction and RAM events: the firmware keeps running on the
+    /// micro-op engine and the template JIT.
+    fn wants_insn_events(&self, _block: &BlockInfo<'_>) -> bool {
+        false
+    }
+
     fn on_device_access(&mut self, _cpu: &Cpu, access: &DeviceAccess) {
         if access.device != self.device {
             return;

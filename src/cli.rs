@@ -8,7 +8,7 @@ use crate::prelude::*;
 use s4e_cfg::{program_to_dot, program_to_dot_annotated};
 use s4e_obs::{from_chrome_json, merge_events, to_chrome_json, MetricValue, TraceRing, Tracer};
 use s4e_vp::dev::{Syscon, Uart};
-use s4e_vp::{FlightEvent, FlightRecorder};
+use s4e_vp::{DispatchStats, FlightEvent, FlightRecorder};
 use std::fmt::Write as _;
 use std::sync::Arc;
 
@@ -415,6 +415,17 @@ fn write_metrics(path: &str, snapshot: &Snapshot, out: &mut String) -> Result<()
     Ok(())
 }
 
+/// `snapshot` plus every [`DispatchStats`] row of `stats` as a
+/// `vp_<suffix>` counter, which gets its `# HELP` line from the row.
+fn with_dispatch(mut snapshot: Snapshot, stats: &DispatchStats) -> Snapshot {
+    let registry = MetricsRegistry::new();
+    for c in stats.counters() {
+        registry.counter(&format!("vp_{}", c.suffix)).add(c.value);
+    }
+    snapshot.merge(&registry.snapshot());
+    snapshot
+}
+
 fn write_trace(
     path: &str,
     events: &[s4e_obs::TraceEvent],
@@ -670,7 +681,7 @@ fn run_command_inner(
                     .plugin::<ProfilePlugin>()
                     .expect("attached above")
                     .snapshot();
-                write_metrics(path, &snap, &mut out)?;
+                write_metrics(path, &with_dispatch(snap, &vp.dispatch_stats()), &mut out)?;
             }
             if let (Some(mut ring), Some(start), Some(path)) =
                 (ring.take(), run_start, &opts.trace_out)
@@ -767,6 +778,11 @@ fn run_command_inner(
             let _ = writeln!(out, "static WCET    : {}", run.static_wcet);
             let _ = writeln!(out, "pessimism      : {:.3}x", run.pessimism());
             let _ = writeln!(out, "invariant chain: {}", run.invariant_holds());
+            let _ = writeln!(
+                out,
+                "native         : {} of {} instructions",
+                run.dispatch.jit_retired, run.instret
+            );
             for v in &run.violations {
                 let _ = writeln!(
                     out,
@@ -775,7 +791,8 @@ fn run_command_inner(
                 );
             }
             if let Some(path) = &opts.metrics_out {
-                write_metrics(path, &run.metrics, &mut out)?;
+                let snap = with_dispatch(run.metrics.clone(), &run.dispatch);
+                write_metrics(path, &snap, &mut out)?;
             }
         }
         "coverage" => {
@@ -849,7 +866,7 @@ fn run_command_inner(
                 let _ = writeln!(out, "annotated CFG written to {path}");
             }
             if let Some(path) = &opts.metrics_out {
-                write_metrics(path, &snap, &mut out)?;
+                write_metrics(path, &with_dispatch(snap, &vp.dispatch_stats()), &mut out)?;
             }
             if let (Some(mut ring), Some(start), Some(path)) =
                 (ring.take(), run_start, &opts.trace_out)

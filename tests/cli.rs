@@ -301,6 +301,22 @@ fn profile_hot_block_table() {
     assert!(out.contains("insns  : 12"), "{out}");
 }
 
+/// Checks that a `--metrics-out` snapshot carries every dispatch
+/// counter row as `vp_<suffix>` with its `# HELP` line, and returns the
+/// snapshot's `vp_jit_retired`.
+fn assert_dispatch_rows(snap: &scale4edge::obs::Snapshot) -> u64 {
+    let text = snap.to_text();
+    for c in scale4edge::vp::DispatchStats::default().counters() {
+        let name = format!("vp_{}", c.suffix);
+        assert!(snap.counter(&name).is_some(), "no {name}");
+        assert!(
+            text.contains(&format!("# HELP {name} {}\n", c.help)),
+            "no HELP line for {name}"
+        );
+    }
+    snap.counter("vp_jit_retired").expect("checked above")
+}
+
 #[test]
 fn profile_writes_annotated_dot_and_metrics() {
     let dir = std::env::temp_dir().join("s4e_cli_profile_test");
@@ -329,6 +345,8 @@ fn profile_writes_annotated_dot_and_metrics() {
     let json = std::fs::read_to_string(&metrics).unwrap();
     let snap = scale4edge::obs::Snapshot::from_json(&json).expect("parseable metrics JSON");
     assert_eq!(snap.counter(scale4edge::obs::names::INSN_RETIRED), Some(12));
+    assert_dispatch_rows(&snap);
+    assert!(snap.counter("vp_translations").unwrap() > 0, "{json}");
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -347,6 +365,8 @@ fn run_metrics_out_emits_parseable_json() {
     let json = std::fs::read_to_string(&metrics).unwrap();
     let snap = scale4edge::obs::Snapshot::from_json(&json).expect("parseable metrics JSON");
     assert_eq!(snap.counter(scale4edge::obs::names::INSN_RETIRED), Some(2));
+    assert_dispatch_rows(&snap);
+    assert_eq!(snap.counter("vp_translations"), Some(1), "{json}");
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -355,9 +375,11 @@ fn qta_metrics_out_has_timing_histograms() {
     let dir = std::env::temp_dir().join("s4e_cli_qta_metrics_test");
     std::fs::create_dir_all(&dir).unwrap();
     let metrics = dir.join("qta.json");
+    // 50 iterations: the loop block passes the JIT threshold and runs
+    // natively under the QTA plugin.
     let out = run_command(
         "qta",
-        LOOP_PROGRAM,
+        "li t0, 50\nloop: addi t0, t0, -1\nbnez t0, loop\nebreak",
         &["--metrics-out", metrics.to_str().unwrap()],
     )
     .expect("qta");
@@ -365,6 +387,12 @@ fn qta_metrics_out_has_timing_histograms() {
     let json = std::fs::read_to_string(&metrics).unwrap();
     let snap = scale4edge::obs::Snapshot::from_json(&json).expect("parseable metrics JSON");
     assert!(snap.histogram("qta_slack_cycles").is_some(), "{json}");
+    let native = assert_dispatch_rows(&snap);
+    assert!(native > 0, "{json}");
+    assert!(
+        out.contains(&format!("native         : {native} of 102 instructions")),
+        "{out}"
+    );
     std::fs::remove_dir_all(&dir).ok();
 }
 

@@ -3,7 +3,9 @@
 
 use proptest::prelude::*;
 use scale4edge::prelude::*;
-use scale4edge::vp::{BlockInfo, Cpu, FlightRecorder, VpBuilder};
+use scale4edge::vp::{
+    BlockEntry, BlockInfo, Cpu, DeviceAccess, FlightRecorder, MemAccess, VpBuilder,
+};
 
 /// Boots `image` on a VP from `builder`, attaches `plugin` if given and
 /// runs it to its `ebreak`.
@@ -18,9 +20,9 @@ fn run_to_break(builder: VpBuilder, image: &Image, plugin: Option<Box<dyn Plugin
 }
 
 /// A plugin that wants no per-instruction events. Attaching it keeps
-/// the micro-op engine but turns the JIT off and sends every memory
-/// access down the bus path, because plugins observe accesses with
-/// exact counters.
+/// every block on the micro-op engine and the template JIT, with RAM
+/// accesses on the fast paths: only block, device and trap events
+/// remain, and native code writes the block events.
 #[derive(Debug)]
 struct BlockOnly;
 
@@ -31,17 +33,20 @@ impl Plugin for BlockOnly {
 }
 
 /// A plugin that declares seeded block starts and subscribes only the
-/// blocks whose start pc passes a seeded predicate, logging every block
-/// and instruction event with the `(pc, cycles, instret)` it observed.
+/// blocks whose start pc passes a seeded predicate, logging every block,
+/// instruction, memory and device event as `(kind, pc, addr, value,
+/// cycles, instret)`: block entries with the counters they carry, the
+/// rest with the hart's.
 #[derive(Debug)]
 struct MixedSubscriber {
     starts: Vec<u32>,
     salt: u32,
     /// The block being executed, from the last block event.
     current: u32,
-    log: Vec<(char, u32, u64, u64)>,
-    /// Instruction events from an unsubscribed block, or at a declared
-    /// start that did not begin the block.
+    log: Vec<(char, u32, u32, u32, u64, u64)>,
+    /// Instruction or RAM events from an unsubscribed block, or
+    /// instruction events at a declared start that did not begin the
+    /// block.
     stray: u32,
 }
 
@@ -78,9 +83,11 @@ impl Plugin for MixedSubscriber {
         self.subscribes(block.start_pc)
     }
 
-    fn on_block_executed(&mut self, cpu: &Cpu, pc: u32) {
-        self.current = pc;
-        self.log.push(('b', pc, cpu.cycles(), cpu.instret()));
+    fn on_block_executed(&mut self, entries: &[BlockEntry]) {
+        for e in entries {
+            self.current = e.pc;
+            self.log.push(('b', e.pc, 0, 0, e.cycles, e.instret));
+        }
     }
 
     fn on_insn_executed(&mut self, cpu: &Cpu, pc: u32, _insn: &Insn) {
@@ -88,7 +95,22 @@ impl Plugin for MixedSubscriber {
         if start_mid_block || !self.subscribes(self.current) {
             self.stray += 1;
         }
-        self.log.push(('i', pc, cpu.cycles(), cpu.instret()));
+        self.log.push(('i', pc, 0, 0, cpu.cycles(), cpu.instret()));
+    }
+
+    fn on_mem_access(&mut self, cpu: &Cpu, a: &MemAccess) {
+        if !self.subscribes(self.current) {
+            self.stray += 1;
+        }
+        let kind = if a.is_store { 's' } else { 'l' };
+        self.log
+            .push((kind, a.pc, a.addr, a.value, cpu.cycles(), cpu.instret()));
+    }
+
+    fn on_device_access(&mut self, cpu: &Cpu, a: &DeviceAccess) {
+        let kind = if a.is_store { 'S' } else { 'L' };
+        self.log
+            .push((kind, a.pc, a.addr, a.value, cpu.cycles(), cpu.instret()));
     }
 }
 
@@ -136,12 +158,13 @@ fn assert_same_state(arm: &str, vp: &Vp, oracle: &Vp, base: u32) -> Result<(), T
 
 /// One case of [`masked_execution_matches_reference_dispatch`]: runs
 /// the torture program from `seed` with the stuck-at `faults` planted
-/// on every arm and returns the JIT arm's native block count.
+/// on every arm and returns the native block counts of the JIT arm and
+/// of the JIT arm with a block-only plugin attached.
 fn masked_case(
     seed: u64,
     mem_heavy: bool,
     faults: &[(u8, u8, bool)],
-) -> Result<u64, TestCaseError> {
+) -> Result<(u64, u64), TestCaseError> {
     /// Masks can loop or trap a program, so every arm runs under a
     /// budget.
     const BUDGET: u64 = 20_000;
@@ -153,7 +176,7 @@ fn masked_case(
         .mem_heavy(mem_heavy);
     let p = torture_program(&cfg);
     let image = assemble(&p.source).expect("generated programs assemble");
-    let run = |builder: VpBuilder, flight: bool| {
+    let run_with = |builder: VpBuilder, flight: bool, plugin: bool| {
         let mut vp = builder.isa(isa).build();
         boot(&mut vp, &image).expect("boots");
         for &(reg, bit, value) in faults {
@@ -163,9 +186,13 @@ fn masked_case(
         if flight {
             vp.set_flight_recorder(Some(FlightRecorder::new(32)));
         }
+        if plugin {
+            vp.add_plugin(Box::new(BlockOnly));
+        }
         let outcome = vp.run_for(BUDGET);
         (outcome, vp)
     };
+    let run = |builder: VpBuilder, flight: bool| run_with(builder, flight, false);
     // Outcome, the full CPU state (masks included) and 4 KiB of RAM.
     let state = |(outcome, vp): &(RunOutcome, Vp)| {
         (
@@ -188,35 +215,43 @@ fn masked_case(
     let jit = run(Vp::builder().jit_threshold(1), false);
     let uops_flight = run(Vp::builder().jit(false), true);
     let jit_flight = run(Vp::builder().jit_threshold(1), true);
+    let jit_plugin = run_with(Vp::builder().jit_threshold(1), false, true);
     let expected = state(&oracle);
     for (arm, vp) in [
         ("jit(false)", &uops),
         ("jit_threshold(1)", &jit),
         ("jit(false) + flight", &uops_flight),
         ("jit_threshold(1) + flight", &jit_flight),
+        ("jit_threshold(1) + block-only plugin", &jit_plugin),
     ] {
         prop_assert_eq!(state(vp), expected, "{}", arm);
     }
     prop_assert_eq!(tail(&jit_flight), tail(&uops_flight), "flight tail");
     assert_bails_add_up("jit_threshold(1)", &jit.1)?;
     assert_bails_add_up("jit_threshold(1) + flight", &jit_flight.1)?;
-    Ok(jit.1.dispatch_stats().jit_exec)
+    assert_bails_add_up("jit_threshold(1) + block-only plugin", &jit_plugin.1)?;
+    Ok((
+        jit.1.dispatch_stats().jit_exec,
+        jit_plugin.1.dispatch_stats().jit_exec,
+    ))
 }
 
 /// Stuck-at register masks are invisible to the execution tier. For
 /// generated programs (counted loops included) with one or two seeded
 /// stuck-at masks planted — any register including `x0`, any bit,
 /// either polarity — the micro-op engine and the template JIT at
-/// threshold 1, with and without a flight recorder, end in exactly the
-/// uncached interpreter's outcome, CPU state and RAM, and the JIT arm's
-/// flight tail equals the micro-op engine's. Masked native blocks must
-/// actually run somewhere in the sweep, so the cases are drawn by hand
-/// (deterministically, like `proptest!`) to sum them.
+/// threshold 1, with and without a flight recorder, and the JIT with a
+/// block-only plugin attached, end in exactly the uncached
+/// interpreter's outcome, CPU state and RAM, and the JIT arm's flight
+/// tail equals the micro-op engine's. Masked native blocks must
+/// actually run somewhere in the sweep, with and without the plugin,
+/// so the cases are drawn by hand (deterministically, like `proptest!`)
+/// to sum them.
 #[test]
 fn masked_execution_matches_reference_dispatch() {
     const CASES: u32 = 128;
     let mut rng = proptest::Gen::new(0x6d61_736b_6564);
-    let mut native_blocks = 0;
+    let (mut native_blocks, mut native_plugin_blocks) = (0, 0);
     for case in 0..CASES {
         let seed = any::<u64>().sample(&mut rng, case);
         let mem_heavy = any::<bool>().sample(&mut rng, case);
@@ -235,7 +270,10 @@ fn masked_execution_matches_reference_dispatch() {
             ));
         }
         match masked_case(seed, mem_heavy, &faults) {
-            Ok(native) => native_blocks += native,
+            Ok((native, native_plugin)) => {
+                native_blocks += native;
+                native_plugin_blocks += native_plugin;
+            }
             Err(e) => panic!(
                 "case {case} failed: {e}\n  inputs: seed = {seed}, \
                  mem_heavy = {mem_heavy}, faults = {faults:?}"
@@ -243,6 +281,10 @@ fn masked_execution_matches_reference_dispatch() {
         }
     }
     assert!(native_blocks > 0, "no masked block ran natively");
+    assert!(
+        native_plugin_blocks > 0,
+        "no masked block ran natively with a plugin attached"
+    );
 }
 
 proptest! {
@@ -321,9 +363,10 @@ proptest! {
     /// checked by `block_cache_is_transparent`, are the paths users
     /// reach: the micro-op engine (`jit(false)`), the template JIT with
     /// every block promoted at once (`jit_threshold(1)`), a cached VP
-    /// running a per-instruction plugin (the path every in-tree plugin
-    /// takes) and one running a block-only plugin (the micro-op engine
-    /// with every access on the bus path).
+    /// running a per-instruction plugin (the path most in-tree plugins
+    /// take) and a block-only plugin on the default builder and at JIT
+    /// threshold 1 (the micro-op engine and the JIT, RAM accesses on the
+    /// fast paths, block events written natively).
     #[test]
     fn lowered_execution_matches_reference_dispatch(seed in any::<u64>(), mem_heavy in any::<bool>()) {
         let isa = IsaConfig::rv32imfc();
@@ -337,6 +380,8 @@ proptest! {
         let jit = run_to_break(builder().jit_threshold(1), &image, None);
         let per_insn = run_to_break(builder(), &image, Some(Box::new(CoveragePlugin::new(isa))));
         let block_only = run_to_break(builder(), &image, Some(Box::new(BlockOnly)));
+        let block_only_jit =
+            run_to_break(builder().jit_threshold(1), &image, Some(Box::new(BlockOnly)));
         let len = image.bytes().len() as u32;
         let mixed = |builder: VpBuilder| {
             let plugin = MixedSubscriber::new(seed, image.base(), len, 4);
@@ -346,6 +391,7 @@ proptest! {
             ("mixed plugin, block_cache(false)", mixed(builder().block_cache(false))),
             ("mixed plugin, jit(false)", mixed(builder().jit(false))),
             ("mixed plugin, default", mixed(builder())),
+            ("mixed plugin, jit_threshold(1)", mixed(builder().jit_threshold(1))),
         ];
 
         let arms = [
@@ -353,13 +399,15 @@ proptest! {
             ("jit_threshold(1)", &jit),
             ("per-insn plugin", &per_insn),
             ("block-only plugin", &block_only),
+            ("block-only plugin, jit_threshold(1)", &block_only_jit),
         ];
         for (arm, vp) in arms {
             assert_same_state(arm, vp, &oracle, image.base())?;
         }
         // The mixed-subscription plugin sees the same event stream on
-        // every tier, and instruction events only inside the blocks it
-        // subscribed, `Op::Generic` CSR and FP instructions included.
+        // every tier, and instruction and RAM events only inside the
+        // blocks it subscribed, `Op::Generic` CSR and FP instructions
+        // included.
         let events = |vp: &Vp| {
             let plugin = vp.plugin::<MixedSubscriber>().expect("attached");
             (plugin.log.clone(), plugin.stray)
@@ -370,16 +418,16 @@ proptest! {
             assert_same_state(arm, vp, &oracle, image.base())?;
             prop_assert!(events(vp) == want, "{} event log", arm);
         }
-        // The arms must actually take the memory paths they stand for
+        // The arms must actually take the paths they stand for
         // (otherwise this differential proves little): the micro-op
-        // engine serves RAM accesses from the fast path, and a plugin
-        // sends every access down the bus path.
-        let block_only = block_only.dispatch_stats();
-        prop_assert_eq!(block_only.mem_fast_hits, 0);
+        // engine serves RAM accesses from the fast path, with or
+        // without a block-only plugin, and the block-only plugin's
+        // threshold-1 arm runs native blocks.
         if mem_heavy {
             prop_assert!(uops.dispatch_stats().mem_fast_hits > 0);
-            prop_assert!(block_only.mem_slow_hits > 0);
+            prop_assert!(block_only.dispatch_stats().mem_fast_hits > 0);
         }
+        prop_assert!(block_only_jit.dispatch_stats().jit_exec > 0);
     }
 
     /// The QTA invariant chain `dynamic ≤ qta ≤ static` holds for
