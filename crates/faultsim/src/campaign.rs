@@ -8,7 +8,7 @@ use crate::progress::CampaignProgress;
 use crate::runner::MutantHook;
 use crate::trace::{ExecTrace, TracePlugin};
 use core::fmt;
-use s4e_isa::{Csr, Gpr, IsaConfig};
+use s4e_isa::{Gpr, IsaConfig};
 use s4e_obs::Tracer;
 use s4e_vp::{
     BusFault, CancelToken, FlightRecorder, RunOutcome, SharedTranslations, TimingModel, Vp,
@@ -18,6 +18,12 @@ use std::collections::BTreeMap;
 use std::error::Error;
 use std::fmt::Write as _;
 use std::time::Duration;
+
+/// The instruction budget of the golden run and of its replays. The
+/// budget counts every instruction begun, trapping ones included, so a
+/// replay of a terminating golden run needs this budget, not the golden
+/// run's retired count, to stop where the golden run stopped.
+pub(crate) const GOLDEN_INSN_LIMIT: u64 = 50_000_000;
 
 /// An error preparing or running a campaign.
 #[derive(Debug, Clone, PartialEq)]
@@ -394,16 +400,15 @@ impl Campaign {
             .jit_threshold(2);
         let mut vp = Self::boot_vp(&vp_builder, base, bytes, entry)?;
         vp.add_plugin(Box::new(TracePlugin::new()));
-        let outcome = vp.run_for(50_000_000);
+        let outcome = vp.run_for(GOLDEN_INSN_LIMIT);
         if !outcome.is_normal_termination() {
             return Err(CampaignError::GoldenAbnormal { outcome });
         }
-        let trace = vp.plugin::<TracePlugin>().expect("trace attached").trace();
-        // The per-insn trace check misses one arming pattern: `mie` set
-        // by the very last retired instruction. The final-state check
-        // closes that window (nothing but a CSR write changes `mie`).
-        let interrupts_armed =
-            trace.interrupts_armed || vp.cpu().csr_read(Csr::MIE).unwrap_or(0) != 0;
+        let trace = vp
+            .plugin::<TracePlugin>()
+            .expect("trace attached")
+            .trace(vp.cpu());
+        let prefix_eligible = !trace.interrupts_armed;
         let golden = GoldenRun {
             outcome,
             instret: vp.cpu().instret(),
@@ -429,7 +434,7 @@ impl Campaign {
             golden,
             golden_warm,
             budget,
-            prefix_eligible: !interrupts_armed,
+            prefix_eligible,
             mutant_hook: None,
             progress: None,
             tracer: None,

@@ -54,6 +54,7 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
+mod blocks;
 mod campaign;
 mod checkpoint;
 mod fault;
@@ -65,6 +66,8 @@ mod prune;
 mod runner;
 mod shard;
 mod supervise;
+#[cfg(test)]
+mod test_programs;
 mod trace;
 
 pub use campaign::{

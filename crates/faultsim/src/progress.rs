@@ -383,6 +383,10 @@ impl CampaignProgress {
         // Native-tier health: how much ran at JIT speed, how much was
         // retained across restores, and the per-reason bail split that
         // explains any coverage regression at a glance.
+        if d.retired > 0 {
+            let pct = d.jit_retired as f64 * 100.0 / d.retired as f64;
+            let _ = write!(line, " native={pct:.1}%");
+        }
         if d.jit_exec > 0 || d.jit_bailouts > 0 {
             let _ = write!(line, " jit={} retained={}", d.jit_exec, d.jit_retained);
             if d.jit_bailouts > 0 {
@@ -560,8 +564,10 @@ mod tests {
         let line = progress.status_line();
         let memfast =
             fed.mem_fast_hits as f64 * 100.0 / (fed.mem_fast_hits + fed.mem_slow_hits) as f64;
+        let native = fed.jit_retired as f64 * 100.0 / fed.retired as f64;
         for want in [
             format!(" memfast={memfast:.1}%"),
+            format!(" native={native:.1}%"),
             format!(" jit={} retained={}", fed.jit_exec, fed.jit_retained),
             format!(
                 " bail={}(mem={} budget={} smc={} reval={})",
@@ -574,6 +580,22 @@ mod tests {
         ] {
             assert!(line.contains(&want), "{line:?} lacks {want:?}");
         }
+    }
+
+    #[test]
+    fn jit_campaign_ticker_shows_native_residency() {
+        use crate::test_programs::{campaigns, LOOP_PROGRAM};
+        let [mut campaign, _] = campaigns(LOOP_PROGRAM, s4e_isa::IsaConfig::rv32imc());
+        let progress = Arc::new(CampaignProgress::new());
+        campaign.set_progress(Arc::clone(&progress));
+        let config = crate::GeneratorConfig::new(3);
+        campaign.run_all(&crate::generate_mutants(campaign.golden().trace(), &config));
+        let snap = progress.snapshot();
+        let retired = snap.counter("campaign_retired").unwrap_or(0);
+        let native = snap.counter("campaign_jit_retired").unwrap_or(0);
+        assert!(0 < native && native <= retired, "{native} of {retired}");
+        let line = progress.status_line();
+        assert!(line.contains(" native="), "{line}");
     }
 
     #[test]

@@ -16,6 +16,13 @@
 //!    targets `SilentCorruption` when final-memory comparison is on,
 //!    `Masked` otherwise. Only a post-injection read forces execution.
 //!
+//!    The replay runs on block events: each entered block's
+//!    instructions give its reads and writes by the executed-prefix
+//!    rule it shares with the golden trace (the `blocks` module). Only
+//!    blocks holding a load or store take per-instruction events, and
+//!    only while a memory location is watched, so the rest of the
+//!    replay executes on the template JIT.
+//!
 //!    "Read" is architectural: GPR/FPR source operands
 //!    ([`Insn::reg_uses`]), load bytes, and the fetch bytes
 //!    `[pc, pc+len)` of every executed instruction (the block cache
@@ -46,10 +53,11 @@
 //! [`Insn::reg_uses`]: s4e_isa::Insn::reg_uses
 //! [`VpSnapshot::fingerprint`]: s4e_vp::VpSnapshot::fingerprint
 
-use crate::campaign::Campaign;
+use crate::blocks::{BlockWalk, Closed, Open};
+use crate::campaign::{Campaign, GOLDEN_INSN_LIMIT};
 use crate::fault::{FaultKind, FaultOutcome, FaultSpec, FaultTarget};
 use s4e_isa::Insn;
-use s4e_vp::{Cpu, MemAccess, Plugin, VpSnapshot};
+use s4e_vp::{BlockEntry, BlockInfo, Cpu, MemAccess, Plugin, Trap, VpSnapshot};
 use std::collections::HashMap;
 use std::sync::Mutex;
 
@@ -108,6 +116,20 @@ pub(crate) struct PrunePlan {
     verdicts: Vec<Option<FaultOutcome>>,
     deltas: Vec<Option<DeltaKey>>,
     dedup: Vec<Mutex<HashMap<(u64, DeltaKey), FaultOutcome>>>,
+    replay: ReplayStats,
+}
+
+/// What the plan's def-use replay watched and where it executed.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub(crate) struct ReplayStats {
+    /// Def-use queries the replay resolved (zero: no replay ran).
+    pub(crate) queries: usize,
+    /// Distinct RAM bytes watched.
+    pub(crate) mem_watches: usize,
+    /// Instructions the replay retired.
+    pub(crate) retired: u64,
+    /// Of those, the ones retired in native code.
+    pub(crate) jit_retired: u64,
 }
 
 impl std::fmt::Debug for PrunePlan {
@@ -148,14 +170,22 @@ impl PrunePlan {
                 Case::Execute(delta) => deltas[i] = delta,
             }
         }
-        if !queries.is_empty() {
-            resolve_queries(campaign, &mut verdicts, queries);
-        }
+        let replay = if queries.is_empty() {
+            ReplayStats::default()
+        } else {
+            resolve_queries(campaign, &mut verdicts, queries)
+        };
         PrunePlan {
             verdicts,
             deltas,
             dedup: (0..DEDUP_SHARDS).map(|_| Mutex::default()).collect(),
+            replay,
         }
+    }
+
+    /// What the def-use replay watched and where it executed.
+    pub(crate) fn replay(&self) -> ReplayStats {
+        self.replay
     }
 
     /// The pre-computed classification for spec `index`, if pruning
@@ -319,17 +349,21 @@ fn resolve_queries(
     campaign: &Campaign,
     verdicts: &mut [Option<FaultOutcome>],
     queries: Vec<Query>,
-) {
+) -> ReplayStats {
     let mut plugin = DefUsePlugin::new(queries.len());
     for (qid, q) in queries.iter().enumerate() {
         plugin.watch(q.loc, q.t, qid);
     }
     plugin.sort_watches();
+    let mem_watches = plugin.watches.mem.len();
     let mut vp = campaign.loaded_vp();
     vp.add_plugin(Box::new(plugin));
-    let outcome = vp.run_for(campaign.golden().instret() + 10);
+    let outcome = vp.run_for(GOLDEN_INSN_LIMIT);
     debug_assert_eq!(outcome, campaign.golden().outcome());
-    let plugin = vp.plugin::<DefUsePlugin>().expect("plugin attached");
+    let instret = vp.cpu().instret();
+    let stats = vp.dispatch_stats();
+    let plugin = vp.plugin_mut::<DefUsePlugin>().expect("plugin attached");
+    plugin.finish(instret);
     for (qid, q) in queries.iter().enumerate() {
         let (read, written) = plugin.results[qid];
         verdicts[q.spec] = match (read, written) {
@@ -345,6 +379,12 @@ fn resolve_queries(
             // golden run with one diverged bit in the final state.
             (None, None) => Some(q.never),
         };
+    }
+    ReplayStats {
+        queries: queries.len(),
+        mem_watches,
+        retired: stats.retired,
+        jit_retired: stats.jit_retired,
     }
 }
 
@@ -385,117 +425,430 @@ impl LocTrack {
 }
 
 /// Records first post-injection reads and writes of watched locations
-/// during the golden replay.
+/// during the golden replay, on block events.
 ///
 /// Stamps number instructions 1-based: every event of the k-th executed
 /// instruction — operand reads, the `[pc, pc+len)` fetch, loads, stores
 /// and the register write — carries stamp `k`, and an injection after
 /// `t` retired instructions precedes exactly the events with stamp
-/// `> t`. The hook contract makes this derivable from `Cpu::instret`:
-/// memory accesses fire mid-instruction (`instret` still `k-1`), the
-/// instruction notification fires after retirement (`instret == k`) —
-/// except for trapping instructions, which notify without retiring
-/// (`instret` still `k-1`, and the *next* retired instruction also
-/// stamps `k`; both began after the same `k-1` retirements, so the
-/// `> t` predicate is exact for both).
+/// `> t`. By the executed-prefix rule (`blocks` module), the instruction
+/// at index `j` of a block entered at `instret` `I` has stamp
+/// `I + j + 1`; a trapping instruction does not retire, so the next
+/// retired instruction also stamps `k`, and both began after the same
+/// `k-1` retirements, so the `> t` predicate is exact for both.
+///
+/// Each translation's watched fetch bytes, register reads and register
+/// writes are precomputed as `(index, track)` lists, so closing an
+/// entry is one pass over them. Memory accesses need instruction
+/// events, so blocks holding a load or store are subscribed while some
+/// memory location is watched; an access at stamp `k` arrives
+/// mid-block (the accessing instruction has not retired) and first
+/// applies the open entry's events up to its own instruction, which
+/// keeps every track's events in stamp order.
 #[derive(Debug)]
 struct DefUsePlugin {
-    gpr: [Option<Box<LocTrack>>; 32],
-    fpr: [Option<Box<LocTrack>>; 32],
-    mem: HashMap<u32, LocTrack>,
+    watches: Watches,
+    tracks: Vec<LocTrack>,
     results: Vec<(Option<u64>, Option<u64>)>,
-    /// `instret` after the most recent retired-instruction event —
-    /// distinguishes retired notifications from trap notifications.
-    prev_instret: u64,
+    walk: BlockWalk<Events>,
+    /// Leading instructions of the open entry whose events are applied.
+    applied: usize,
+}
+
+/// The track index watching each location.
+#[derive(Debug, Default)]
+struct Watches {
+    gpr: [Option<usize>; 32],
+    fpr: [Option<usize>; 32],
+    mem: HashMap<u32, usize>,
+}
+
+/// A translation's events on watched locations, as `(instruction index,
+/// track index)` pairs in index order.
+#[derive(Debug, Default)]
+struct Events {
+    reads: Vec<(usize, usize)>,
+    writes: Vec<(usize, usize)>,
+}
+
+impl Watches {
+    fn events(&self, insns: &[(u32, Insn)]) -> Events {
+        let mut events = Events::default();
+        for (j, (pc, insn)) in insns.iter().enumerate() {
+            if !self.mem.is_empty() {
+                for addr in *pc..pc.wrapping_add(u32::from(insn.len())) {
+                    if let Some(&track) = self.mem.get(&addr) {
+                        events.reads.push((j, track));
+                    }
+                }
+            }
+            let uses = insn.reg_uses();
+            let gpr = |reg: s4e_isa::Gpr| self.gpr[reg.index() as usize];
+            let fpr = |reg: s4e_isa::Fpr| self.fpr[reg.index() as usize];
+            let reads = (uses.gprs_read().filter_map(gpr)).chain(uses.fprs_read().filter_map(fpr));
+            events.reads.extend(reads.map(|track| (j, track)));
+            let gpr_write = uses.effective_gpr_written().and_then(gpr);
+            let writes = gpr_write.into_iter().chain(uses.fpr_written.and_then(fpr));
+            events.writes.extend(writes.map(|track| (j, track)));
+        }
+        events
+    }
 }
 
 impl DefUsePlugin {
     fn new(queries: usize) -> DefUsePlugin {
         DefUsePlugin {
-            gpr: std::array::from_fn(|_| None),
-            fpr: std::array::from_fn(|_| None),
-            mem: HashMap::new(),
+            watches: Watches::default(),
+            tracks: Vec::new(),
             results: vec![(None, None); queries],
-            prev_instret: 0,
+            walk: BlockWalk::default(),
+            applied: 0,
         }
     }
 
     fn watch(&mut self, loc: Loc, t: u64, qid: usize) {
-        let track = match loc {
-            Loc::Gpr(i) => self.gpr[i as usize].get_or_insert_with(Default::default),
-            Loc::Fpr(i) => self.fpr[i as usize].get_or_insert_with(Default::default),
-            Loc::Mem(addr) => self.mem.entry(addr).or_default(),
+        let tracks = &mut self.tracks;
+        let add = || {
+            tracks.push(LocTrack::default());
+            tracks.len() - 1
         };
-        track.queries.push((t, qid));
+        let track = match loc {
+            Loc::Gpr(i) => *self.watches.gpr[i as usize].get_or_insert_with(add),
+            Loc::Fpr(i) => *self.watches.fpr[i as usize].get_or_insert_with(add),
+            Loc::Mem(addr) => *self.watches.mem.entry(addr).or_insert_with(add),
+        };
+        self.tracks[track].queries.push((t, qid));
     }
 
     fn sort_watches(&mut self) {
-        for track in self
-            .gpr
-            .iter_mut()
-            .chain(self.fpr.iter_mut())
-            .flatten()
-            .map(Box::as_mut)
-            .chain(self.mem.values_mut())
-        {
+        for track in &mut self.tracks {
             track.queries.sort_unstable();
         }
+    }
+
+    /// Applies the events of the open entry's instructions
+    /// `applied..upto`.
+    fn apply(&mut self, open: Open, upto: usize) {
+        let events = &self.walk.translation(open.translation).record;
+        let range = |list: &[(usize, usize)]| {
+            let lo = list.partition_point(|&(j, _)| j < self.applied);
+            lo..list.partition_point(|&(j, _)| j < upto)
+        };
+        let stamp = |j: usize| open.instret + j as u64 + 1;
+        for &(j, track) in &events.reads[range(&events.reads)] {
+            self.tracks[track].on_read(stamp(j), &mut self.results);
+        }
+        for &(j, track) in &events.writes[range(&events.writes)] {
+            self.tracks[track].on_write(stamp(j), &mut self.results);
+        }
+        self.applied = upto;
+    }
+
+    fn close(&mut self, closed: Option<Closed>) {
+        if let Some((open, executed)) = closed {
+            self.apply(open, executed);
+        }
+        self.applied = 0;
+    }
+
+    /// Closes the entry still open when the replay stopped at `instret`.
+    fn finish(&mut self, instret: u64) {
+        let closed = self.walk.last(instret);
+        self.close(closed);
     }
 }
 
 impl Plugin for DefUsePlugin {
-    fn on_insn_executed(&mut self, cpu: &Cpu, pc: u32, insn: &Insn) {
-        let stamp = if cpu.instret() > self.prev_instret {
-            self.prev_instret = cpu.instret();
-            cpu.instret()
-        } else {
-            // Trap path: notified without retiring.
-            cpu.instret() + 1
-        };
-        if !self.mem.is_empty() {
-            for addr in pc..pc.wrapping_add(u32::from(insn.len())) {
-                if let Some(track) = self.mem.get_mut(&addr) {
-                    track.on_read(stamp, &mut self.results);
-                }
-            }
-        }
-        let uses = insn.reg_uses();
-        for reg in uses.gprs_read() {
-            if let Some(track) = &mut self.gpr[reg.index() as usize] {
-                track.on_read(stamp, &mut self.results);
-            }
-        }
-        for reg in uses.fprs_read() {
-            if let Some(track) = &mut self.fpr[reg.index() as usize] {
-                track.on_read(stamp, &mut self.results);
-            }
-        }
-        if let Some(reg) = uses.effective_gpr_written() {
-            if let Some(track) = &mut self.gpr[reg.index() as usize] {
-                track.on_write(stamp, &mut self.results);
-            }
-        }
-        if let Some(reg) = uses.fpr_written {
-            if let Some(track) = &mut self.fpr[reg.index() as usize] {
-                track.on_write(stamp, &mut self.results);
-            }
+    fn on_block_translated(&mut self, block: &BlockInfo<'_>) {
+        let watches = &self.watches;
+        self.walk.translated(block, |insns| watches.events(insns));
+    }
+
+    fn wants_insn_events(&self, block: &BlockInfo<'_>) -> bool {
+        !self.watches.mem.is_empty()
+            && block
+                .insns
+                .iter()
+                .any(|(_, insn)| insn.kind().is_load() || insn.kind().is_store())
+    }
+
+    fn on_block_executed(&mut self, entries: &[BlockEntry]) {
+        for entry in entries {
+            let closed = self.walk.enter(entry);
+            self.close(closed);
         }
     }
 
     fn on_mem_access(&mut self, cpu: &Cpu, access: &MemAccess) {
-        if self.mem.is_empty() {
+        if self.watches.mem.is_empty() {
             return;
         }
         // Mid-instruction: the accessing instruction has not retired.
         let stamp = cpu.instret() + 1;
+        if let Some(open) = self.walk.open() {
+            self.apply(open, (stamp - open.instret) as usize);
+        }
         for addr in access.addr..access.addr.wrapping_add(u32::from(access.size)) {
-            if let Some(track) = self.mem.get_mut(&addr) {
+            if let Some(&track) = self.watches.mem.get(&addr) {
                 if access.is_store {
-                    track.on_write(stamp, &mut self.results);
+                    self.tracks[track].on_write(stamp, &mut self.results);
                 } else {
-                    track.on_read(stamp, &mut self.results);
+                    self.tracks[track].on_read(stamp, &mut self.results);
                 }
             }
         }
+    }
+
+    fn on_trap(&mut self, cpu: &Cpu, trap: &Trap) {
+        let closed = self.walk.trap(cpu, trap);
+        self.close(closed);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::campaign::GOLDEN_INSN_LIMIT;
+    use crate::test_programs::{
+        campaigns, interpreter_vp, programs, LOOP_PROGRAM, SMC_PROGRAM, TIMER_PROGRAM,
+        TRAP_PROGRAM, UART_PROGRAM, WORK_PROGRAM,
+    };
+    use s4e_isa::{Gpr, IsaConfig};
+    use s4e_vp::{DispatchStats, Vp};
+
+    /// The per-instruction recorder the block-event [`DefUsePlugin`]
+    /// replaced, kept verbatim as its oracle.
+    #[derive(Debug)]
+    struct InsnDefUsePlugin {
+        gpr: [Option<Box<LocTrack>>; 32],
+        fpr: [Option<Box<LocTrack>>; 32],
+        mem: HashMap<u32, LocTrack>,
+        results: Vec<(Option<u64>, Option<u64>)>,
+        /// `instret` after the most recent retired-instruction event —
+        /// distinguishes retired notifications from trap notifications.
+        prev_instret: u64,
+    }
+
+    impl InsnDefUsePlugin {
+        fn new(queries: usize) -> InsnDefUsePlugin {
+            InsnDefUsePlugin {
+                gpr: std::array::from_fn(|_| None),
+                fpr: std::array::from_fn(|_| None),
+                mem: HashMap::new(),
+                results: vec![(None, None); queries],
+                prev_instret: 0,
+            }
+        }
+
+        fn watch(&mut self, loc: Loc, t: u64, qid: usize) {
+            let track = match loc {
+                Loc::Gpr(i) => self.gpr[i as usize].get_or_insert_with(Default::default),
+                Loc::Fpr(i) => self.fpr[i as usize].get_or_insert_with(Default::default),
+                Loc::Mem(addr) => self.mem.entry(addr).or_default(),
+            };
+            track.queries.push((t, qid));
+        }
+
+        fn sort_watches(&mut self) {
+            for track in self
+                .gpr
+                .iter_mut()
+                .chain(self.fpr.iter_mut())
+                .flatten()
+                .map(Box::as_mut)
+                .chain(self.mem.values_mut())
+            {
+                track.queries.sort_unstable();
+            }
+        }
+    }
+
+    impl Plugin for InsnDefUsePlugin {
+        fn on_insn_executed(&mut self, cpu: &Cpu, pc: u32, insn: &Insn) {
+            let stamp = if cpu.instret() > self.prev_instret {
+                self.prev_instret = cpu.instret();
+                cpu.instret()
+            } else {
+                // Trap path: notified without retiring.
+                cpu.instret() + 1
+            };
+            if !self.mem.is_empty() {
+                for addr in pc..pc.wrapping_add(u32::from(insn.len())) {
+                    if let Some(track) = self.mem.get_mut(&addr) {
+                        track.on_read(stamp, &mut self.results);
+                    }
+                }
+            }
+            let uses = insn.reg_uses();
+            for reg in uses.gprs_read() {
+                if let Some(track) = &mut self.gpr[reg.index() as usize] {
+                    track.on_read(stamp, &mut self.results);
+                }
+            }
+            for reg in uses.fprs_read() {
+                if let Some(track) = &mut self.fpr[reg.index() as usize] {
+                    track.on_read(stamp, &mut self.results);
+                }
+            }
+            if let Some(reg) = uses.effective_gpr_written() {
+                if let Some(track) = &mut self.gpr[reg.index() as usize] {
+                    track.on_write(stamp, &mut self.results);
+                }
+            }
+            if let Some(reg) = uses.fpr_written {
+                if let Some(track) = &mut self.fpr[reg.index() as usize] {
+                    track.on_write(stamp, &mut self.results);
+                }
+            }
+        }
+
+        fn on_mem_access(&mut self, cpu: &Cpu, access: &MemAccess) {
+            if self.mem.is_empty() {
+                return;
+            }
+            // Mid-instruction: the accessing instruction has not retired.
+            let stamp = cpu.instret() + 1;
+            for addr in access.addr..access.addr.wrapping_add(u32::from(access.size)) {
+                if let Some(track) = self.mem.get_mut(&addr) {
+                    if access.is_store {
+                        track.on_write(stamp, &mut self.results);
+                    } else {
+                        track.on_read(stamp, &mut self.results);
+                    }
+                }
+            }
+        }
+    }
+
+    type Results = Vec<(Option<u64>, Option<u64>)>;
+
+    /// `(location, injection time)` watches over `campaign`'s golden
+    /// run: every GPR but `x0` and every FPR at times spread over the
+    /// run, and with `memory` every executed code byte and written byte.
+    fn watches(campaign: &Campaign, memory: bool) -> Vec<(Loc, u64)> {
+        let golden = campaign.golden();
+        let n = golden.instret();
+        let mut out = Vec::new();
+        for t in [0, 1, n / 7, n / 3, n / 2, n - n / 5, n.saturating_sub(2)] {
+            out.extend((1..32).map(|i| (Loc::Gpr(i), t)));
+            out.extend((0..32).map(|i| (Loc::Fpr(i), t)));
+            if memory {
+                let trace = golden.trace();
+                let code = trace.executed_pcs.iter().flat_map(|&pc| pc..pc + 4);
+                let data = trace.written_bytes.iter().copied();
+                out.extend(code.chain(data).map(|addr| (Loc::Mem(addr), t)));
+            }
+        }
+        out
+    }
+
+    /// The block-event replay's results on `vp`, and its dispatch stats.
+    fn replay(mut vp: Vp, watches: &[(Loc, u64)]) -> (Results, DispatchStats) {
+        let mut plugin = DefUsePlugin::new(watches.len());
+        for (qid, &(loc, t)) in watches.iter().enumerate() {
+            plugin.watch(loc, t, qid);
+        }
+        plugin.sort_watches();
+        vp.add_plugin(Box::new(plugin));
+        vp.run_for(GOLDEN_INSN_LIMIT);
+        let instret = vp.cpu().instret();
+        let stats = vp.dispatch_stats();
+        let plugin = vp.plugin_mut::<DefUsePlugin>().expect("attached");
+        plugin.finish(instret);
+        (plugin.results.clone(), stats)
+    }
+
+    /// The oracle's results on `campaign`'s golden run.
+    fn oracle(campaign: &Campaign, watches: &[(Loc, u64)]) -> Results {
+        let mut plugin = InsnDefUsePlugin::new(watches.len());
+        for (qid, &(loc, t)) in watches.iter().enumerate() {
+            plugin.watch(loc, t, qid);
+        }
+        plugin.sort_watches();
+        let mut vp = campaign.loaded_vp();
+        vp.add_plugin(Box::new(plugin));
+        vp.run_for(GOLDEN_INSN_LIMIT);
+        let plugin = vp.plugin::<InsnDefUsePlugin>().expect("attached");
+        plugin.results.clone()
+    }
+
+    #[test]
+    fn def_use_matches_the_per_instruction_oracle() {
+        for (name, source, isa) in programs() {
+            for campaign in campaigns(&source, isa) {
+                for memory in [false, true] {
+                    let watches = watches(&campaign, memory);
+                    let (results, _) = replay(campaign.loaded_vp(), &watches);
+                    let jit = campaign.config().jit;
+                    assert_eq!(
+                        results,
+                        oracle(&campaign, &watches),
+                        "{name}, jit {jit}, memory {memory}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn uncached_interpreter_def_use_matches() {
+        let isa = IsaConfig::rv32imc();
+        for source in [
+            WORK_PROGRAM,
+            LOOP_PROGRAM,
+            TRAP_PROGRAM,
+            TIMER_PROGRAM,
+            SMC_PROGRAM,
+            UART_PROGRAM,
+        ] {
+            let [campaign, _] = campaigns(source, isa);
+            let watches = watches(&campaign, true);
+            let (results, _) = replay(interpreter_vp(source, isa), &watches);
+            assert_eq!(results, oracle(&campaign, &watches));
+        }
+    }
+
+    #[test]
+    fn register_only_replay_retires_natively() {
+        let [campaign, _] = campaigns(LOOP_PROGRAM, IsaConfig::rv32imc());
+        let n = campaign.golden().instret();
+        let specs: Vec<FaultSpec> = (1..32)
+            .map(|i| FaultSpec {
+                target: FaultTarget::GprBit {
+                    reg: Gpr::new(i).expect("a GPR"),
+                    bit: 3,
+                },
+                kind: FaultKind::Transient { at_insn: n / 2 },
+            })
+            .collect();
+        let replay = PrunePlan::build(&campaign, &specs).replay();
+        assert_eq!((replay.queries, replay.mem_watches), (31, 0));
+        assert_eq!(replay.retired, n);
+        assert!(
+            replay.jit_retired * 10 >= replay.retired * 9,
+            "{} of {} native",
+            replay.jit_retired,
+            replay.retired
+        );
+    }
+
+    #[test]
+    fn replay_outlasts_a_trap_heavy_golden_run() {
+        // The budget counts the 240 instructions that trap as well: a
+        // replay budgeted by the golden run's retired count stopped
+        // before the final store reads `a0`, and this flip then pruned
+        // as never read.
+        let [campaign, _] = campaigns(TRAP_PROGRAM, IsaConfig::rv32imc());
+        let n = campaign.golden().instret();
+        let spec = FaultSpec {
+            target: FaultTarget::GprBit {
+                reg: Gpr::A0,
+                bit: 0,
+            },
+            kind: FaultKind::Transient { at_insn: n - 4 },
+        };
+        let plan = PrunePlan::build(&campaign, &[spec]);
+        assert_eq!(plan.replay().retired, n);
+        assert_eq!(plan.verdict(0), None, "the final store reads a0");
     }
 }

@@ -142,7 +142,24 @@ impl Campaign {
         let sink_error: Mutex<Option<String>> = Mutex::new(None);
         // The equivalence-pruning plan (None: pruning off, or the
         // analysis itself panicked — every mutant then executes).
+        let plan_start = self.tracer().map(|t| t.now_us());
         let plan = self.prune_plan(specs);
+        if let (Some(tracer), Some(start), Some(plan)) = (self.tracer(), plan_start, &plan) {
+            let replay = plan.replay();
+            let mut ring = tracer.ring();
+            ring.span(
+                "prune_plan",
+                "prune",
+                start,
+                &[
+                    ("queries", replay.queries.to_string()),
+                    ("mem_watches", replay.mem_watches.to_string()),
+                    ("retired", replay.retired.to_string()),
+                    ("jit_retired", replay.jit_retired.to_string()),
+                ],
+            );
+            tracer.collect(ring);
+        }
         // The shared golden-prefix snapshot cache (None: fast-forward off
         // or the golden run armed interrupts — every mutant then re-runs
         // its fault-free prefix the legacy way). Pre-verdicted specs are

@@ -91,6 +91,7 @@ dispatch_counters! {
     lock_wait_us => "lock_wait_us", "Microseconds spent blocked on the advancer lock.";
     jit_blocks => "jit_blocks_compiled", "Hot blocks compiled to host code by the template JIT.";
     jit_exec => "jit_blocks_executed", "Block entries executed as native code.";
+    retired => "retired", "Instructions retired, on any tier.";
     jit_retired => "jit_retired", "Instructions retired in native code.";
     jit_bailouts => "jit_bailouts", "JIT bail-outs for any reason: the sum of the four jit_bail counters.";
     jit_bail_mem => "jit_bail_mem_slow_path", "JIT bail-outs on an MMIO, misaligned or RAM-edge access.";

@@ -960,6 +960,13 @@ impl Vp {
     }
 
     fn run_loop(&mut self, max_insns: u64, cancel: Option<&CancelToken>) -> RunOutcome {
+        let instret = self.cpu.instret();
+        let outcome = self.dispatch_loop(max_insns, cancel);
+        self.stats.retired += self.cpu.instret() - instret;
+        outcome
+    }
+
+    fn dispatch_loop(&mut self, max_insns: u64, cancel: Option<&CancelToken>) -> RunOutcome {
         let mut remaining = max_insns;
         let mut blocks = 0u32;
         // Device or bus state may have been mutated between runs.
@@ -1376,7 +1383,7 @@ impl Vp {
         start: usize,
         remaining: &mut u64,
     ) -> BlockExit {
-        // SAFETY: see the dispatch-boundary argument in `run_loop`. The
+        // SAFETY: see the dispatch-boundary argument in `dispatch_loop`. The
         // body lives on the heap behind an `Arc`, is immutable after
         // translation, and is not freed before the next dispatch
         // boundary, so the derived reference stays valid across the
@@ -1437,7 +1444,7 @@ impl Vp {
         start: usize,
         remaining: &mut u64,
     ) -> BlockExit {
-        // SAFETY: see the dispatch-boundary argument in `run_loop` and
+        // SAFETY: see the dispatch-boundary argument in `dispatch_loop` and
         // the body-lifetime argument in `exec_block_insns`: the `Arc`'d
         // body is immutable and outlives this call.
         let body: &BlockBody = unsafe { &*Arc::as_ptr(&(*block).body) };
@@ -1987,7 +1994,7 @@ impl Vp {
     /// raw pointer to it. The pointee is owned by `self.cache` /
     /// `self.jmp_cache` (or `self.scratch` without a block cache) and
     /// stays alive until the next dispatch boundary — see the safety
-    /// comment in [`run_loop`](Vp::run_loop).
+    /// comment in [`dispatch_loop`](Vp::dispatch_loop).
     ///
     /// When `link_from` names a (predecessor, successor-slot) pair, the
     /// resolved block is recorded as that predecessor's direct chain

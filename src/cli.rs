@@ -899,6 +899,13 @@ fn run_command_inner(
             if let Some(ms) = opts.timeout_ms {
                 cfg = cfg.timeout(std::time::Duration::from_millis(ms));
             }
+            // Created before `prepare`, so every process (the supervisor
+            // and each shard worker) traces its fixed set-up cost.
+            let tracer = opts
+                .trace_out
+                .as_ref()
+                .map(|_| Arc::new(Tracer::new(TRACE_RING_CAPACITY)));
+            let prepare_start = tracer.as_ref().map(|t| t.now_us());
             let mut campaign = Campaign::prepare(image.base(), image.bytes(), image.entry(), &cfg)
                 .map_err(|e| {
                     // In a shard worker a failed setup is fatal for every
@@ -911,6 +918,12 @@ fn run_command_inner(
                     };
                     CliError::with_code(format!("campaign preparation failed: {e}"), code)
                 })?;
+            if let (Some(t), Some(start)) = (&tracer, prepare_start) {
+                let mut ring = t.ring();
+                ring.span("prepare", "campaign", start, &[]);
+                t.collect(ring);
+                campaign.set_tracer(Arc::clone(t));
+            }
             let progress = if opts.progress || opts.metrics_out.is_some() {
                 let progress = Arc::new(CampaignProgress::new());
                 campaign.set_progress(Arc::clone(&progress));
@@ -918,13 +931,6 @@ fn run_command_inner(
             } else {
                 None
             };
-            let tracer = opts
-                .trace_out
-                .as_ref()
-                .map(|_| Arc::new(Tracer::new(TRACE_RING_CAPACITY)));
-            if let Some(t) = &tracer {
-                campaign.set_tracer(Arc::clone(t));
-            }
             if let Some(dir) = &opts.trace_dir {
                 campaign.set_trace_dir(dir);
             }

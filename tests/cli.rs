@@ -495,6 +495,25 @@ fn sharded_campaign_merges_worker_trace_chunks() {
     assert!(events.iter().any(|e| e.name == "sharded_sweep"), "{json}");
     assert!(events.iter().any(|e| e.name == "shard_attempt"), "{json}");
     assert!(events.iter().any(|e| e.name == "mutant"), "{json}");
+    // Every process traces its fixed cost: the supervisor and each
+    // worker prepare the campaign, and each worker plans its pruning.
+    let supervisor = events
+        .iter()
+        .find(|e| e.name == "sharded_sweep")
+        .map(|e| e.pid);
+    for pid in &pids {
+        let lane = |name: &str| events.iter().find(|e| e.pid == *pid && e.name == name);
+        assert!(
+            lane("prepare").is_some(),
+            "no prepare span on {pid}: {json}"
+        );
+        if Some(*pid) != supervisor {
+            let plan = lane("prune_plan").expect("a prune_plan span on every worker lane");
+            let mut keys: Vec<&str> = plan.args.iter().map(|(k, _)| k.as_str()).collect();
+            keys.sort_unstable();
+            assert_eq!(keys, ["jit_retired", "mem_watches", "queries", "retired"]);
+        }
+    }
     // Merged output is globally ordered by timestamp.
     assert!(events.windows(2).all(|w| w[0].ts_us <= w[1].ts_us));
 }
