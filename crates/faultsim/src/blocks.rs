@@ -11,8 +11,8 @@
 //!   `instret` minus this one's;
 //! - **a trap**: the instructions retired since the entry, plus one for
 //!   an exception raised by the block's instruction at that index (it
-//!   executed but did not retire); an interrupt or a fetch fault adds
-//!   nothing;
+//!   executed but did not retire, and the closed entry says so); an
+//!   interrupt or a fetch fault adds nothing;
 //! - **the end of the run**: the hart's final `instret`.
 //!
 //! The VP hands natively written entries over before any later event,
@@ -51,8 +51,15 @@ pub(crate) struct Open {
     pub(crate) instret: u64,
 }
 
-/// A closed block entry and the number of its instructions that ran.
-pub(crate) type Closed = (Open, usize);
+/// A closed block entry: how many of its instructions ran, and whether
+/// the last of them raised the exception that closed the entry (it
+/// executed but did not retire).
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Closed {
+    pub(crate) open: Open,
+    pub(crate) executed: usize,
+    pub(crate) raised: bool,
+}
 
 /// Lines in `BlockWalk::memo`: more than a golden run's hot block
 /// starts, few enough to stay in the L1 cache.
@@ -154,12 +161,16 @@ impl<T> BlockWalk<T> {
             .insns
             .get(retired)
             .is_some_and(|&(pc, insn)| pc == cpu.pc() && raised_by(trap, insn));
-        Some((open, retired + usize::from(raised)))
+        Some(Closed {
+            open,
+            executed: retired + usize::from(raised),
+            raised,
+        })
     }
 
     /// The open entry, closed by the hart's final `instret`.
     pub(crate) fn last(&self, instret: u64) -> Option<Closed> {
-        self.open.map(|open| (open, self.prefix(open, instret)))
+        self.open.map(|open| self.retired(open, instret))
     }
 
     /// The entry still open, if any.
@@ -184,7 +195,16 @@ impl<T> BlockWalk<T> {
 
     fn close(&mut self, instret: u64) -> Option<Closed> {
         let open = self.open.take()?;
-        Some((open, self.prefix(open, instret)))
+        Some(self.retired(open, instret))
+    }
+
+    /// `open` closed with every instruction that ran retired.
+    fn retired(&self, open: Open, instret: u64) -> Closed {
+        Closed {
+            open,
+            executed: self.prefix(open, instret),
+            raised: false,
+        }
     }
 
     /// Instructions of `open` retired by the time the hart reached

@@ -435,7 +435,11 @@ impl LocTrack {
 /// at index `j` of a block entered at `instret` `I` has stamp
 /// `I + j + 1`; a trapping instruction does not retire, so the next
 /// retired instruction also stamps `k`, and both began after the same
-/// `k-1` retirements, so the `> t` predicate is exact for both.
+/// `k-1` retirements, so the `> t` predicate is exact for both. An
+/// instruction that raised an exception read its operands and fetch
+/// bytes but wrote no register (its loads and stores never happened
+/// either), with one exception the VP pins: a jump writes its link
+/// register before its misaligned target traps.
 ///
 /// Each translation's watched fetch bytes, register reads and register
 /// writes are precomputed as `(index, track)` lists, so closing an
@@ -443,7 +447,7 @@ impl LocTrack {
 /// events, so blocks holding a load or store are subscribed while some
 /// memory location is watched; an access at stamp `k` arrives
 /// mid-block (the accessing instruction has not retired) and first
-/// applies the open entry's events up to its own instruction, which
+/// applies the open entry's events before its own instruction, which
 /// keeps every track's events in stamp order.
 #[derive(Debug)]
 struct DefUsePlugin {
@@ -526,27 +530,34 @@ impl DefUsePlugin {
         }
     }
 
-    /// Applies the events of the open entry's instructions
-    /// `applied..upto`.
-    fn apply(&mut self, open: Open, upto: usize) {
+    /// Applies the reads of the open entry's instructions
+    /// `applied..upto` and the writes of `applied..writes`.
+    fn apply(&mut self, open: Open, upto: usize, writes: usize) {
+        debug_assert!(self.applied <= writes && writes <= upto);
         let events = &self.walk.translation(open.translation).record;
-        let range = |list: &[(usize, usize)]| {
+        let range = |list: &[(usize, usize)], upto: usize| {
             let lo = list.partition_point(|&(j, _)| j < self.applied);
             lo..list.partition_point(|&(j, _)| j < upto)
         };
         let stamp = |j: usize| open.instret + j as u64 + 1;
-        for &(j, track) in &events.reads[range(&events.reads)] {
+        for &(j, track) in &events.reads[range(&events.reads, upto)] {
             self.tracks[track].on_read(stamp(j), &mut self.results);
         }
-        for &(j, track) in &events.writes[range(&events.writes)] {
+        for &(j, track) in &events.writes[range(&events.writes, writes)] {
             self.tracks[track].on_write(stamp(j), &mut self.results);
         }
         self.applied = upto;
     }
 
+    /// Applies the rest of a closed entry's events. An instruction that
+    /// raised read its operands and fetch bytes but wrote no register,
+    /// except a jump, which writes its link register before its
+    /// misaligned target traps.
     fn close(&mut self, closed: Option<Closed>) {
-        if let Some((open, executed)) = closed {
-            self.apply(open, executed);
+        if let Some(c) = closed {
+            let insns = &self.walk.translation(c.open.translation).insns;
+            let wrote = !c.raised || insns[c.executed - 1].1.kind().is_jump();
+            self.apply(c.open, c.executed, c.executed - usize::from(!wrote));
         }
         self.applied = 0;
     }
@@ -583,10 +594,14 @@ impl Plugin for DefUsePlugin {
         if self.watches.mem.is_empty() {
             return;
         }
-        // Mid-instruction: the accessing instruction has not retired.
+        // Mid-instruction: the accessing instruction (stamp `k`, index
+        // `k - 1 - instret` at entry) has not retired. Its own reads
+        // and writes wait for the entry's close; events before it keep
+        // every track in stamp order.
         let stamp = cpu.instret() + 1;
         if let Some(open) = self.walk.open() {
-            self.apply(open, (stamp - open.instret) as usize);
+            let before = (stamp - 1 - open.instret) as usize;
+            self.apply(open, before, before);
         }
         for addr in access.addr..access.addr.wrapping_add(u32::from(access.size)) {
             if let Some(&track) = self.watches.mem.get(&addr) {
@@ -608,16 +623,19 @@ impl Plugin for DefUsePlugin {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::campaign::GOLDEN_INSN_LIMIT;
+    use crate::campaign::{CampaignConfig, GOLDEN_INSN_LIMIT};
     use crate::test_programs::{
-        campaigns, interpreter_vp, programs, LOOP_PROGRAM, SMC_PROGRAM, TIMER_PROGRAM,
-        TRAP_PROGRAM, UART_PROGRAM, WORK_PROGRAM,
+        campaigns, interpreter_vp, programs, JUMP_TRAP_PROGRAM, LOOP_PROGRAM, SMC_PROGRAM,
+        TIMER_PROGRAM, TRAP_PROGRAM, UART_PROGRAM, WORK_PROGRAM,
     };
+    use s4e_asm::assemble;
     use s4e_isa::{Gpr, IsaConfig};
     use s4e_vp::{DispatchStats, Vp};
 
     /// The per-instruction recorder the block-event [`DefUsePlugin`]
-    /// replaced, kept verbatim as its oracle.
+    /// replaced, kept as its oracle, with the same rule for an
+    /// instruction that raises: it writes no register unless it is a
+    /// jump.
     #[derive(Debug)]
     struct InsnDefUsePlugin {
         gpr: [Option<Box<LocTrack>>; 32],
@@ -665,13 +683,18 @@ mod tests {
 
     impl Plugin for InsnDefUsePlugin {
         fn on_insn_executed(&mut self, cpu: &Cpu, pc: u32, insn: &Insn) {
-            let stamp = if cpu.instret() > self.prev_instret {
+            let retired = cpu.instret() > self.prev_instret;
+            let stamp = if retired {
                 self.prev_instret = cpu.instret();
                 cpu.instret()
             } else {
                 // Trap path: notified without retiring.
                 cpu.instret() + 1
             };
+            // A raised instruction wrote no register, except a jump's
+            // link register (written before its misaligned target
+            // traps).
+            let wrote = retired || insn.kind().is_jump();
             if !self.mem.is_empty() {
                 for addr in pc..pc.wrapping_add(u32::from(insn.len())) {
                     if let Some(track) = self.mem.get_mut(&addr) {
@@ -689,6 +712,9 @@ mod tests {
                 if let Some(track) = &mut self.fpr[reg.index() as usize] {
                     track.on_read(stamp, &mut self.results);
                 }
+            }
+            if !wrote {
+                return;
             }
             if let Some(reg) = uses.effective_gpr_written() {
                 if let Some(track) = &mut self.gpr[reg.index() as usize] {
@@ -850,5 +876,89 @@ mod tests {
         let plan = PrunePlan::build(&campaign, &[spec]);
         assert_eq!(plan.replay().retired, n);
         assert_eq!(plan.verdict(0), None, "the final store reads a0");
+    }
+
+    /// `specs` swept over `source` with pruning on and then off.
+    fn pruned_and_executed(
+        source: &str,
+        isa: IsaConfig,
+        specs: &[FaultSpec],
+    ) -> [Vec<FaultOutcome>; 2] {
+        let img = assemble(source).expect("assembles");
+        [true, false].map(|prune| {
+            let config = CampaignConfig::new().isa(isa).prune(prune);
+            let campaign =
+                Campaign::prepare(img.base(), img.bytes(), img.entry(), &config).expect("prepares");
+            let report = campaign.run_all(specs);
+            report.results().iter().map(|r| r.outcome).collect()
+        })
+    }
+
+    fn flip(reg: Gpr, bit: u8, at_insn: u64) -> FaultSpec {
+        FaultSpec {
+            target: FaultTarget::GprBit { reg, bit },
+            kind: FaultKind::Transient { at_insn },
+        }
+    }
+
+    #[test]
+    fn a_trapping_load_writes_no_register() {
+        // Instruction 9 is `lw a2, 1(a1)`, misaligned: it traps to the
+        // skip handler and leaves `a2` as it was, so a flip of `a2`
+        // just before it is read by the `add` that follows.
+        let spec = flip(Gpr::new(12).expect("a2"), 1, 8);
+        let [pruned, executed] = pruned_and_executed(TRAP_PROGRAM, IsaConfig::rv32imc(), &[spec]);
+        assert_eq!(executed, [FaultOutcome::SilentCorruption]);
+        assert_eq!(pruned, executed);
+    }
+
+    #[test]
+    fn a_trapping_jump_still_writes_its_link_register() {
+        // Instruction 9 is `jalr ra, 0(t1)` to a misaligned target: it
+        // traps, but writes `ra` first, erasing a flip injected just
+        // before it. Nothing reads `ra`, so a replay that dropped the
+        // write would find the flip never accessed.
+        let spec = flip(Gpr::RA, 4, 8);
+        let [pruned, executed] =
+            pruned_and_executed(JUMP_TRAP_PROGRAM, IsaConfig::rv32im(), &[spec]);
+        assert_eq!(executed, [FaultOutcome::Masked]);
+        assert_eq!(pruned, executed);
+    }
+
+    #[test]
+    fn fetch_fault_loops_time_out_at_the_budget() {
+        // `t0` stuck at 1 on bit 7 or 17 points `mtvec` at an
+        // undecodable word, and time-zero flips of these code bytes
+        // make an undecodable trap vector or entry: each mutant traps
+        // at fetch forever. The budget ends them all as Timeout, with
+        // no wall-clock watchdog, deterministically. (The generator
+        // emits the last spec twice; the repeat shares its verdict.)
+        let stuck = |bit| FaultSpec {
+            target: FaultTarget::GprBit {
+                reg: Gpr::new(5).expect("t0"),
+                bit,
+            },
+            kind: FaultKind::StuckAt { value: true },
+        };
+        let code = |addr, bit| FaultSpec {
+            target: FaultTarget::MemBit { addr, bit },
+            kind: FaultKind::Transient { at_insn: 0 },
+        };
+        let specs = [
+            stuck(7),
+            stuck(17),
+            code(0x8000_0001, 1),
+            code(0x8000_0001, 7),
+            code(0x8000_0001, 6),
+            code(0x8000_0003, 7),
+            code(0x8000_0002, 6),
+            code(0x8000_0058, 2),
+            code(0x8000_0058, 2),
+        ];
+        for _ in 0..2 {
+            for outcomes in pruned_and_executed(TRAP_PROGRAM, IsaConfig::rv32imc(), &specs) {
+                assert_eq!(outcomes, [FaultOutcome::Timeout; 9]);
+            }
+        }
     }
 }

@@ -59,9 +59,9 @@ use std::fs::File;
 use std::io::{Read as _, Seek, SeekFrom};
 use std::ops::Range;
 use std::path::{Path, PathBuf};
-use std::process::{Child, Command};
+use std::process::{Child, Command, Stdio};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{mpsc, Arc};
 use std::time::{Duration, Instant};
 
 /// The exit code by which a shard worker reports a *fatal* setup error
@@ -184,7 +184,9 @@ pub struct SupervisorConfig {
     /// Per-worker resident-set budget in bytes; a worker over it is
     /// killed and treated as crashed (Linux; ignored elsewhere).
     pub mem_budget: Option<u64>,
-    /// Supervisor poll cadence (child liveness, checkpoint tails).
+    /// Supervisor poll cadence (checkpoint tails, stall and memory
+    /// watchdogs). A worker's exit, a restart's backoff and a chaos
+    /// kill each wake the supervisor when due, not at the next poll.
     pub poll_interval: Duration,
     /// Test-only worker disruption schedule.
     pub chaos: Option<ChaosConfig>,
@@ -349,7 +351,9 @@ impl std::fmt::Debug for ShardSupervisor<'_> {
 }
 
 impl<'a> ShardSupervisor<'a> {
-    /// A supervisor launching workers through `spawner`.
+    /// A supervisor launching workers through `spawner`. The supervisor
+    /// owns each worker's stdout: it is piped, drained and discarded,
+    /// and its end tells the supervisor the worker exited.
     pub fn new(
         config: SupervisorConfig,
         spawner: impl Fn(&ShardRequest) -> Command + 'a,
@@ -495,6 +499,8 @@ impl<'a> ShardSupervisor<'a> {
             .map(|c| (StdRng::seed_from_u64(c.seed), c.max_disruptions));
         let mut interrupted = false;
         let mut fatal: Option<CampaignError> = None;
+        // Worker stdout readers report the pipe's end (by pid) here.
+        let (exited_tx, exited_rx) = mpsc::channel();
 
         'supervise: while !pending.is_empty() || !running.is_empty() {
             if self.interrupted() {
@@ -576,9 +582,10 @@ impl<'a> ShardSupervisor<'a> {
                     }
                 }
                 task.attempt += 1;
-                let child = cmd.spawn().map_err(|e| {
+                let mut child = cmd.stdout(Stdio::piped()).spawn().map_err(|e| {
                     CampaignError::Checkpoint(format!("spawning shard worker: {e}"))
                 })?;
+                report_stdout_end(&mut child, &exited_tx);
                 task.history.push(format!(
                     "attempt {} spawn shard {} range {}..{}",
                     request.attempt, task.id, task.range.start, task.range.end
@@ -806,7 +813,23 @@ impl<'a> ShardSupervisor<'a> {
             }
 
             if !running.is_empty() || !pending.is_empty() {
-                std::thread::sleep(self.config.poll_interval);
+                // Sleep until the next poll, a restart or bisected half
+                // that could launch, or a chaos kill, whichever is due
+                // first; a worker's stdout closing wakes it sooner.
+                let now = Instant::now();
+                let launch = (running.len() < self.config.shards)
+                    .then(|| pending.iter().map(|t| t.ready_at).min())
+                    .flatten();
+                let kill = running.iter().filter_map(|r| r.kill_at).min();
+                let wake = [launch, kill]
+                    .into_iter()
+                    .flatten()
+                    .fold(now + self.config.poll_interval, Instant::min);
+                if let Ok(pid) = exited_rx.recv_timeout(wake.saturating_duration_since(now)) {
+                    if let Some(run) = running.iter_mut().find(|r| r.child.id() == pid) {
+                        await_exit_status(&mut run.child);
+                    }
+                }
             }
         }
 
@@ -887,6 +910,38 @@ impl<'a> ShardSupervisor<'a> {
             bisections: stats.2,
             interrupted,
         })
+    }
+}
+
+/// Moves the worker's stdout to a reader thread that drains and
+/// discards it, then sends the worker's pid on `exited`: the pipe ends
+/// when the worker exits (or closes its stdout), which wakes the
+/// supervisor without waiting for its next poll. Should the thread fail
+/// to start, the pipe closes (the worker's stdout writes then fail) and
+/// its exit is seen at a poll.
+fn report_stdout_end(child: &mut Child, exited: &mpsc::Sender<u32>) {
+    let Some(mut stdout) = child.stdout.take() else {
+        return;
+    };
+    let (pid, exited) = (child.id(), exited.clone());
+    let _ = std::thread::Builder::new()
+        .name("shard-stdout".into())
+        .spawn(move || {
+            let _ = std::io::copy(&mut stdout, &mut std::io::sink());
+            let _ = exited.send(pid);
+        });
+}
+
+/// Gives a worker whose stdout just ended a few milliseconds to become
+/// reapable: an exiting process closes its files before its exit status
+/// is ready. A worker that closed its stdout and runs on is left to the
+/// polls and their watchdogs.
+fn await_exit_status(child: &mut Child) {
+    for _ in 0..50 {
+        if !matches!(child.try_wait(), Ok(None)) {
+            return;
+        }
+        std::thread::sleep(Duration::from_micros(200));
     }
 }
 

@@ -78,6 +78,35 @@ pub(crate) const TRAP_PROGRAM: &str = r#"
     result: .word 0
 "#;
 
+/// Jumps that trap on a misaligned target (RV32IM, no C), each skipped
+/// by the handler. The VP writes the link register before the trap;
+/// nothing reads it back, so only the final register compare sees the
+/// write.
+pub(crate) const JUMP_TRAP_PROGRAM: &str = r#"
+    la t0, skip
+    csrw mtvec, t0
+    li s0, 30
+    li a0, 0
+    la t1, target
+    addi t1, t1, 2
+    jumps: jalr ra, 0(t1)
+    addi a0, a0, 3
+    jal s1, target + 2
+    xor a0, a0, s0
+    addi s0, s0, -1
+    bnez s0, jumps
+    la t3, result
+    sw a0, 0(t3)
+    ebreak
+    target: nop
+    nop
+    skip: csrr t2, mepc
+    addi t2, t2, 4
+    csrw mepc, t2
+    mret
+    result: .word 0
+"#;
+
 /// Timer interrupts into an unsubscribed hot loop, a `wfi`, and a last
 /// interrupt taken mid-block (a CLINT store and an `mstatus` write each
 /// end their block early) whose handler ends the run, so the
@@ -202,6 +231,11 @@ pub(crate) fn programs() -> Vec<(String, String, IsaConfig)> {
     .into_iter()
     .map(|(name, source)| (name.to_string(), source.to_string(), rv32imc))
     .collect();
+    out.push((
+        "jump_trap".to_string(),
+        JUMP_TRAP_PROGRAM.to_string(),
+        IsaConfig::rv32im(),
+    ));
     let isa = IsaConfig::rv32imfc();
     for seed in 0..100 {
         let cfg = TortureConfig::new(seed)

@@ -75,7 +75,7 @@ impl TracePlugin {
         let last = self.walk.last(cpu.instret());
         for (index, translation) in self.walk.translations().iter().enumerate() {
             let executed = match last {
-                Some((open, n)) if open.translation == index => translation.record.max(n),
+                Some(c) if c.open.translation == index => translation.record.max(c.executed),
                 _ => translation.record,
             };
             for (pc, insn) in &translation.insns[..executed] {
@@ -93,9 +93,9 @@ impl TracePlugin {
     }
 
     fn close(&mut self, closed: Option<Closed>) {
-        if let Some((open, executed)) = closed {
-            let longest = self.walk.record_mut(open.translation);
-            *longest = (*longest).max(executed);
+        if let Some(c) = closed {
+            let longest = self.walk.record_mut(c.open.translation);
+            *longest = (*longest).max(c.executed);
         }
     }
 }

@@ -14,7 +14,7 @@ use s4e_asm::assemble;
 use s4e_faultsim::{
     atomic_write_file, compact_checkpoint, encode_result, plan_shards, read_checkpoint, run_shard,
     Campaign, CampaignConfig, CampaignError, CampaignProgress, FaultKind, FaultOutcome,
-    FaultResult, FaultSpec, FaultTarget, ShardSupervisor, SupervisorConfig,
+    FaultResult, FaultSpec, FaultTarget, ShardRequest, ShardSupervisor, SupervisorConfig,
 };
 use s4e_isa::Gpr;
 use s4e_obs::names;
@@ -466,6 +466,64 @@ fn supervisor_bisects_down_to_the_crashing_mutant_and_quarantines_it() {
         .find(|(r, _)| r.spec == specs[poison])
         .expect("poison spec checkpointed");
     assert_eq!(quarantined_entry.0.outcome, FaultOutcome::Quarantined);
+}
+
+#[test]
+fn supervisor_wakes_on_worker_exit_not_on_its_poll() {
+    // A 10 s poll would make every sweep below last at least 10 s if
+    // the supervisor waited for it; each ends in well under 2 s because
+    // a worker's exit (its stdout closing) and a restart's backoff wake
+    // the supervisor when due.
+    let reference = campaign(&CampaignConfig::new());
+    let specs = unique_specs(4, 3);
+    let full = reference.run_all(&specs);
+    let dir = temp_dir("sup-wake");
+    let answers = dir.join("answers.jsonl");
+    write_answers(full.results(), &answers);
+    let config = || {
+        let mut config = SupervisorConfig::new(2);
+        config.poll_interval = Duration::from_secs(10);
+        config.backoff_base = Duration::from_millis(1);
+        config
+    };
+    let copy = |req: &ShardRequest| {
+        format!(
+            "sed -n '{}p' {} >> {}",
+            sed_range(&req.range),
+            answers.display(),
+            req.checkpoint.display()
+        )
+    };
+    for crash_first in [false, true] {
+        let supervisor = ShardSupervisor::new(config(), |req| {
+            // The crashing variant's first attempt classifies nothing
+            // and exits 7; the restart copies the whole range.
+            let script = if crash_first && req.attempt == 0 {
+                "exit 7".to_string()
+            } else {
+                copy(req)
+            };
+            let mut cmd = std::process::Command::new("sh");
+            cmd.arg("-c").arg(script);
+            cmd
+        });
+        let start = std::time::Instant::now();
+        let sharded = supervisor
+            .run(
+                &specs,
+                &dir.join(format!("shards-{crash_first}")),
+                None,
+                false,
+            )
+            .expect("supervised sweep completes");
+        let took = start.elapsed();
+        assert!(
+            took < Duration::from_secs(2),
+            "crash_first {crash_first}: {took:?}"
+        );
+        assert_eq!(sharded.report.results(), full.results());
+        assert_eq!(sharded.restarts, if crash_first { 2 } else { 0 });
+    }
 }
 
 #[test]

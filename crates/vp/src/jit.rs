@@ -20,28 +20,34 @@
 //!
 //! - **Accounting**: the cycle/instret/fused-op deltas along any path
 //!   through a block are compile-time constants; each exit site adds
-//!   its path constant to the context accumulators, so counters are
-//!   exact at every exit. This is the micro-op engine's "batched,
-//!   flushed at observable points" scheme taken to its limit: nothing
-//!   observable can happen *inside* native code, which is exactly what
-//!   the entry preconditions and the bail conditions guarantee.
+//!   its path constant to the run's accumulators, so counters are exact
+//!   at every exit. The accumulators live in host registers for the
+//!   whole native run — cycles in r12, the instruction budget in r14,
+//!   fused ops in r11 and native block executions in r10 — and the
+//!   shared epilogue writes them back to the context once, so a block
+//!   prologue and a chained exit read or write no context field. This
+//!   is the micro-op engine's "batched, flushed at observable points"
+//!   scheme taken to its limit: nothing observable can happen *inside*
+//!   native code, which is exactly what the entry preconditions and the
+//!   bail conditions guarantee.
 //! - **Deadline**: every block entry compares the accumulated cycles
 //!   against a deadline — `min(cycles until mip can next change,
-//!   JIT_SLICE)` — and exits to the dispatcher when reached, so
-//!   interrupts are delivered at exactly the block boundary the
-//!   interpreter would deliver them at, and cancellation/watchdog
+//!   JIT_SLICE)`, held in r9 — and exits to the dispatcher when
+//!   reached, so interrupts are delivered at exactly the block boundary
+//!   the interpreter would deliver them at, and cancellation/watchdog
 //!   latency stays bounded.
 //! - **Budget**: every block entry checks that the remaining
 //!   instruction budget covers the whole block and otherwise bails at
 //!   micro-op 0; the micro-op engine then reproduces the exact
 //!   mid-block (and mid-fused-pair) expiry boundary.
 //! - **Memory**: loads and stores inline the RAM fast path (aligned,
-//!   wholly inside RAM) including page-granular dirty marking;
-//!   anything else bails. Stores additionally bail when they overlap
-//!   the translated code range, so native code never triggers an
-//!   invalidation itself — the micro-op engine re-executes the store
-//!   and requests the deferred invalidation, exactly like the
-//!   interpreter's fast path.
+//!   wholly inside RAM) including page-granular dirty marking, which
+//!   tests the page's bit and sets it only when clear, like
+//!   `Bus::ram_write_fast`; anything else bails. Stores additionally
+//!   bail when they overlap the translated code range, so native code
+//!   never triggers an invalidation itself — the micro-op engine
+//!   re-executes the store and requests the deferred invalidation,
+//!   exactly like the interpreter's fast path.
 //! - **Block events**: code compiled while a plugin is attached appends
 //!   one entry per block entry to the VP's plugin event buffer, after
 //!   the deadline check and before the flight-ring write, and only when
@@ -443,7 +449,10 @@ mod native {
 
     /// The in/out parameter block shared between the dispatcher and
     /// native code. Field offsets are baked into the templates — keep
-    /// the layout and the `OFF_*` constants in sync.
+    /// the layout and the `OFF_*` constants in sync. The trampoline
+    /// reads the run's inputs into their fixed-role registers once, and
+    /// the shared epilogue writes `remaining`, `cyc`, `blocks` and
+    /// `fused` back once per run.
     #[repr(C)]
     #[derive(Debug)]
     struct JitCtx {
@@ -523,9 +532,14 @@ mod native {
     // ---------------------------------------------------- assembler
 
     // Host register numbers (x86-64 encoding values). Fixed roles
-    // inside native code: r15 = ctx, rbx = GPR file, rbp = stuck-at
-    // mask table (`keep[0]`), r13 = RAM base, r14 = remaining
-    // instruction budget; rax/rcx/rdx are scratch.
+    // inside native code, set by the trampoline for the whole run:
+    // r15 = ctx, rbx = GPR file, rbp = stuck-at mask table (`keep[0]`),
+    // r13 = RAM base, r14 = remaining instruction budget, r12 = cycles
+    // consumed, r11 = fused ops executed, r10 = native block
+    // executions, r9 = cycle deadline, r8 = flight ring header (or
+    // null). rax/rcx/rdx are scratch, and so is rsi in the block body
+    // (plugin event slot, flight slot, dirty bitmap word). Native code
+    // makes no calls, so the caller-saved r8–r11 need no saving.
     const RAX: u8 = 0;
     const RCX: u8 = 1;
     const RDX: u8 = 2;
@@ -533,6 +547,10 @@ mod native {
     const RBP: u8 = 5;
     const RSI: u8 = 6;
     const RDI: u8 = 7;
+    const R8: u8 = 8;
+    const R9: u8 = 9;
+    const R10: u8 = 10;
+    const R11: u8 = 11;
     const R12: u8 = 12;
     const R13: u8 = 13;
     const R14: u8 = 14;
@@ -618,11 +636,32 @@ mod native {
         }
 
         /// `[base + disp8]` operand; `base` must not be rsp/r12 (no
-        /// SIB support here) — the templates only use rbx and r15.
+        /// SIB support here).
         fn mem_disp8(&mut self, reg: u8, base: u8, disp: i8) {
             debug_assert!(base & 7 != 4, "rsp/r12 base needs a SIB");
             self.modrm(1, reg, base);
             self.byte(disp as u8);
+        }
+
+        /// `[base + disp]` operand, with a disp8 when `disp` fits and a
+        /// disp32 otherwise; `base` as for
+        /// [`mem_disp8`](Asm::mem_disp8).
+        fn mem_disp(&mut self, reg: u8, base: u8, disp: i32) {
+            match i8::try_from(disp) {
+                Ok(d) => self.mem_disp8(reg, base, d),
+                Err(_) => {
+                    debug_assert!(base & 7 != 4, "rsp/r12 base needs a SIB");
+                    self.modrm(2, reg, base);
+                    self.imm32(disp);
+                }
+            }
+        }
+
+        /// `[base]` operand; `base` must not be rsp/r12 (SIB) or
+        /// rbp/r13 (RIP-relative at mod 0).
+        fn mem_base(&mut self, reg: u8, base: u8) {
+            debug_assert!(base & 7 != 4 && base & 7 != 5, "base needs a SIB or disp");
+            self.modrm(0, reg, base);
         }
 
         fn push_reg(&mut self, r: u8) {
@@ -732,6 +771,13 @@ mod native {
             self.modrm(3, dst, src);
         }
 
+        /// `cmp r64, r64`.
+        fn cmp_rr64(&mut self, a: u8, b: u8) {
+            self.rex(true, a, b);
+            self.byte(0x3b);
+            self.modrm(3, a, b);
+        }
+
         /// 32-bit shift by immediate via `C1 /ext`: 4 shl, 5 shr,
         /// 7 sar.
         fn shift_ri32(&mut self, ext: u8, r: u8, imm: u8) {
@@ -796,20 +842,32 @@ mod native {
             self.modrm(3, r, r);
         }
 
-        /// `cmp r64, imm32` (sign-extended).
+        /// `cmp r64, imm` (sign-extended).
         fn cmp_r64_imm(&mut self, r: u8, imm: i32) {
-            self.rex(true, 0, r);
-            self.byte(0x81);
-            self.modrm(3, 7, r);
-            self.imm32(imm);
+            self.alu_r64_imm(7, r, imm);
         }
 
-        /// `sub r64, imm32` (sign-extended).
+        /// `sub r64, imm` (sign-extended).
         fn sub_r64_imm(&mut self, r: u8, imm: i32) {
+            self.alu_r64_imm(5, r, imm);
+        }
+
+        /// 64-bit ALU `op r64, imm` via `83 /ext ib` when `imm` fits a
+        /// byte, `81 /ext id` otherwise: 0 add, 5 sub, 7 cmp.
+        fn alu_r64_imm(&mut self, ext: u8, r: u8, imm: i32) {
             self.rex(true, 0, r);
-            self.byte(0x81);
-            self.modrm(3, 5, r);
-            self.imm32(imm);
+            match i8::try_from(imm) {
+                Ok(b) => {
+                    self.byte(0x83);
+                    self.modrm(3, ext, r);
+                    self.byte(b as u8);
+                }
+                Err(_) => {
+                    self.byte(0x81);
+                    self.modrm(3, ext, r);
+                    self.imm32(imm);
+                }
+            }
         }
 
         /// `cmp r64, [base + disp8]`.
@@ -827,12 +885,9 @@ mod native {
             self.mem_disp8(dst, base, disp);
         }
 
-        /// `add r64, imm32` (sign-extended).
+        /// `add r64, imm` (sign-extended).
         fn add_r64_imm(&mut self, r: u8, imm: i32) {
-            self.rex(true, 0, r);
-            self.byte(0x81);
-            self.modrm(3, 0, r);
-            self.imm32(imm);
+            self.alu_r64_imm(0, r, imm);
         }
 
         /// `add qword [base + disp8], imm` (sign-extended).
@@ -849,12 +904,30 @@ mod native {
             }
         }
 
-        /// `bts [base], r64` — sets bit `r64` of the bit string at
-        /// `base` (the CPU addresses the containing qword itself).
-        fn bts_mem_r64(&mut self, base: u8, bit: u8) {
-            self.rex(true, bit, base);
+        /// `bts r64, r64`: sets bit `bit & 63` of `dst` (the register
+        /// form takes the offset modulo 64, unlike the memory form's
+        /// bit-string addressing).
+        fn bts_rr64(&mut self, dst: u8, bit: u8) {
+            self.rex(true, bit, dst);
             self.bytes(&[0x0f, 0xab]);
-            self.modrm(0, bit, base);
+            self.modrm(3, bit, dst);
+        }
+
+        /// `bt`/`bts qword [base + disp], imm8` via `0F BA /ext ib`:
+        /// 4 bt (CF = the bit), 5 bts (CF = the bit, then set it).
+        fn bit_mem64_imm(&mut self, ext: u8, base: u8, disp: i32, bit: u8) {
+            self.rex(true, 0, base);
+            self.bytes(&[0x0f, 0xba]);
+            self.mem_disp(ext, base, disp);
+            self.byte(bit & 63);
+        }
+
+        /// 64-bit `op qword [base], r64` via the `op r/m64, r64`
+        /// opcodes: 0x85 test, 0x09 or.
+        fn alu_mem64_r64(&mut self, opc: u8, base: u8, src: u8) {
+            self.rex(true, src, base);
+            self.byte(opc);
+            self.mem_base(src, base);
         }
 
         /// Opcode bytes for a RAM-width memory op: `movzx`/`movsx`/
@@ -953,6 +1026,22 @@ mod native {
     }
 
     // ------------------------------------------------------- engine
+
+    /// Arena bytes `compile` reserves for a block besides its
+    /// micro-ops: the entry checks with the event and flight-ring
+    /// writes, and the fall-through, deadline and entry-budget stubs.
+    const BLOCK_RESERVE: usize = 256;
+
+    /// Arena bytes `compile` reserves per micro-op: its template and
+    /// the exit and bail stubs it adds. Masked templates add up to two
+    /// mask reads per operand.
+    fn per_uop(masked: bool) -> usize {
+        if masked {
+            256
+        } else {
+            224
+        }
+    }
 
     /// High-watermark for retention: when a restore finds the arena
     /// cursor past this point, the engine does a full reset instead of
@@ -1237,7 +1326,8 @@ mod native {
             let mut a = Asm::new(0);
             // Trampoline (`extern "C" fn(ctx: *mut JitCtx, entry)`):
             // save callee-saved registers, adopt the fixed role
-            // registers from the context, tail-jump into the block.
+            // registers from the context, zero the run's accumulators,
+            // tail-jump into the block.
             self.trampoline = a.pos();
             for r in [RBX, RBP, R12, R13, R14, R15] {
                 a.push_reg(r);
@@ -1247,12 +1337,20 @@ mod native {
             a.mov_r64_mem(RBP, R15, OFF_MASKS);
             a.mov_r64_mem(R13, R15, OFF_RAM);
             a.mov_r64_mem(R14, R15, OFF_REMAINING);
+            a.mov_r64_mem(R9, R15, OFF_DEADLINE);
+            a.mov_r64_mem(R8, R15, OFF_FLIGHT);
+            for r in [R12, R11, R10] {
+                a.alu_rr32(0x33, r, r); // xor: zero-extends to 64 bits
+            }
             a.jmp_reg(RSI);
             // Shared epilogue: every exit/bail stub jumps here with
-            // exit_pc/bail_uop and the accounting fields already
-            // written. Publish the budget register and return.
+            // exit_pc/bail_uop (and a bail's reason) already written.
+            // Publish the budget and accumulator registers and return.
             self.epilogue = a.pos();
             a.mov_mem_r64(R15, OFF_REMAINING, R14);
+            a.mov_mem_r64(R15, OFF_CYC, R12);
+            a.mov_mem_r64(R15, OFF_BLOCKS, R10);
+            a.mov_mem_r64(R15, OFF_FUSED, R11);
             for r in [R15, R14, R13, R12, RBP, RBX] {
                 a.pop_reg(r);
             }
@@ -1275,10 +1373,13 @@ mod native {
         /// - `entry` must be a cookie returned by [`JitEngine::compile`]
         ///   on this engine after the most recent [`JitEngine::reset`].
         /// - `gprs` must point to the 32-slot GPR file, `ram` to the
-        ///   RAM slice and `dirty` to its page dirty bitmap, all
+        ///   RAM slice and `dirty` to its page dirty bitmap (one bit
+        ///   per 4 KiB page, in 64-bit words covering every page), all
         ///   exclusively borrowed for the duration of the call, with
         ///   `ram`/`dirty` matching the `ram_base`/`ram_len` the
-        ///   blocks were compiled against.
+        ///   blocks were compiled against: native loads and stores
+        ///   index `ram` by offset, and stores read and set the bitmap
+        ///   word of the page they write.
         /// - `masks` must point to `keep[0]` of the same CPU's stuck-at
         ///   mask table (`Cpu::gpr_masks_ptr`), with `one[0..32]` in the
         ///   128 bytes below it, readable and unmodified for the
@@ -1403,9 +1504,9 @@ mod native {
             if worst_cyc > i32::MAX as u64 || total_n > i32::MAX as u64 {
                 return Compiled::Ineligible;
             }
-            // Masked templates add up to two mask reads per operand.
-            let per_uop = if masked { 256 } else { 192 };
-            if !self.ensure_arena() || self.cursor + 256 + uops.len() * per_uop > ARENA_CAP {
+            if !self.ensure_arena()
+                || self.cursor + BLOCK_RESERVE + uops.len() * per_uop(masked) > ARENA_CAP
+            {
                 return Compiled::Ineligible;
             }
             let epilogue = self.epilogue;
@@ -1435,8 +1536,7 @@ mod native {
                 fused: 0,
                 reason: BAIL_BUDGET,
             });
-            a.mov_r64_mem(RAX, R15, OFF_CYC);
-            a.cmp_r64_mem(RAX, R15, OFF_DEADLINE);
+            a.cmp_rr64(R12, R9);
             a.jcc(CC_AE, deadline_lbl);
             // Plugin block event (compiled in only with a plugin
             // attached). A full buffer takes the deadline exit, before
@@ -1454,51 +1554,49 @@ mod native {
                 a.jcc(CC_E, no_event);
                 a.mov_mem32_imm(RSI, EVENT_PC, pc as i32);
                 a.mov_mem_r64(RSI, EVENT_INSTRET, R14);
-                a.mov_r64_mem(RAX, R15, OFF_CYC);
-                a.mov_mem_r64(RSI, EVENT_CYCLES, RAX);
+                a.mov_mem_r64(RSI, EVENT_CYCLES, R12);
                 a.add_mem64_imm(R15, OFF_EVENTS, EVENT_SIZE);
                 a.bind(no_event);
             }
-            // Flight ring append (skipped when no recorder is armed):
-            // slot = buf + pos*32; slot = {instret_bias - budget, pc,
-            // TAG_BLOCK}; pos = (pos+1) % cap; len < cap ? len++ :
+            // Flight ring append (skipped when no recorder is armed, r8
+            // null): slot = buf + pos*32; slot = {instret_bias - budget,
+            // pc, TAG_BLOCK}; pos = (pos+1) % cap; len < cap ? len++ :
             // evicted++; blocks++ — the exact wraparound arithmetic of
             // `FlightRecorder::record_block`.
             let no_flight = a.label();
-            a.mov_r64_mem(RDX, R15, OFF_FLIGHT);
-            a.test_rr64(RDX, RDX);
+            a.test_rr64(R8, R8);
             a.jcc(CC_E, no_flight);
             a.mov_r64_mem(RAX, R15, OFF_INSTRET_BIAS);
             a.sub_rr64(RAX, R14);
-            a.mov_r64_mem(RCX, RDX, RING_POS);
+            a.mov_r64_mem(RCX, R8, RING_POS);
             a.mov_rr64(RSI, RCX);
             a.shl_r64(RSI, RING_SLOT_SHIFT);
-            a.alu_r64_mem(0x03, RSI, RDX, RING_BUF);
+            a.alu_r64_mem(0x03, RSI, R8, RING_BUF);
             a.mov_mem_r64(RSI, 0, RAX); // slot.instret
             a.mov_mem32_imm(RSI, 8, pc as i32); // slot.pc
             a.mov_mem32_imm(RSI, 12, 0); // slot.tag = Block
             a.add_r64_imm(RCX, 1);
-            a.cmp_r64_mem(RCX, RDX, RING_CAP);
+            a.cmp_r64_mem(RCX, R8, RING_CAP);
             let no_wrap = a.label();
             a.jcc(CC_B, no_wrap);
             a.mov_ri32(RCX, 0);
             a.bind(no_wrap);
-            a.mov_mem_r64(RDX, RING_POS, RCX);
-            a.mov_r64_mem(RAX, RDX, RING_LEN);
-            a.cmp_r64_mem(RAX, RDX, RING_CAP);
+            a.mov_mem_r64(R8, RING_POS, RCX);
+            a.mov_r64_mem(RAX, R8, RING_LEN);
+            a.cmp_r64_mem(RAX, R8, RING_CAP);
             let ring_full = a.label();
             let ring_done = a.label();
             a.jcc(CC_AE, ring_full);
-            a.add_mem64_imm(RDX, RING_LEN, 1);
+            a.add_mem64_imm(R8, RING_LEN, 1);
             a.jmp_lbl(ring_done);
             a.bind(ring_full);
-            a.add_mem64_imm(RDX, RING_EVICTED, 1);
+            a.add_mem64_imm(R8, RING_EVICTED, 1);
             a.bind(ring_done);
-            a.add_mem64_imm(RDX, RING_BLOCKS, 1);
+            a.add_mem64_imm(R8, RING_BLOCKS, 1);
             a.bind(no_flight);
             a.cmp_r64_imm(R14, total_n as i32);
             a.jcc(CC_B, bail0);
-            a.add_mem64_imm(R15, OFF_BLOCKS, 1);
+            a.add_r64_imm(R10, 1);
 
             // Body: one template per micro-op, with running
             // path-constant sums (cycles / retired / fused ops) of the
@@ -1676,10 +1774,26 @@ mod native {
                         a.alu_ri32(5, RAX, ram_base as i32);
                         a.alu_ri32(7, RAX, (ram_len - (size as u32 - 1)) as i32);
                         a.jcc(CC_AE, bail);
+                        // Dirty mark, test-then-set like
+                        // `Bus::ram_write_fast`: rsi = the bitmap word
+                        // (offset >> 18, scaled to bytes), rdx = the
+                        // page's bit (a register-form `bts` takes the
+                        // page index modulo 64); an already-dirty page
+                        // is left alone. An aligned access never
+                        // straddles a page, so one bit covers it.
+                        let marked = a.label();
+                        a.mov_rr32(RSI, RAX);
+                        a.shift_ri32(5, RSI, PAGE_SHIFT as u8 + 6);
+                        a.shift_ri32(4, RSI, 3);
+                        a.alu_r64_mem(0x03, RSI, R15, OFF_DIRTY);
                         a.mov_rr32(RCX, RAX);
-                        a.shift_ri32(5, RCX, 12);
-                        a.mov_r64_mem(RDX, R15, OFF_DIRTY);
-                        a.bts_mem_r64(RDX, RCX);
+                        a.shift_ri32(5, RCX, PAGE_SHIFT as u8);
+                        a.alu_rr32(0x33, RDX, RDX);
+                        a.bts_rr64(RDX, RCX);
+                        a.alu_mem64_r64(0x85, RSI, RDX);
+                        a.jcc(CC_NE, marked);
+                        a.alu_mem64_r64(0x09, RSI, RDX);
+                        a.bind(marked);
                         load_gpr(&mut a, masked, RCX, rs2);
                         a.ram_dyn(RCX, size, false, true);
                     }
@@ -1717,9 +1831,16 @@ mod native {
                         if rs1 != 0 {
                             a.mov_mem32_imm(RBX, g(rs1), u.imm2);
                         }
+                        // The page is a compile-time constant: test its
+                        // bit in place and set it only when clear.
+                        let page = off >> PAGE_SHIFT;
+                        let word = (page >> 6) as i32 * 8;
+                        let marked = a.label();
                         a.mov_r64_mem(RDX, R15, OFF_DIRTY);
-                        a.mov_ri32(RAX, (off >> 12) as i32);
-                        a.bts_mem_r64(RDX, RAX);
+                        a.bit_mem64_imm(4, RDX, word, page as u8);
+                        a.jcc(CC_B, marked);
+                        a.bit_mem64_imm(5, RDX, word, page as u8);
+                        a.bind(marked);
                         load_gpr(&mut a, masked, RCX, rs2);
                         a.ram_abs(RCX, size, false, true, off as i32);
                     }
@@ -1836,14 +1957,7 @@ mod native {
                         }
                         // Dynamic-target exit (no chain site): jalr
                         // charges cost only, like the micro-op engine.
-                        let ec = cyc + cost;
-                        if ec != 0 {
-                            a.add_mem64_imm(R15, OFF_CYC, ec as i32);
-                        }
-                        a.sub_r64_imm(R14, (n + un) as i32);
-                        if fused != 0 {
-                            a.add_mem64_imm(R15, OFF_FUSED, fused as i32);
-                        }
+                        account(&mut a, cyc + cost, n + un, fused);
                         a.mov_mem_r32(R15, OFF_EXIT_PC, RAX);
                         a.mov_mem32_imm(R15, OFF_BAIL_UOP, NO_BAIL as i32);
                         a.jmp_abs(epilogue);
@@ -1867,15 +1981,7 @@ mod native {
             // through the epilogue.
             for b in bails {
                 a.bind(b.label);
-                if b.cyc != 0 {
-                    a.add_mem64_imm(R15, OFF_CYC, b.cyc as i32);
-                }
-                if b.n != 0 {
-                    a.sub_r64_imm(R14, b.n as i32);
-                }
-                if b.fused != 0 {
-                    a.add_mem64_imm(R15, OFF_FUSED, b.fused as i32);
-                }
+                account(&mut a, b.cyc, b.n, b.fused);
                 a.mov_mem32_imm(R15, OFF_BAIL_REASON, b.reason as i32);
                 a.mov_mem32_imm(R15, OFF_EXIT_PC, pc as i32);
                 a.mov_mem32_imm(R15, OFF_BAIL_UOP, b.k as i32);
@@ -2057,6 +2163,20 @@ mod native {
         label
     }
 
+    /// Applies a path's accounting constants to the run's register
+    /// accumulators: cycles (r12), budget (r14), fused ops (r11).
+    fn account(a: &mut Asm, cyc: u64, n: u64, fused: u64) {
+        if cyc != 0 {
+            a.add_r64_imm(R12, cyc as i32);
+        }
+        if n != 0 {
+            a.sub_r64_imm(R14, n as i32);
+        }
+        if fused != 0 {
+            a.add_r64_imm(R11, fused as i32);
+        }
+    }
+
     /// A static exit to `target`: apply the path-constant accounting,
     /// then jump through a patchable chain site that initially falls
     /// to an exit stub (set `exit_pc`, leave) and later gets patched
@@ -2070,15 +2190,7 @@ mod native {
         n: u64,
         fused: u64,
     ) {
-        if cyc != 0 {
-            a.add_mem64_imm(R15, OFF_CYC, cyc as i32);
-        }
-        if n != 0 {
-            a.sub_r64_imm(R14, n as i32);
-        }
-        if fused != 0 {
-            a.add_mem64_imm(R15, OFF_FUSED, fused as i32);
-        }
+        account(a, cyc, n, fused);
         let resolve = a.label();
         let site = a.jmp_chain(resolve);
         sites.push((site, target));
@@ -2196,6 +2308,54 @@ mod native {
                     0x41, 0x8b, 0x4c, 0x05, 0x00, // mov ecx, [r13+rax]
                 ]
             );
+            // The dirty-mark forms and the register-resident run state.
+            let mut a = Asm::new(0);
+            a.bts_rr64(RDX, RCX);
+            a.bts_rr64(R10, R9);
+            a.bit_mem64_imm(4, RDX, 8, 5);
+            a.bit_mem64_imm(5, RDX, 0x200, 63);
+            a.alu_mem64_r64(0x85, RSI, RDX);
+            a.alu_mem64_r64(0x09, RSI, RDX);
+            a.cmp_rr64(R12, R9);
+            a.mov_r64_mem(R9, R15, OFF_DEADLINE);
+            a.mov_r64_mem(R8, R15, OFF_FLIGHT);
+            a.alu_rr32(0x33, R12, R12);
+            a.add_r64_imm(R12, 5);
+            a.add_r64_imm(R11, 1000);
+            a.sub_r64_imm(R14, 2);
+            a.add_r64_imm(R10, 1);
+            a.cmp_r64_imm(R14, 300);
+            a.test_rr64(R8, R8);
+            a.mov_mem_r64(RSI, EVENT_CYCLES, R12);
+            a.mov_mem_r64(R15, OFF_CYC, R12);
+            a.mov_r64_mem(RCX, R8, RING_POS);
+            a.add_mem64_imm(R8, RING_LEN, 1);
+            assert_eq!(
+                a.finalize(),
+                vec![
+                    0x48, 0x0f, 0xab, 0xca, // bts rdx, rcx
+                    0x4d, 0x0f, 0xab, 0xca, // bts r10, r9
+                    0x48, 0x0f, 0xba, 0x62, 0x08, 0x05, // bt qword [rdx+8], 5
+                    0x48, 0x0f, 0xba, 0xaa, 0x00, 0x02, 0x00, 0x00,
+                    0x3f, // bts qword [rdx+0x200], 63
+                    0x48, 0x85, 0x16, // test [rsi], rdx
+                    0x48, 0x09, 0x16, // or [rsi], rdx
+                    0x4d, 0x3b, 0xe1, // cmp r12, r9
+                    0x4d, 0x8b, 0x4f, 0x28, // mov r9, [r15+40]
+                    0x4d, 0x8b, 0x47, 0x50, // mov r8, [r15+80]
+                    0x45, 0x33, 0xe4, // xor r12d, r12d
+                    0x49, 0x83, 0xc4, 0x05, // add r12, 5
+                    0x49, 0x81, 0xc3, 0xe8, 0x03, 0x00, 0x00, // add r11, 1000
+                    0x49, 0x83, 0xee, 0x02, // sub r14, 2
+                    0x49, 0x83, 0xc2, 0x01, // add r10, 1
+                    0x49, 0x81, 0xfe, 0x2c, 0x01, 0x00, 0x00, // cmp r14, 300
+                    0x4d, 0x85, 0xc0, // test r8, r8
+                    0x4c, 0x89, 0x66, 0x10, // mov [rsi+16], r12
+                    0x4d, 0x89, 0x67, 0x20, // mov [r15+32], r12
+                    0x49, 0x8b, 0x48, 0x10, // mov rcx, [r8+16]
+                    0x49, 0x83, 0x40, 0x18, 0x01, // add qword [r8+24], 1
+                ]
+            );
         }
 
         #[test]
@@ -2272,24 +2432,32 @@ mod native {
             println!("{n} compiles in {s:.3}s = {:.0} ns/compile", s / n * 1e9);
         }
 
-        #[test]
-        fn trampoline_round_trips_budget() {
-            let mut e = JitEngine::new(false).unwrap();
-            assert!(e.ensure_arena());
-            let mut gprs = [0u32; 32];
-            let mut ram = [0u8; 64];
-            let mut dirty = [0u64; 1];
-            let entry = e.epilogue;
-            // SAFETY: the shared epilogue is a valid (trivial) entry:
-            // it publishes the untouched budget and returns.
-            let x = unsafe {
+        /// Runs `entry` on plain-engine state: no masks, no flight
+        /// ring, no plugin events, no translated code range.
+        fn run_plain(
+            e: &mut JitEngine,
+            entry: usize,
+            gprs: &mut [u32; 32],
+            ram: &mut [u8],
+            dirty: &mut [u64],
+            remaining: u64,
+        ) -> JitExit {
+            assert!(entry == e.epilogue || e.blocks.values().any(|b| b.entry == entry));
+            assert!((dirty.len() * 64) << PAGE_SHIFT >= ram.len());
+            // SAFETY: `entry` is the shared epilogue (a valid, trivial
+            // entry that publishes the untouched budget) or a block
+            // this engine compiled against `ram`'s size (asserted
+            // above, with a bitmap covering every page); the plain
+            // engine reads no mask table, and every buffer is
+            // exclusively borrowed for the call.
+            unsafe {
                 e.run(
                     entry,
                     gprs.as_mut_ptr(),
                     core::ptr::null(),
                     ram.as_mut_ptr(),
                     dirty.as_mut_ptr(),
-                    42,
+                    remaining,
                     1000,
                     0,
                     0,
@@ -2297,11 +2465,233 @@ mod native {
                     0,
                     &mut [],
                 )
-            };
+            }
+        }
+
+        #[test]
+        fn trampoline_round_trips_budget() {
+            let mut e = JitEngine::new(false).unwrap();
+            assert!(e.ensure_arena());
+            let entry = e.epilogue;
+            let x = run_plain(&mut e, entry, &mut [0; 32], &mut [0; 64], &mut [0; 1], 42);
             assert_eq!(x.remaining, 42);
             assert_eq!(x.retired, 0);
             assert_eq!(x.blocks, 0);
+            assert_eq!((x.cycles, x.fused), (0, 0));
             assert_eq!(x.bail_uop, None);
+        }
+
+        /// A micro-op of `op` reading `x31`/`x30` and writing `x29`,
+        /// with costs that need 32-bit immediates in the accounting
+        /// and, outside the masked engine's unfused lowering, fused-op
+        /// accounting at every exit.
+        fn big_uop(op: Op, ram_base: u32, masked: bool) -> MicroOp {
+            use s4e_isa::Gpr;
+            let abs = matches!(
+                op,
+                Op::AbsLb
+                    | Op::AbsLh
+                    | Op::AbsLw
+                    | Op::AbsLbu
+                    | Op::AbsLhu
+                    | Op::AbsSb
+                    | Op::AbsSh
+                    | Op::AbsSw
+            );
+            MicroOp {
+                op,
+                n: if masked { 1 } else { 2 },
+                rd: Gpr::new(29).unwrap(),
+                rs1: Gpr::new(31).unwrap(),
+                rs2: Gpr::new(30).unwrap(),
+                idx: 0,
+                pc: ram_base,
+                next_pc: ram_base + 4,
+                imm: if abs {
+                    (ram_base + 0x4_1000) as i32
+                } else {
+                    0x7ff
+                },
+                imm2: if op == Op::Jalr { 2 } else { 0x123 },
+                cost: 1000,
+                cost2: 1000,
+            }
+        }
+
+        #[test]
+        fn every_template_fits_its_arena_reservation() {
+            let ram_base = 0x8000_0000;
+            let ops = [
+                Op::Nop,
+                Op::LoadConst,
+                Op::Addi,
+                Op::Slti,
+                Op::Sltiu,
+                Op::Xori,
+                Op::Ori,
+                Op::Andi,
+                Op::Slli,
+                Op::Srli,
+                Op::Srai,
+                Op::Add,
+                Op::Sub,
+                Op::Sll,
+                Op::Slt,
+                Op::Sltu,
+                Op::Xor,
+                Op::Srl,
+                Op::Sra,
+                Op::Or,
+                Op::And,
+                Op::Mul,
+                Op::Mulh,
+                Op::Mulhsu,
+                Op::Mulhu,
+                Op::ShiftPair,
+                Op::Lb,
+                Op::Lh,
+                Op::Lw,
+                Op::Lbu,
+                Op::Lhu,
+                Op::Sb,
+                Op::Sh,
+                Op::Sw,
+                Op::AbsLb,
+                Op::AbsLh,
+                Op::AbsLw,
+                Op::AbsLbu,
+                Op::AbsLhu,
+                Op::AbsSb,
+                Op::AbsSh,
+                Op::AbsSw,
+                Op::Beq,
+                Op::Bne,
+                Op::Blt,
+                Op::Bge,
+                Op::Bltu,
+                Op::Bgeu,
+                Op::SltBrz,
+                Op::SltBrnz,
+                Op::SltuBrz,
+                Op::SltuBrnz,
+                Op::SltiBrz,
+                Op::SltiBrnz,
+                Op::SltiuBrz,
+                Op::SltiuBrnz,
+                Op::AddBeq,
+                Op::AddBne,
+                Op::Jal,
+                Op::Jalr,
+            ];
+            for masked in [false, true] {
+                let mut e = JitEngine::new(masked).unwrap();
+                assert!(e.ensure_arena());
+                let mut size = |uops: &[MicroOp]| {
+                    let pc = ram_base + 0x100;
+                    let before = e.cursor;
+                    let compiled = e.compile(pc, uops, pc + 8, ram_base, 1 << 20, 1, true);
+                    assert!(matches!(compiled, Compiled::Entry(_)), "{:?}", uops[0].op);
+                    let bytes = e.cursor - before;
+                    e.reset();
+                    bytes
+                };
+                // A block of `k` copies takes `fixed + k * template`
+                // bytes, within `BLOCK_RESERVE + k * per_uop` for every
+                // `k` exactly when it holds for `k = 1` and the template
+                // fits `per_uop`.
+                for op in ops {
+                    let u = big_uop(op, ram_base, masked);
+                    let one = size(&[u]);
+                    let template = size(&[u, u]) - one;
+                    assert!(
+                        template <= per_uop(masked),
+                        "{op:?}, masked {masked}: {template}-byte template"
+                    );
+                    assert!(
+                        one <= BLOCK_RESERVE + per_uop(masked),
+                        "{op:?}, masked {masked}: {one}-byte block"
+                    );
+                }
+            }
+        }
+
+        #[test]
+        fn native_stores_set_only_clear_dirty_bits() {
+            use crate::uop::MicroOp;
+            use s4e_isa::Gpr;
+            let ram_base = 0x8000_0000u32;
+            let x = |i| Gpr::new(i).unwrap();
+            // sw x2, 4(x1), to page 1; then the fused `auipc x3` + `sw
+            // x2` to page 65, whose bit sits in the second bitmap word.
+            let abs_addr = ram_base + (65 << PAGE_SHIFT) + 8;
+            let uops = [
+                MicroOp {
+                    op: Op::Sw,
+                    n: 1,
+                    rd: x(0),
+                    rs1: x(1),
+                    rs2: x(2),
+                    idx: 0,
+                    pc: ram_base,
+                    next_pc: ram_base + 4,
+                    imm: 4,
+                    imm2: 0,
+                    cost: 1,
+                    cost2: 0,
+                },
+                MicroOp {
+                    op: Op::AbsSw,
+                    n: 2,
+                    rd: x(0),
+                    rs1: x(3),
+                    rs2: x(2),
+                    idx: 1,
+                    pc: ram_base + 4,
+                    next_pc: ram_base + 12,
+                    imm: abs_addr as i32,
+                    imm2: 0x1234,
+                    cost: 1,
+                    cost2: 2,
+                },
+            ];
+            let mut ram = vec![0u8; 128 << PAGE_SHIFT];
+            let mut e = JitEngine::new(false).unwrap();
+            let Compiled::Entry(entry) = e.compile(
+                ram_base,
+                &uops,
+                ram_base + 12,
+                ram_base,
+                ram.len() as u32,
+                0,
+                false,
+            ) else {
+                panic!("block compiles");
+            };
+            let mut gprs = [0u32; 32];
+            gprs[1] = ram_base + (1 << PAGE_SHIFT);
+            gprs[2] = 0xdead_beef;
+            // Clean pages: each store sets exactly its own bit.
+            let mut dirty = [0u64; 2];
+            let x = run_plain(&mut e, entry, &mut gprs, &mut ram, &mut dirty, 100);
+            assert_eq!(x.bail_uop, None);
+            assert_eq!((x.exit_pc, x.retired, x.remaining), (ram_base + 12, 3, 97));
+            assert_eq!((x.cycles, x.blocks, x.fused), (4, 1, 1));
+            assert_eq!(dirty, [1 << 1, 1 << 1]);
+            assert_eq!(gprs[3], 0x1234);
+            let at = |off: u32| u32::from_le_bytes(ram[off as usize..][..4].try_into().unwrap());
+            assert_eq!(at((1 << PAGE_SHIFT) + 4), 0xdead_beef);
+            assert_eq!(at(abs_addr - ram_base), 0xdead_beef);
+            // Already-dirty pages: every bitmap word is left as it was.
+            for words in [
+                [1 << 1, 1 << 1],
+                [!0, !0],
+                [0xf0f0_0000_0000_0002, 1 << 1 | 1 << 63],
+            ] {
+                let mut dirty = words;
+                let x = run_plain(&mut e, entry, &mut gprs, &mut ram, &mut dirty, 100);
+                assert_eq!(x.bail_uop, None);
+                assert_eq!(dirty, words);
+            }
         }
 
         #[test]

@@ -939,7 +939,9 @@ impl Vp {
 
     /// Runs at most `max_insns` instructions. Returns
     /// [`RunOutcome::InsnLimit`] when the budget is exhausted; calling
-    /// `run_for` again resumes execution.
+    /// `run_for` again resumes execution. The budget counts
+    /// instructions begun: one that traps uses a unit like one that
+    /// retires, and so does a fetch or decode fault.
     pub fn run_for(&mut self, max_insns: u64) -> RunOutcome {
         self.run_loop(max_insns, None)
     }
@@ -1029,6 +1031,14 @@ impl Vp {
                 None => match self.fetch_block(self.cpu.pc(), pending_link.take()) {
                     Ok(b) => b,
                     Err(trap) => {
+                        // A fetch or decode fault is an instruction
+                        // begun, charged like one that traps while
+                        // executing: a trap vector holding such a word
+                        // must still end at the budget.
+                        if remaining == 0 {
+                            return RunOutcome::InsnLimit;
+                        }
+                        remaining -= 1;
                         if let Some(fatal) = self.raise(trap) {
                             return fatal;
                         }

@@ -360,3 +360,92 @@ fn interrupt_timing_is_identical_across_tiers() {
         }
     }
 }
+
+/// A trap vector holding an undecodable word: the first fetch fault
+/// traps to `h`, whose `.word 0` (the all-zero compressed encoding is
+/// illegal) faults at fetch again, forever. No instruction ever retires.
+const FETCH_FAULT_LOOP: &str = r#"
+    la t0, h
+    csrw mtvec, t0
+    .word 0xffffffff
+    ebreak
+h:
+    .word 0
+"#;
+
+#[test]
+fn fetch_fault_loop_ends_at_the_budget_on_every_tier() {
+    // Each fetch or decode fault is charged one unit of the budget, like
+    // an instruction that traps while executing: the loop ends at the
+    // limit instead of spinning.
+    let builder = || Vp::builder().isa(IsaConfig::rv32imc());
+    let mut states = Vec::new();
+    for mut vp in [
+        builder().build(),
+        builder().jit(false).build(),
+        builder().block_cache(false).build(),
+    ] {
+        load_src(&mut vp, FETCH_FAULT_LOOP);
+        assert_eq!(vp.run_for(1000), RunOutcome::InsnLimit);
+        // `la` and `csrw` retired; the other 997 units went to faults.
+        assert_eq!(vp.cpu().instret(), 3);
+        // Resuming charges the new budget the same way.
+        assert_eq!(vp.run_for(10), RunOutcome::InsnLimit);
+        assert_eq!(vp.run_for(0), RunOutcome::InsnLimit);
+        states.push(cpu_state(vp.cpu()));
+    }
+    assert!(states.windows(2).all(|w| w[0] == w[1]), "{states:#?}");
+}
+
+/// `jal` and `jalr` to a target that is not 4-aligned (no C extension):
+/// each raises instruction-address-misaligned to a handler that skips
+/// the jump. The VP writes the link register before the trap.
+const MISALIGNED_JUMPS: &str = r#"
+    la t0, skip
+    csrw mtvec, t0
+    la t1, target
+    addi t1, t1, 2
+    li ra, 0
+    li s1, 0
+    li s2, 0
+    jalr ra, 0(t1)
+after_jalr:
+    mv a0, ra
+    jal s1, target + 2
+after_jal:
+    mv a1, s1
+    la a2, after_jalr
+    la a3, after_jal
+    ebreak
+target:
+    nop
+    nop
+skip:
+    addi s2, s2, 1
+    csrr t2, mepc
+    addi t2, t2, 4
+    csrw mepc, t2
+    mret
+"#;
+
+#[test]
+fn misaligned_jump_trap_writes_the_link_register_on_every_tier() {
+    let builder = || Vp::builder().isa(IsaConfig::rv32im());
+    let mut states = Vec::new();
+    for mut vp in [
+        builder().build(),
+        builder().jit_threshold(1).build(),
+        builder().jit(false).build(),
+        builder().block_cache(false).build(),
+    ] {
+        load_src(&mut vp, MISALIGNED_JUMPS);
+        assert_eq!(vp.run_for(10_000), RunOutcome::Break);
+        // Both jumps trapped and were skipped, and each wrote the
+        // address of the instruction after it.
+        assert_eq!(gpr(&vp, 18), 2, "traps taken");
+        assert_eq!(gpr(&vp, 10), gpr(&vp, 12), "jalr wrote ra");
+        assert_eq!(gpr(&vp, 11), gpr(&vp, 13), "jal wrote s1");
+        states.push(cpu_state(vp.cpu()));
+    }
+    assert!(states.windows(2).all(|w| w[0] == w[1]), "{states:#?}");
+}

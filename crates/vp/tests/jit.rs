@@ -5,12 +5,15 @@
 //! exactly the entries whose code pages the restore rewrote), interrupt
 //! delivery while a hot loop runs natively, and an instruction budget
 //! expiring inside a compiled block — plus the masked engine that runs
-//! while stuck-at register masks are armed. Every test is a differential
-//! against the identical program with the JIT pinned off.
+//! while stuck-at register masks are armed, and the run bookkeeping
+//! native code keeps off memory (dirty pages, cycles, fused ops). Every
+//! test is a differential against the identical program with the JIT
+//! pinned off.
 
 use s4e_asm::assemble;
 use s4e_isa::{Gpr, IsaConfig};
-use s4e_vp::{RunOutcome, Vp};
+use s4e_torture::{torture_program, TortureConfig};
+use s4e_vp::{RunOutcome, Vp, VpBuilder};
 
 /// Threshold 1: every block is compiled on its first execution, so the
 /// edge under test is guaranteed to involve native code.
@@ -421,4 +424,154 @@ fn masked_blocks_survive_restore() {
         .plant_gpr_fault(Gpr::new(5).unwrap(), 9, false);
     assert_eq!(oracle.run(), RunOutcome::Break);
     assert_eq!(cpu_state(&oracle), first);
+}
+
+// ------------------------------------------------- run bookkeeping
+//
+// Native stores test-then-set their page's dirty bit, and native code
+// keeps the run's cycle, block and fused-op counts in host registers
+// until it returns. Neither may differ from the micro-op engine.
+
+/// What a run leaves in the VP's bookkeeping: outcome, dirty pages,
+/// cycles and fused ops executed, plus the native block executions
+/// behind them (which must be zero with the JIT off).
+#[derive(Debug, PartialEq, Eq)]
+struct Footprint {
+    outcome: RunOutcome,
+    dirty: Vec<usize>,
+    cycles: u64,
+    fused_exec: u64,
+}
+
+fn footprint(vp: &mut Vp, budget: u64) -> (Footprint, u64) {
+    let outcome = vp.run_for(budget);
+    let stats = vp.take_dispatch_stats();
+    let footprint = Footprint {
+        outcome,
+        dirty: vp.bus().dirty_pages().collect(),
+        cycles: vp.cpu().cycles(),
+        fused_exec: stats.fused_exec,
+    };
+    (footprint, stats.jit_exec)
+}
+
+/// Runs `src` on `builder` with the JIT on and off, unmasked and with a
+/// stuck-at mask on `tp` (which the programs never use) armed: each
+/// from the load, and again from a snapshot taken at the load and
+/// restored after a first run (on the retained native code). Asserts
+/// that both tiers leave the same footprint and that the JIT ran
+/// natively each time.
+fn assert_same_bookkeeping(builder: impl Fn() -> VpBuilder, src: &str, budget: u64) {
+    let img = assemble(src).expect("assembles");
+    for masked in [false, true] {
+        let runs = [true, false].map(|jit| {
+            let boot = || {
+                let mut vp = builder().jit(jit).build();
+                vp.load(img.base(), img.bytes()).expect("loads");
+                vp.cpu_mut().set_pc(img.entry());
+                vp
+            };
+            let arm = |vp: &mut Vp| {
+                if masked {
+                    vp.cpu_mut().plant_gpr_fault(Gpr::TP, 3, true);
+                }
+            };
+            let mut vp = boot();
+            arm(&mut vp);
+            let loaded = footprint(&mut vp, budget);
+            let mut vp = boot();
+            let snapshot = vp.snapshot();
+            arm(&mut vp);
+            let first = footprint(&mut vp, budget);
+            vp.restore(&snapshot);
+            arm(&mut vp);
+            let restored = footprint(&mut vp, budget);
+            [loaded, first, restored]
+        });
+        let [native, interpreted] = runs;
+        for (phase, (native, interpreted)) in ["loaded", "first", "restored"]
+            .iter()
+            .zip(native.into_iter().zip(interpreted))
+        {
+            assert_eq!(native.0, interpreted.0, "{phase}, masked {masked}");
+            assert!(
+                native.1 > 0,
+                "{phase}, masked {masked}: nothing ran natively"
+            );
+            assert_eq!(interpreted.1, 0, "{phase}, masked {masked}");
+        }
+    }
+}
+
+/// Generated programs keep their scratch buffer on their code's page,
+/// which interpreted stores (in blocks with CSR instructions) dirty as
+/// well, so these pin the counts; the far-page program and the `vp-run`
+/// kernels (`s4e-bench`'s `jit_kernels`) have pages that native stores
+/// touch first.
+#[test]
+fn mem_heavy_torture_keeps_the_interpreters_bookkeeping() {
+    let isa = IsaConfig::rv32imc();
+    for seed in 0..24 {
+        let cfg = TortureConfig::new(seed)
+            .insns(120)
+            .isa(isa)
+            .with_loops(true)
+            .mem_heavy(true);
+        let program = torture_program(&cfg);
+        // Threshold 1: the generated loops are too short to get hot at
+        // the default threshold.
+        let builder = || Vp::builder().isa(isa).jit_threshold(1);
+        assert_same_bookkeeping(builder, &program.source, 1_000_000);
+    }
+}
+
+/// `auipc`-fused absolute stores and plain stores to pages 64 and up,
+/// whose dirty bits sit past the bitmap's first word. The fused store
+/// to page 1104 of an 8 MiB RAM tests bitmap word 17, whose byte offset
+/// (136) no longer fits the bit-test operand's byte displacement.
+const FAR_STORES: &str = r#"
+    li s0, 100
+    li a1, 0
+    li s1, 0x80452000
+loop:
+    addi a1, a1, 7
+1:  auipc t0, %hi(0x40000)
+    sw a1, %lo(0x40000)(t0)
+2:  auipc t1, %hi(0x41008)
+    sh a1, %lo(0x41008)(t1)
+3:  auipc t2, %hi(0x7f00c)
+    sb a1, %lo(0x7f00c)(t2)
+4:  auipc t3, %hi(0x450010)
+    sw a1, %lo(0x450010)(t3)
+    sw a1, 0(s1)
+    sw a1, -0x7fc(s1)
+    addi s0, s0, -1
+    bnez s0, loop
+    ebreak
+"#;
+
+#[test]
+fn far_page_stores_keep_the_interpreters_bookkeeping() {
+    let builder = || {
+        Vp::builder()
+            .isa(IsaConfig::rv32imc())
+            .ram(0x8000_0000, 8 << 20)
+    };
+    assert_same_bookkeeping(builder, FAR_STORES, 100_000);
+    // At threshold 1 the loop's first stores, the ones that find their
+    // pages clean, run natively too.
+    assert_same_bookkeeping(|| builder().jit_threshold(1), FAR_STORES, 100_000);
+    // The stores marked their own pages, in bitmap words 1 and 17, and
+    // ran natively through the fused-store template.
+    let img = assemble(FAR_STORES).expect("assembles");
+    let mut vp = builder().build();
+    vp.load(img.base(), img.bytes()).expect("loads");
+    vp.cpu_mut().set_pc(img.entry());
+    // A snapshot clears the dirty pages the load left.
+    vp.snapshot();
+    assert_eq!(vp.run_for(100_000), RunOutcome::Break);
+    let dirty: Vec<usize> = vp.bus().dirty_pages().collect();
+    assert_eq!(dirty, [64, 65, 127, 1104, 1105, 1106]);
+    let stats = vp.dispatch_stats();
+    assert!(stats.fused_exec >= 400 && stats.jit_exec > 50, "{stats:?}");
 }

@@ -1023,8 +1023,7 @@ fn run_command_inner(
                         .arg("--shard-worker")
                         .arg(format!("{}..{}", req.range.start, req.range.end))
                         .arg("--checkpoint")
-                        .arg(&req.checkpoint)
-                        .stdout(std::process::Stdio::null());
+                        .arg(&req.checkpoint);
                     if opts.trace_out.is_some() {
                         // Each worker streams its trace chunk next to its
                         // checkpoint; the supervisor merges the chunks.
