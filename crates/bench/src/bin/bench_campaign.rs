@@ -20,9 +20,7 @@
 //!    macro-op fusion, direct block chaining, RAM fast path; `--no-jit`)
 //!    and the template JIT (hot blocks compiled to host code). Shape
 //!    targets: micro-op engine ≥ 5.6x over the interpreter, JIT ≥ 3x
-//!    over the micro-op engine. A warm-seeded row (fresh VP per run
-//!    adopting exported translations) must report
-//!    `warm_translations > 0`.
+//!    over the micro-op engine.
 //! 3. The interpreter and micro-op engine on a memory-bound kernel
 //!    (unrolled memcpy + checksum). Shape target: every access of the
 //!    micro-op engine takes the RAM fast path (hit rate 1.0, no
@@ -490,59 +488,6 @@ fn main() {
         jit_stats.jit_blocks, jit_stats.jit_exec, jit_stats.jit_bailouts
     );
 
-    // --- warm-seeded dispatch ------------------------------------------
-    // The campaign fast-forward path in miniature: a fresh VP per run
-    // adopts a hot VP's exported translations instead of decoding and
-    // lowering from RAM. The adopt counter must actually move — a silent
-    // hash or config mismatch would turn warm seeding into a no-op while
-    // this row kept reporting plausible numbers.
-    let warm_set = {
-        let mut vp = Vp::builder().isa(isa).jit(false).build();
-        vp.load(branchy.base(), branchy.bytes()).expect("fits RAM");
-        vp.cpu_mut().set_pc(branchy.entry());
-        assert_eq!(vp.run_for(200_000_000), RunOutcome::Break);
-        Arc::new(vp.export_translations())
-    };
-    let warm_dispatch = || {
-        let mut insns = 0u64;
-        let mut adopted = 0u64;
-        let mut runs = 0u32;
-        let t0 = Instant::now();
-        while runs < 20 || t0.elapsed().as_secs_f64() < 0.5 {
-            let mut vp = Vp::builder().isa(isa).jit(false).build();
-            vp.set_warm_translations(Some(Arc::clone(&warm_set)));
-            vp.load(branchy.base(), branchy.bytes()).expect("fits RAM");
-            vp.cpu_mut().set_pc(branchy.entry());
-            assert_eq!(vp.run_for(200_000_000), RunOutcome::Break);
-            assert_eq!(
-                vp.cpu().instret(),
-                run_ref,
-                "warm adoption must not change results"
-            );
-            insns += vp.cpu().instret();
-            adopted += vp.dispatch_stats().warm_translations;
-            runs += 1;
-        }
-        (insns as f64 / t0.elapsed().as_secs_f64() / 1e6, adopted)
-    };
-    let mut mips_warm = 0.0f64;
-    let mut warm_adopted = 0u64;
-    for _ in 0..3 {
-        let (mips, adopted) = warm_dispatch();
-        mips_warm = mips_warm.max(mips);
-        warm_adopted = warm_adopted.max(adopted);
-    }
-    assert!(
-        warm_adopted > 0,
-        "warm seeding must adopt shared translations"
-    );
-    println!();
-    println!("# warm-seeded dispatch (fresh VP per run, shared translations)");
-    println!();
-    println!("| mode | MIPS | adopted translations |");
-    println!("|---|---|---|");
-    println!("| warm-seeded micro-op engine | {mips_warm:.1} | {warm_adopted} |");
-
     // --- memory-bound dispatch -----------------------------------------
     // The RAM fast-path experiment: a load/store-dominated kernel where
     // bus dispatch and exact cycle flushing would be the bottleneck. Every
@@ -673,7 +618,6 @@ fn main() {
          \"jit_mips\": {:.3},\n  \"jit_speedup\": {:.3},\n  \
          \"jit_dispatch_stats\": {},\n  \
          \"jit_classification_identical\": true,\n  \
-         \"warm_dispatch_mips\": {:.3},\n  \"warm_translations\": {},\n  \
          \"trace_off_mips\": {:.3},\n  \"trace_off_overhead\": {:.4},\n  \
          \"flight_recorder_mips\": {:.3},\n  \"flight_recorder_overhead\": {:.4},\n  \
          \"mem_kernel_insns\": {},\n  \"mem_interpreter_mips\": {:.3},\n  \
@@ -719,8 +663,6 @@ fn main() {
         mips_jit,
         jit_speedup,
         stats_json(&jit_stats),
-        mips_warm,
-        warm_adopted,
         mips_off,
         trace_off_overhead,
         mips_fr,

@@ -343,7 +343,7 @@ pub fn state_machine(events: u32) -> Kernel {
 /// workload for the RAM fast path (the other kernels are compute- or
 /// branch-bound). `words` must be a multiple of 4 (the unroll factor).
 /// The data sections follow the code, so the kernel never writes its
-/// own instructions and stays warm-translation friendly.
+/// own instructions and never invalidates its translations.
 pub fn memcpy_checksum(words: u32, passes: u32) -> Kernel {
     assert!(
         words > 0 && words.is_multiple_of(4),

@@ -10,10 +10,7 @@ use crate::trace::{ExecTrace, TracePlugin};
 use core::fmt;
 use s4e_isa::{Gpr, IsaConfig};
 use s4e_obs::Tracer;
-use s4e_vp::{
-    BusFault, CancelToken, FlightRecorder, RunOutcome, SharedTranslations, TimingModel, Vp,
-    VpBuilder,
-};
+use s4e_vp::{BusFault, CancelToken, FlightRecorder, RunOutcome, TimingModel, Vp, VpBuilder};
 use std::collections::BTreeMap;
 use std::error::Error;
 use std::fmt::Write as _;
@@ -24,6 +21,32 @@ use std::time::Duration;
 /// replay of a terminating golden run needs this budget, not the golden
 /// run's retired count, to stop where the golden run stopped.
 pub(crate) const GOLDEN_INSN_LIMIT: u64 = 50_000_000;
+
+/// Runs `vp` until `at` instructions have retired and returns
+/// [`RunOutcome::InsnLimit`] there, or the outcome that stopped it
+/// first. `run` is `run_for` or `run_until`, whose budget counts
+/// instructions begun: a call in which an instruction traps retires
+/// fewer than its budget, so the shortfall runs again. This lands a
+/// transient after exactly `at_insn` retired instructions, the unit
+/// [`FaultKind::Transient`] documents and the pruner stamps, on the
+/// prefix advance and the legacy warm-up alike. It ends because what
+/// it runs is the golden prefix, which terminates.
+pub(crate) fn run_to_retired(
+    vp: &mut Vp,
+    at: u64,
+    mut run: impl FnMut(&mut Vp, u64) -> RunOutcome,
+) -> RunOutcome {
+    loop {
+        let retired = vp.cpu().instret();
+        if retired >= at {
+            return RunOutcome::InsnLimit;
+        }
+        match run(vp, at - retired) {
+            RunOutcome::InsnLimit => {}
+            outcome => return outcome,
+        }
+    }
+}
 
 /// An error preparing or running a campaign.
 #[derive(Debug, Clone, PartialEq)]
@@ -76,14 +99,13 @@ impl From<BusFault> for CampaignError {
 /// Campaign configuration.
 ///
 /// Field lifetimes split two ways. `isa`, `ram_size`, `budget_multiplier`,
-/// `compare_memory`, `share_translations` and `jit` are **per-campaign**:
-/// they are baked into the golden run, the derived instruction budget,
-/// the exported warm translation set and the hoisted VP builder at
-/// [`Campaign::prepare`] time, so changing any of them requires
-/// preparing a new campaign. `threads`, `timeout`, `fast_forward` and
-/// `prune` are **per-sweep execution policy**: they steer how mutants
-/// are scheduled, supervised and accelerated without affecting any
-/// classification.
+/// `compare_memory` and `jit` are **per-campaign**: they are baked into
+/// the golden run, the derived instruction budget and the hoisted VP
+/// builder at [`Campaign::prepare`] time, so changing any of them
+/// requires preparing a new campaign. `threads`, `timeout`,
+/// `fast_forward` and `prune` are **per-sweep execution policy**: they
+/// steer how mutants are scheduled, supervised and accelerated without
+/// affecting any classification.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CampaignConfig {
     /// Target ISA of the simulated core.
@@ -114,14 +136,6 @@ pub struct CampaignConfig {
     /// interrupts fall back to the legacy full re-run automatically — see
     /// [`Campaign::fast_forward_active`].
     pub fast_forward: bool,
-    /// Whether the golden-prefix cache exports the golden VP's
-    /// translated blocks alongside each snapshot so workers restore them
-    /// warm ([`s4e_vp::SharedTranslations`]); on by default and only
-    /// meaningful while [`fast_forward`](Self::fast_forward) is active.
-    /// Classifications are identical either way — a mutated code byte is
-    /// caught by the per-block hash at probe time and re-translated
-    /// locally. This is the A/B switch for measuring translation reuse.
-    pub share_translations: bool,
     /// Whether [`Campaign::run_all`] may prune provably-equivalent
     /// mutants instead of executing them: a def-use sweep over one extra
     /// golden replay classifies mutants whose injected bit is dead
@@ -160,7 +174,6 @@ impl CampaignConfig {
             compare_memory: true,
             timeout: None,
             fast_forward: true,
-            share_translations: true,
             prune: true,
             jit: true,
         }
@@ -209,14 +222,6 @@ impl CampaignConfig {
     #[must_use]
     pub fn fast_forward(mut self, on: bool) -> CampaignConfig {
         self.fast_forward = on;
-        self
-    }
-
-    /// Enables or disables warm-seeding worker VPs with the golden VP's
-    /// translated blocks (classifications are identical either way).
-    #[must_use]
-    pub fn share_translations(mut self, on: bool) -> CampaignConfig {
-        self.share_translations = on;
         self
     }
 
@@ -337,13 +342,6 @@ pub struct Campaign {
     /// build, not a re-derivation of the configuration.
     vp_builder: VpBuilder,
     golden: GoldenRun,
-    /// The prepare-run golden VP's full translation set, exported once
-    /// so fast-forward workers (and the prefix replay VP) start warm on
-    /// every block the golden run ever executed — including the tail
-    /// past the last injection point, which the lazily-advancing replay
-    /// VP never reaches on its own. `None` when translation sharing is
-    /// off.
-    golden_warm: Option<std::sync::Arc<SharedTranslations>>,
     budget: u64,
     /// Whether the golden run stayed interrupt-free (`mie == 0`
     /// throughout), making split prefix replay bit-exact.
@@ -422,9 +420,6 @@ impl Campaign {
             trace,
         };
         let budget = golden.instret * config.budget_multiplier + 1000;
-        let golden_warm = config
-            .share_translations
-            .then(|| std::sync::Arc::new(vp.export_translations()));
         Ok(Campaign {
             base,
             bytes: bytes.to_vec(),
@@ -432,7 +427,6 @@ impl Campaign {
             config: config.clone(),
             vp_builder,
             golden,
-            golden_warm,
             budget,
             prefix_eligible,
             mutant_hook: None,
@@ -484,7 +478,7 @@ impl Campaign {
     }
 
     /// Attaches structured tracing: the supervised runner records a
-    /// per-mutant span (outcome, prefix/restore/warm-translation
+    /// per-mutant span (outcome, prefix, restore and translation
     /// annotations) and golden-prefix advance spans onto the shared
     /// [`Tracer`] timeline, exportable as Chrome `trace_event` JSON.
     pub fn set_tracer(&mut self, tracer: std::sync::Arc<Tracer>) {
@@ -509,9 +503,11 @@ impl Campaign {
     }
 
     /// Whether the supervised runner should keep flight recorders armed
-    /// and worker VPs parked where forensics can reach them.
+    /// and worker VPs parked where forensics can reach them: only
+    /// incident bundles read either, so only a trace directory arms
+    /// them.
     pub(crate) fn forensics_active(&self) -> bool {
-        self.tracer.is_some() || self.trace_dir.is_some()
+        self.trace_dir.is_some()
     }
 
     /// Ensures the worker's reusable VP exists and flies with a cleared
@@ -610,7 +606,7 @@ impl Campaign {
             return None;
         }
         let golden = Self::boot_vp(&self.vp_builder, self.base, &self.bytes, self.entry).ok()?;
-        Some(PrefixCache::new(golden, points, self.golden_warm.clone()))
+        Some(PrefixCache::new(golden, points))
     }
 
     /// Builds the equivalence-pruning plan for a sweep over `specs`, or
@@ -723,7 +719,7 @@ impl Campaign {
             }
             FaultKind::Transient { at_insn } => {
                 let warmup = at_insn.min(self.budget);
-                match run(&mut *vp, warmup) {
+                match run_to_retired(vp, warmup, run) {
                     RunOutcome::InsnLimit => {
                         Self::inject_flip(vp, spec.target);
                         self.budget - warmup
@@ -751,10 +747,6 @@ impl Campaign {
     ) -> FaultOutcome {
         let vp = slot.get_or_insert_with(|| self.vp_builder.clone().build());
         vp.restore(&entry.snapshot);
-        // Seed the golden VP's translations so the suffix starts warm
-        // (a no-op `None` when the campaign disabled sharing; the VP
-        // itself declines a seed whose engine configuration mismatches).
-        vp.set_warm_translations(entry.warm.clone());
         if let Some(outcome) = entry.terminal {
             // The golden run terminated at or before the injection point:
             // the fault never manifested. Classify the restored terminal
@@ -773,7 +765,15 @@ impl Campaign {
             }
             FaultKind::Transient { at_insn } => {
                 let warmup = at_insn.min(self.budget);
-                debug_assert_eq!(warmup, entry.snapshot.instret());
+                // The prefix cache stops at exactly `warmup` retired
+                // instructions, like the legacy warm-up; anywhere else
+                // the flip lands at another time than the pruner and
+                // the legacy path assume.
+                assert_eq!(
+                    warmup,
+                    entry.snapshot.instret(),
+                    "fast-forward snapshot is off its injection point"
+                );
                 Self::inject_flip(vp, spec.target);
                 self.budget - warmup
             }
@@ -792,7 +792,8 @@ impl Campaign {
             FaultTarget::FprBit { reg, bit } => vp.cpu_mut().flip_fpr_bit(reg, bit),
             FaultTarget::MemBit { addr, bit } => {
                 // Injected under the guest-store SMC rule so a data-byte
-                // flip leaves warm (retained native) code untouched.
+                // flip leaves translated and retained native code
+                // untouched.
                 vp.update_ram_byte(addr, |b| b ^ (1 << bit));
             }
         }
@@ -960,5 +961,82 @@ impl CampaignReport {
             );
         }
         out
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::test_programs::{JUMP_TRAP_PROGRAM, TRAP_PROGRAM};
+    use s4e_asm::assemble;
+
+    /// Transients injected after a trap, where a budget of instructions
+    /// begun and a count of retired instructions part: the prefix
+    /// advance, the legacy warm-up and the pruner must all place them
+    /// after `at_insn` retired instructions. A fast-forward snapshot
+    /// anywhere else classifies its mutants `HarnessError`.
+    #[test]
+    fn transients_after_traps_classify_alike_on_every_path() {
+        for (source, isa) in [
+            (TRAP_PROGRAM, IsaConfig::rv32imc()),
+            (JUMP_TRAP_PROGRAM, IsaConfig::rv32im()),
+        ] {
+            let img = assemble(source).expect("assembles");
+            let prepare = |config: CampaignConfig| {
+                Campaign::prepare(img.base(), img.bytes(), img.entry(), &config.isa(isa))
+                    .expect("prepares")
+            };
+            let campaign = prepare(CampaignConfig::new());
+            let n = campaign.golden().instret();
+            // Times by which a run budgeted in instructions begun has
+            // retired fewer than its budget: a trap came first.
+            let times: Vec<u64> = (1..24)
+                .map(|i| i * n / 24)
+                .filter(|&t| {
+                    let mut vp = campaign.loaded_vp();
+                    vp.run_for(t);
+                    vp.cpu().instret() < t
+                })
+                .collect();
+            assert!(times.len() >= 20, "{times:?}");
+            let result = img.symbol("result").expect("a result word");
+            let specs: Vec<FaultSpec> = times
+                .iter()
+                .enumerate()
+                .flat_map(|(i, &at_insn)| {
+                    let kind = FaultKind::Transient { at_insn };
+                    let regs = (1..32u8).step_by(2).map(move |r| FaultSpec {
+                        target: FaultTarget::GprBit {
+                            reg: Gpr::new(r).expect("a GPR"),
+                            bit: (r as usize * 7 + i) as u8 % 32,
+                        },
+                        kind,
+                    });
+                    let mem = FaultSpec {
+                        target: FaultTarget::MemBit {
+                            addr: result,
+                            bit: i as u8 % 8,
+                        },
+                        kind,
+                    };
+                    regs.chain([mem])
+                })
+                .collect();
+            let outcomes = |campaign: &Campaign| -> Vec<FaultOutcome> {
+                let report = campaign.run_all(&specs);
+                report.results().iter().map(|r| r.outcome).collect()
+            };
+            let executed = outcomes(&campaign);
+            assert!(!executed.contains(&FaultOutcome::HarnessError));
+            assert!(executed.contains(&FaultOutcome::SilentCorruption));
+            assert!(executed.contains(&FaultOutcome::Masked));
+            for (name, config) in [
+                ("fast_forward", CampaignConfig::new().fast_forward(false)),
+                ("prune", CampaignConfig::new().prune(false)),
+                ("jit", CampaignConfig::new().jit(false)),
+            ] {
+                assert_eq!(outcomes(&prepare(config)), executed, "{name} off");
+            }
+        }
     }
 }

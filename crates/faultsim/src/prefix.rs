@@ -58,24 +58,12 @@
 //! an advance poisons only the advancer: already-produced slots keep
 //! serving hits, and misses fall back to the legacy full re-run.
 //!
-//! Alongside each snapshot the cache can export the golden VP's
-//! translated blocks as a read-only [`SharedTranslations`] set
-//! (`CampaignConfig::share_translations`, on by default). Workers seed
-//! the set into their VP after restoring, so the post-injection suffix
-//! starts with every golden block already translated and lowered —
-//! per-mutant translation work drops to ~0 on SMC-free campaigns. The
-//! set rides on the [`PrefixEntry`], not inside the [`VpSnapshot`]:
-//! snapshots stay purely architectural, and a worker with a different
-//! engine configuration simply declines the seed. Seeding itself is
-//! contention-free — an `Arc` clone taken on the slot's hit path. Code
-//! mutated by the injected fault is caught by the per-block code-bytes
-//! hash at probe time and re-translated locally.
-//!
 //! [`DispatchStats::lock_waits`]: s4e_vp::DispatchStats::lock_waits
 //! [`lock_wait_us`]: s4e_vp::DispatchStats::lock_wait_us
 
+use crate::campaign::run_to_retired;
 use s4e_obs::TraceRing;
-use s4e_vp::{DispatchStats, RunOutcome, SharedTranslations, Vp, VpSnapshot};
+use s4e_vp::{DispatchStats, RunOutcome, Vp, VpSnapshot};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, RwLock, TryLockError};
@@ -87,11 +75,6 @@ pub(crate) struct PrefixEntry {
     /// Golden state at the injection point (or at golden termination,
     /// whichever came first).
     pub snapshot: Arc<VpSnapshot>,
-    /// The golden VP's translated blocks at snapshot time, exported for
-    /// read-only seeding into the worker VP that restores this entry —
-    /// mutants start warm instead of re-translating identical code.
-    /// `None` when the campaign disabled translation sharing.
-    pub warm: Option<Arc<SharedTranslations>>,
     /// Set when the golden run terminated at or before the requested
     /// point: the consumer must classify `snapshot` with this outcome
     /// instead of resuming it (a terminated VP re-executes its final
@@ -132,24 +115,15 @@ struct Advancer {
     /// Dispatch statistics accumulated by the golden VP across advances
     /// (snapshots taken, dirty pages flushed, jump-cache behaviour).
     stats: DispatchStats,
-    /// The prepare-run golden VP's full translation set, seeded into the
-    /// replay VP and unioned into every re-export: it covers blocks the
-    /// lazily-advancing replay VP never reaches (everything past the
-    /// last injection point). `None` disables translation sharing.
-    base_warm: Option<Arc<SharedTranslations>>,
-    /// The most recent export, reused until the golden VP translates or
-    /// invalidates anything (per its stats delta) — on an SMC-free
-    /// golden run every entry past the first shares one allocation.
-    warm: Option<Arc<SharedTranslations>>,
 }
 
 impl Advancer {
-    /// Runs the golden VP up to `slot`'s point, snapshots, and publishes
-    /// the entry into the slot.
+    /// Runs the golden VP until `slot`'s point has retired, snapshots,
+    /// and publishes the entry into the slot.
     fn produce(&mut self, slot: &Slot) {
         let point = slot.at;
         if self.terminal.is_none() && point > self.position {
-            match self.golden.run_for(point - self.position) {
+            match run_to_retired(&mut self.golden, point, Vp::run_for) {
                 RunOutcome::InsnLimit => self.position = point,
                 outcome => {
                     // Terminated short of the point (or exactly at it —
@@ -160,31 +134,10 @@ impl Advancer {
                 }
             }
         }
-        if self.base_warm.is_some() && self.terminal.is_none() {
-            // A `run_for` segment can stop mid-block; pre-translate the
-            // resume block so the export below covers the exact pc the
-            // workers restore at.
-            self.golden.prefetch_current_block();
-        }
         let snapshot = Arc::new(self.golden.snapshot());
-        // Re-export the translation set only when this advance changed
-        // it (a fresh translation, e.g. at a mid-block stop pc, or an
-        // invalidation); otherwise the previous export is still an
-        // exact image of the golden code. Each export unions the replay
-        // VP's live cache (fresher on collision) with the full-run base
-        // set, so the tail past the replay position stays covered.
-        let delta = self.golden.take_dispatch_stats();
-        if self.warm.is_none() || delta.translations > 0 || delta.invalidations > 0 {
-            self.warm = self.base_warm.as_ref().map(|base| {
-                let mut set = self.golden.export_translations();
-                set.merge_missing(base);
-                Arc::new(set)
-            });
-        }
-        self.stats.merge(&delta);
+        self.stats.merge(&self.golden.take_dispatch_stats());
         *slot.entry.write().expect("no reader panics holding this") = Some(PrefixEntry {
             snapshot,
-            warm: self.warm.clone(),
             terminal: self.terminal,
         });
         slot.ready.store(true, Ordering::Release);
@@ -208,16 +161,8 @@ pub(crate) struct PrefixCache {
 impl PrefixCache {
     /// Plans a cache over `points` (injection instret → consumer count),
     /// using `golden` — freshly loaded, nothing retired — as the replay
-    /// VP. `base_warm` (the prepare-run golden VP's full translation
-    /// export) turns translation sharing on: the replay VP itself is
-    /// seeded with it, and every entry carries a warm set for the
-    /// workers. `None` disables sharing.
-    pub(crate) fn new(
-        mut golden: Vp,
-        points: BTreeMap<u64, usize>,
-        base_warm: Option<Arc<SharedTranslations>>,
-    ) -> PrefixCache {
-        golden.set_warm_translations(base_warm.clone());
+    /// VP.
+    pub(crate) fn new(golden: Vp, points: BTreeMap<u64, usize>) -> PrefixCache {
         PrefixCache {
             slots: points
                 .into_iter()
@@ -234,8 +179,6 @@ impl PrefixCache {
                 terminal: None,
                 next_slot: 0,
                 stats: DispatchStats::default(),
-                base_warm,
-                warm: None,
             }),
             lock_waits: AtomicU64::new(0),
             lock_wait_us: AtomicU64::new(0),

@@ -373,13 +373,6 @@ impl CampaignProgress {
             let pct = fast as f64 * 100.0 / (fast + slow) as f64;
             let _ = write!(line, " memfast={pct:.1}%");
         }
-        if d.warm_translations > 0 {
-            let _ = write!(
-                line,
-                " warm={} translated={}",
-                d.warm_translations, d.translations
-            );
-        }
         // Native-tier health: how much ran at JIT speed, how much was
         // retained across restores, and the per-reason bail split that
         // explains any coverage regression at a glance.

@@ -26,9 +26,9 @@
 //!    "Read" is architectural: GPR/FPR source operands
 //!    ([`Insn::reg_uses`]), load bytes, and the fetch bytes
 //!    `[pc, pc+len)` of every executed instruction (the block cache
-//!    re-reads mutated code — stores invalidate, restores drop, and warm
-//!    translations re-validate a code-bytes hash — so fetch-per-executed
-//!    -instruction is exact, not conservative). Reads win stamp ties:
+//!    re-reads mutated code — stores invalidate, restores drop, and
+//!    retained native blocks re-validate a code-bytes hash — so
+//!    fetch-per-executed-instruction is exact, not conservative). Reads win stamp ties:
 //!    within one instruction, operand reads and the fetch precede any
 //!    write. Stuck-at GPR faults are persistent read-forcing masks and
 //!    are never prunable this way; stuck-at FPR/memory faults are

@@ -475,7 +475,6 @@ impl Campaign {
                     args.push(("pages_restored", stats.pages_restored.to_string()));
                     args.push(("restores", stats.restores.to_string()));
                     args.push(("translations", stats.translations.to_string()));
-                    args.push(("warm_translations", stats.warm_translations.to_string()));
                 }
                 ring.span("mutant", "campaign", start, &args);
             }

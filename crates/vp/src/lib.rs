@@ -50,4 +50,4 @@ pub use snapshot::VpSnapshot;
 pub use stats::{DispatchCounter, DispatchStats};
 pub use timing::TimingModel;
 pub use trap::Trap;
-pub use vp::{RunOutcome, SharedTranslations, Vp, VpBuilder, DEFAULT_INSN_LIMIT};
+pub use vp::{RunOutcome, Vp, VpBuilder, DEFAULT_INSN_LIMIT};

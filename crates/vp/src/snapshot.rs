@@ -15,16 +15,15 @@
 //! concurrently by many worker threads, each onto its own [`Vp`].
 //!
 //! What a snapshot does **not** capture: the translation-block cache and
-//! jump cache (transparent — they are rebuilt on demand, or pre-seeded
-//! out of band via [`SharedTranslations`], which rides alongside a
-//! snapshot rather than inside it so the architectural capture stays
-//! engine-agnostic), plugin state (plugins observe the restored
+//! jump cache (transparent — a restore drops them and they are rebuilt
+//! on demand, while the JIT arena's native code survives it, see
+//! [`Vp::restore`]), plugin state (plugins observe the restored
 //! execution from the restore point onward), and the [`TimingModel`] /
 //! ISA configuration (restore requires an identically-configured VP).
 //!
 //! [`Vp`]: crate::Vp
+//! [`Vp::restore`]: crate::Vp::restore
 //! [`TimingModel`]: crate::TimingModel
-//! [`SharedTranslations`]: crate::SharedTranslations
 
 use crate::bus::{BusEvent, PAGE_SIZE};
 use crate::cpu::Cpu;

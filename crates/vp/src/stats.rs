@@ -79,7 +79,6 @@ dispatch_counters! {
     fused_lowered => "fused_lowered", "Instruction pairs fused into one micro-op at lowering time.";
     fused_exec => "fused_executed", "Fused micro-ops executed (each retires two instructions).";
     translations => "translations", "Blocks decoded from guest memory.";
-    warm_translations => "warm_translations", "Blocks adopted from a warm shared translation set.";
     mem_fast_hits => "mem_fast_hits", "Memory accesses served by the RAM fast path.";
     mem_slow_hits => "mem_slow_hits", "Memory accesses that took the full bus path.";
     invalidations => "invalidations", "Translated-code invalidations (SMC, fence.i, load, bus mutation, restore).";

@@ -75,10 +75,7 @@ impl RunOutcome {
 }
 
 /// The immutable payload of a translated block: decoded instructions,
-/// lowered micro-ops and static successor pcs. Split from [`Block`] so
-/// it can be shared across VPs (and threads) through
-/// [`SharedTranslations`] — everything mutable and VP-local (the raw
-/// chain-link pointers) stays behind in `Block`.
+/// lowered micro-ops and static successor pcs.
 #[derive(Debug)]
 struct BlockBody {
     insns: Vec<(u32, Insn)>,
@@ -92,87 +89,30 @@ struct BlockBody {
     target_pc: Option<u32>,
 }
 
-/// One decoded basic block as owned by a single VP: the (possibly
-/// shared) immutable body plus this VP's private chain links.
+/// One decoded basic block: the immutable body plus its chain links,
+/// JIT state and plugin subscription.
 #[derive(Debug)]
 struct Block {
-    body: Arc<BlockBody>,
+    body: BlockBody,
     /// Direct links to the translated successors at `fall_pc` (slot 0)
     /// and `target_pc` (slot 1), installed lazily by the dispatch loop
-    /// and severed wholesale by [`Vp::invalidate_caches`]. Never shared:
-    /// links point into *this* VP's cache and are rebuilt locally by
-    /// each VP that adopts a shared body.
+    /// and severed wholesale by [`Vp::invalidate_caches`].
     links: [ChainLink; 2],
-    /// This VP's template-JIT promotion state for the block, one per
-    /// engine (plain, masked). Like `links`, strictly VP-private: shared
-    /// bodies carry no JIT state, so a warm-adopted block starts counting
-    /// from zero, and invalidation discards the state together with the
+    /// The block's template-JIT promotion state, one per engine (plain,
+    /// masked). Invalidation discards the state together with the
     /// block.
     jit: JitSlot,
     /// Whether an attached plugin subscribed this block's instruction
     /// and RAM-access events ([`Plugin::wants_insn_events`], asked when
-    /// the block entered this VP). Subscribed blocks run instruction by
+    /// the block was translated). Subscribed blocks run instruction by
     /// instruction; the rest run on the micro-op engine or the template
-    /// JIT and notify no instruction or RAM access. VP-private like the
-    /// links: another VP sharing the body may have other plugins
-    /// attached.
+    /// JIT and notify no instruction or RAM access.
     insn_events: bool,
 }
 
-/// A read-only set of translated (and lowered) blocks exported from one
-/// VP with [`Vp::export_translations`] and seeded into others with
-/// [`Vp::set_warm_translations`], so VPs that execute the same immutable
-/// guest code — fault-campaign mutants restored from a common golden
-/// snapshot — start warm instead of re-translating identical code.
-///
-/// Entries are keyed by start pc and carry an FNV-1a hash of the code
-/// bytes they were decoded from. The hash is re-checked against the
-/// adopting VP's RAM at probe time, so a mutant whose injected fault
-/// flipped a code byte simply misses and translates that block fresh;
-/// nothing is ever adopted blind. Chain links are *not* part of the
-/// shared body — each adopting VP rebuilds its own — and any
-/// SMC/`fence.i`/`load` invalidation drops only the adopting VP's view,
-/// never the shared set.
-#[derive(Debug, Clone, Default)]
-pub struct SharedTranslations {
-    blocks: HashMap<u32, SharedBlock>,
-}
-
-impl SharedTranslations {
-    /// The number of shared blocks.
-    pub fn len(&self) -> usize {
-        self.blocks.len()
-    }
-
-    /// Whether the set contains no blocks.
-    pub fn is_empty(&self) -> bool {
-        self.blocks.is_empty()
-    }
-
-    /// Adds every block of `other` this set does not already cover.
-    /// Used to union a full-run export (which knows the whole program)
-    /// with a replay VP's live cache (which knows only the prefix it
-    /// has reached): `self`'s entries win on collision because they are
-    /// fresher. A possibly-stale adopted entry is harmless — probe-time
-    /// hash validation rejects it and the prober translates fresh.
-    pub fn merge_missing(&mut self, other: &SharedTranslations) {
-        for (&pc, block) in &other.blocks {
-            self.blocks.entry(pc).or_insert_with(|| block.clone());
-        }
-    }
-}
-
-#[derive(Debug, Clone)]
-struct SharedBlock {
-    /// FNV-1a 64 of the code bytes `[pc, pc + len)` at export time.
-    hash: u64,
-    /// Length of the block's code range in bytes.
-    len: u32,
-    body: Arc<BlockBody>,
-}
-
 /// FNV-1a 64-bit over `bytes` — dependency-free and cheap, used to
-/// detect mutated code bytes when probing a warm translation set.
+/// re-validate a retained native block against the code bytes it was
+/// compiled from before re-adopting it after a restore.
 pub(crate) fn fnv1a(bytes: &[u8]) -> u64 {
     let mut hash = 0xcbf2_9ce4_8422_2325u64;
     for &b in bytes {
@@ -376,10 +316,12 @@ impl VpBuilder {
     /// it (default: 8; clamped to at least 1). Compilation is a
     /// copy-and-patch pass over the block's micro-ops into a dual-view
     /// arena — no per-compile syscalls — so compiling a block costs on
-    /// the order of interpreting it a handful of times; a low default
-    /// keeps restore-heavy workloads (which drop all compiled code at
-    /// every restore) from spending their runs warming up. Tests pin
-    /// this to 1 to force immediate promotion.
+    /// the order of interpreting it a handful of times. A restore keeps
+    /// the native code of every block whose code bytes it left
+    /// unchanged (see [`Vp::restore`]), so restore-heavy workloads
+    /// compile again only code that changed; a low default keeps that
+    /// code, and short runs, from spending their time interpreted.
+    /// Tests pin this to 1 to force immediate promotion.
     #[must_use]
     pub fn jit_threshold(mut self, executions: u32) -> VpBuilder {
         self.jit_threshold = executions;
@@ -415,7 +357,6 @@ impl VpBuilder {
             cache_enabled: self.cache_enabled,
             jit,
             jit_threshold: self.jit_threshold.max(1),
-            warm: None,
             block_starts: Vec::new(),
             insn_events: false,
             jmp_cache: vec![None; JMP_CACHE_SLOTS],
@@ -486,13 +427,6 @@ pub struct Vp {
     jit: [Option<Box<JitEngine>>; 2],
     /// Block executions before a hot block is promoted to native code.
     jit_threshold: u32,
-    /// A warm translation set probed on translation-cache misses before
-    /// decoding from guest memory. Survives [`Vp::invalidate_caches`] on
-    /// purpose: entries are hash-validated against current RAM at every
-    /// probe, so stale entries miss instead of mispredicting. Not probed
-    /// while `block_starts` is non-empty: shared bodies were cut without
-    /// the declared starts.
-    warm: Option<Arc<SharedTranslations>>,
     /// Addresses no translated block may run across, sorted and
     /// deduplicated: the union of every attached plugin's
     /// [`Plugin::block_starts`].
@@ -610,8 +544,8 @@ impl Vp {
     /// interrupts are re-sampled, and translated/native code is dropped
     /// only when the byte lies inside the tracked code range — the same
     /// SMC rule guest stores obey. Fault campaigns inject memory mutants
-    /// through this so a data-byte flip leaves warm code, interpreted
-    /// and JIT-compiled alike, untouched. Returns `false` (and changes
+    /// through this so a data-byte flip leaves translated code,
+    /// interpreted and JIT-compiled alike, untouched. Returns `false` (and changes
     /// nothing) when `addr` is outside RAM.
     pub fn update_ram_byte(&mut self, addr: u32, f: impl FnOnce(u8) -> u8) -> bool {
         let Some(byte) = self.bus.ram_byte_mut(addr) else {
@@ -766,64 +700,6 @@ impl Vp {
     /// for periodic draining into a metrics registry.
     pub fn take_dispatch_stats(&mut self) -> DispatchStats {
         std::mem::take(&mut self.stats)
-    }
-
-    // ------------------------------------------- shared translations
-
-    /// Exports this VP's translated blocks as a read-only
-    /// [`SharedTranslations`] set, each entry stamped with a hash of the
-    /// code bytes it was decoded from. Seed the set into other VPs with
-    /// [`set_warm_translations`](Vp::set_warm_translations) so they skip
-    /// re-translating (and re-lowering) identical code. Empty while
-    /// plugin block starts are declared: those blocks are cut where a VP
-    /// without the starts would not cut them, and block boundaries are
-    /// where interrupts are sampled.
-    pub fn export_translations(&self) -> SharedTranslations {
-        if !self.block_starts.is_empty() {
-            return SharedTranslations::default();
-        }
-        let mut blocks = HashMap::with_capacity(self.cache.len());
-        for (&pc, block) in &self.cache {
-            let len = block.body.fall_pc.wrapping_sub(pc);
-            if let Ok(bytes) = self.bus.dump(pc, len as usize) {
-                blocks.insert(
-                    pc,
-                    SharedBlock {
-                        hash: fnv1a(bytes),
-                        len,
-                        body: Arc::clone(&block.body),
-                    },
-                );
-            }
-        }
-        SharedTranslations { blocks }
-    }
-
-    /// Installs (or, with `None`, clears) a warm translation set:
-    /// translation-cache misses probe it before decoding from guest
-    /// memory, adopting the shared body when its code-bytes hash still
-    /// matches this VP's RAM. Purely a translation shortcut — adopted
-    /// blocks execute exactly as if translated locally.
-    ///
-    /// Ignored when this VP runs without a block cache: the interpreter
-    /// oracle decodes every block itself.
-    pub fn set_warm_translations(&mut self, warm: Option<Arc<SharedTranslations>>) {
-        self.warm = warm.filter(|_| self.cache_enabled);
-    }
-
-    /// Translates and caches the block starting at the current pc
-    /// without executing anything — architectural state is untouched.
-    /// The golden-prefix cache calls this right before
-    /// [`export_translations`](Vp::export_translations): a `run_for`
-    /// segment can stop mid-block, and pre-translating the resume block
-    /// puts it in the export, so every worker restoring at that pc
-    /// adopts it warm instead of translating it fresh. A decode trap is
-    /// swallowed here (resuming execution surfaces it architecturally);
-    /// a no-op without a block cache.
-    pub fn prefetch_current_block(&mut self) {
-        if self.cache_enabled {
-            let _ = self.fetch_block_inner(self.cpu.pc());
-        }
     }
 
     // ------------------------------------------------------- snapshot
@@ -1172,18 +1048,18 @@ impl Vp {
             JitState::Ineligible => return None,
             JitState::Compiled(entry) => entry,
             JitState::Counting(seen) => {
-                // SAFETY: the `Arc`'d body is immutable and outlives
-                // this call (see above).
-                let body: &BlockBody = unsafe { &*Arc::as_ptr(&(*block).body) };
+                // SAFETY: the body is immutable and outlives this call
+                // (see above).
+                let body: &BlockBody = unsafe { &(*block).body };
                 let pc = body.insns[0].0;
                 // A restore dropped every `Block` (and with it each
                 // `JitSlot` cookie) but retained the arena: probe for a
                 // surviving native translation before counting from
                 // cold, re-validating its code bytes against current
-                // RAM with the same FNV-1a hash `SharedTranslations`
-                // keys on. A miss means this pc re-used pages whose
-                // contents changed under the survivor — drop it and
-                // fall back to counting.
+                // RAM with the FNV-1a hash it was compiled under. A
+                // miss means this pc re-used pages whose contents
+                // changed under the survivor — drop it and fall back to
+                // counting.
                 let retained = self.jit[engine]
                     .as_ref()
                     .expect("jit_dispatch requires an engine")
@@ -1367,7 +1243,7 @@ impl Vp {
                     },
                 };
                 // SAFETY: cache-owned block, same boundary argument.
-                let body: &BlockBody = unsafe { &*Arc::as_ptr(&(*bail).body) };
+                let body: &BlockBody = unsafe { &(*bail).body };
                 let k = k as usize;
                 if masked {
                     // The masked engine ran the unfused lowering:
@@ -1394,11 +1270,11 @@ impl Vp {
         remaining: &mut u64,
     ) -> BlockExit {
         // SAFETY: see the dispatch-boundary argument in `dispatch_loop`. The
-        // body lives on the heap behind an `Arc`, is immutable after
-        // translation, and is not freed before the next dispatch
+        // body lives inside the block's heap allocation, is immutable
+        // after translation, and is not freed before the next dispatch
         // boundary, so the derived reference stays valid across the
         // `&mut self` calls below (which never write through it).
-        let body: &BlockBody = unsafe { &*Arc::as_ptr(&(*block).body) };
+        let body: &BlockBody = unsafe { &(*block).body };
         for i in start..body.insns.len() {
             if *remaining == 0 {
                 return BlockExit::Outcome(RunOutcome::InsnLimit);
@@ -1455,9 +1331,9 @@ impl Vp {
         remaining: &mut u64,
     ) -> BlockExit {
         // SAFETY: see the dispatch-boundary argument in `dispatch_loop` and
-        // the body-lifetime argument in `exec_block_insns`: the `Arc`'d
-        // body is immutable and outlives this call.
-        let body: &BlockBody = unsafe { &*Arc::as_ptr(&(*block).body) };
+        // the body-lifetime argument in `exec_block_insns`: the body is
+        // immutable and outlives this call.
+        let body: &BlockBody = unsafe { &(*block).body };
         let uops: &[MicroOp] = &body.uops;
         let mut cycles: u64 = 0;
         let mut retired: u64 = 0;
@@ -2043,28 +1919,8 @@ impl Vp {
                 return Ok(ptr);
             }
         }
-        // Translation-cache miss: probe the warm shared set (never set
-        // without a cache) before decoding. The code-bytes hash is
-        // re-checked against *this* VP's RAM, so mutated code misses and
-        // translates fresh. Declared block starts skip the probe: a
-        // shared body may run across one.
-        let warm = self.warm.as_ref().filter(|_| self.block_starts.is_empty());
-        let warm_body = warm.and_then(|warm| {
-            let shared = warm.blocks.get(&pc)?;
-            let bytes = self.bus.dump(pc, shared.len as usize).ok()?;
-            (fnv1a(bytes) == shared.hash).then(|| Arc::clone(&shared.body))
-        });
-        let body = match warm_body {
-            Some(body) => {
-                self.stats.warm_translations += 1;
-                body
-            }
-            None => {
-                let body = Arc::new(self.translate_block(pc)?);
-                self.stats.translations += 1;
-                body
-            }
-        };
+        let body = self.translate_block(pc)?;
+        self.stats.translations += 1;
         let mut insn_events = false;
         if !self.plugins.is_empty() {
             let info = BlockInfo {
@@ -2076,9 +1932,6 @@ impl Vp {
                 insn_events |= p.wants_insn_events(&info);
             }
         }
-        // Links, JIT state and the subscription are VP-local, so an
-        // adopted body starts with fresh ones, rebuilt by this VP's own
-        // dispatch loop.
         let block = Arc::new(Block {
             body,
             links: Default::default(),

@@ -742,54 +742,6 @@ fn device_only_plugin_sees_the_same_accesses_on_every_tier() {
     assert!(jit_stats.jit_bail_mem > 0);
 }
 
-/// Declares block starts and subscribes no block to instruction events.
-#[derive(Debug)]
-struct Splitter(Vec<u32>);
-
-impl Plugin for Splitter {
-    fn block_starts(&self) -> Vec<u32> {
-        self.0.clone()
-    }
-    fn wants_insn_events(&self, _block: &BlockInfo<'_>) -> bool {
-        false
-    }
-}
-
-/// Warm translation sets and declared block starts do not mix: a VP
-/// with starts declared translates every block itself rather than
-/// adopt bodies cut without them, and exports none of its own blocks,
-/// which are cut where other VPs would not cut them.
-#[test]
-fn declared_block_starts_bypass_warm_translations() {
-    let src = "li t0, 5\nloop: addi t0, t0, -1\nnop\nbnez t0, loop\nebreak";
-    let img = assemble(src).unwrap();
-    let boot = || {
-        let mut vp = Vp::builder().isa(IsaConfig::rv32imc()).jit(false).build();
-        vp.load(img.base(), img.bytes()).unwrap();
-        vp.cpu_mut().set_pc(img.entry());
-        vp
-    };
-    let mut donor = boot();
-    assert_eq!(donor.run(), RunOutcome::Break);
-    let warm = std::sync::Arc::new(donor.export_translations());
-    assert!(!warm.is_empty());
-
-    let mut plain = boot();
-    plain.set_warm_translations(Some(warm.clone()));
-    assert_eq!(plain.run(), RunOutcome::Break);
-    assert!(plain.dispatch_stats().warm_translations > 0);
-
-    let mut split = boot();
-    split.add_plugin(Box::new(Splitter(vec![img.symbol("loop").unwrap() + 4])));
-    split.set_warm_translations(Some(warm));
-    assert_eq!(split.run(), RunOutcome::Break);
-    let stats = split.dispatch_stats();
-    assert_eq!(stats.warm_translations, 0);
-    assert!(stats.translations > 0);
-    assert!(split.export_translations().is_empty());
-    assert_eq!(format!("{:?}", split.cpu()), format!("{:?}", donor.cpu()));
-}
-
 #[test]
 fn plugin_observes_traps() {
     let src = "la t0, h\ncsrw mtvec, t0\necall\nebreak\nh: csrr t1, mepc\naddi t1, t1, 4\ncsrw mepc, t1\nmret";

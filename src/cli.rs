@@ -134,8 +134,6 @@ OPTIONS:
                                                  flight-recorder tail, final arch state) on
                                                  timeouts, hangs, harness errors and quarantines
                                                  (campaign)
-    --no-share-translations                      do not warm-seed worker VPs with the golden VP's
-                                                 translated blocks (campaign)
     --no-prune                                   execute every mutant: disable the def-use
                                                  dead-bit analysis and post-injection state
                                                  dedupe that classify provably equivalent
@@ -184,7 +182,6 @@ struct Options {
     progress: bool,
     dot_out: Option<String>,
     top: usize,
-    share_translations: bool,
     prune: bool,
     jit: bool,
 }
@@ -225,7 +222,6 @@ fn parse_options(args: &[String]) -> Result<Options, CliError> {
         progress: false,
         dot_out: None,
         top: 10,
-        share_translations: true,
         prune: true,
         jit: true,
     };
@@ -334,7 +330,6 @@ fn parse_options(args: &[String]) -> Result<Options, CliError> {
             "--metrics-out" => opts.metrics_out = Some(value("--metrics-out")?),
             "--trace-out" => opts.trace_out = Some(value("--trace-out")?),
             "--trace-dir" => opts.trace_dir = Some(value("--trace-dir")?),
-            "--no-share-translations" => opts.share_translations = false,
             "--no-prune" => opts.prune = false,
             "--no-jit" => opts.jit = false,
             "--progress" => opts.progress = true,
@@ -374,9 +369,6 @@ fn worker_flag_args(opts: &Options, source_path: &str) -> Vec<String> {
     if let Some(ms) = opts.timeout_ms {
         args.push("--timeout-ms".to_string());
         args.push(ms.to_string());
-    }
-    if !opts.share_translations {
-        args.push("--no-share-translations".to_string());
     }
     if !opts.prune {
         args.push("--no-prune".to_string());
@@ -893,7 +885,6 @@ fn run_command_inner(
             let mut cfg = CampaignConfig::new()
                 .isa(opts.isa)
                 .threads(opts.threads)
-                .share_translations(opts.share_translations)
                 .prune(opts.prune)
                 .jit(opts.jit);
             if let Some(ms) = opts.timeout_ms {

@@ -518,38 +518,139 @@ fn sharded_campaign_merges_worker_trace_chunks() {
     assert!(events.windows(2).all(|w| w[0].ts_us <= w[1].ts_us));
 }
 
+/// Synchronous traps that do not retire, each skipped by the handler:
+/// misaligned loads, `ecall` and an access to a missing CSR (the
+/// `s4e-faultsim` test program `TRAP_PROGRAM`).
+const TRAP_PROGRAM: &str = r#"
+    la t0, skip
+    csrw mtvec, t0
+    li s0, 200
+    li a0, 0
+    la a1, data
+    li a2, 7
+    loads: lw a2, 1(a1)
+    add a0, a0, a2
+    addi s0, s0, -1
+    bnez s0, loads
+    li s0, 20
+    calls: ecall
+    csrr a3, 0x7c0
+    add a0, a0, a3
+    addi s0, s0, -1
+    bnez s0, calls
+    la t1, result
+    sw a0, 0(t1)
+    ebreak
+    skip: csrr t2, mepc
+    addi t2, t2, 4
+    csrw mepc, t2
+    mret
+    .align 2
+    data: .word 1, 2
+    result: .word 0
+"#;
+
+/// Jumps that trap on a misaligned target, RV32IM without C (the
+/// `s4e-faultsim` test program `JUMP_TRAP_PROGRAM`).
+const JUMP_TRAP_PROGRAM: &str = r#"
+    la t0, skip
+    csrw mtvec, t0
+    li s0, 30
+    li a0, 0
+    la t1, target
+    addi t1, t1, 2
+    jumps: jalr ra, 0(t1)
+    addi a0, a0, 3
+    jal s1, target + 2
+    xor a0, a0, s0
+    addi s0, s0, -1
+    bnez s0, jumps
+    la t3, result
+    sw a0, 0(t3)
+    ebreak
+    target: nop
+    nop
+    skip: csrr t2, mepc
+    addi t2, t2, 4
+    csrw mepc, t2
+    mret
+    result: .word 0
+"#;
+
+/// Timer interrupts into a hot loop and a `wfi`, the last one taken
+/// mid-block by a handler that ends the run (the `s4e-faultsim` test
+/// program `TIMER_PROGRAM`). Its golden run arms interrupts, so its
+/// mutants re-run their whole prefix.
+const TIMER_PROGRAM: &str = r#"
+    .equ MTIMECMP, 0x02004000
+    la t0, handler
+    csrw mtvec, t0
+    li s1, 0
+    li s11, 0
+    li t1, MTIMECMP
+    sw zero, 4(t1)
+    csrr t2, mcycle
+    addi t2, t2, 300
+    sw t2, 0(t1)
+    li t3, 128
+    csrw mie, t3
+    csrsi mstatus, 8
+    li s0, 3000
+    li a0, 0
+    work: addi a0, a0, 3
+    xor a0, a0, s0
+    slli a1, a0, 1
+    add a0, a0, a1
+    addi s0, s0, -1
+    bnez s0, work
+    wfi
+    csrci mstatus, 8
+    li s11, 1
+    li t1, MTIMECMP
+    sw zero, 0(t1)
+    csrsi mstatus, 8
+    addi a0, a0, 1
+    ebreak
+    handler: bnez s11, done
+    addi s1, s1, 1
+    csrr t4, mcycle
+    addi t4, t4, 300
+    li t5, MTIMECMP
+    sw t4, 0(t5)
+    mret
+    done: csrw mie, zero
+    la t6, result
+    sw a0, 0(t6)
+    sw s1, 4(t6)
+    ebreak
+    result: .word 0, 0
+"#;
+
 #[test]
 fn no_prune_flag_is_classification_invisible() {
     // `--no-prune` executes every mutant instead of pruning provably
-    // equivalent ones; the classification summary must not change.
-    let pruned = run_command(
-        "campaign",
-        CAMPAIGN_PROGRAM,
-        &["--mutants", "2", "--isa", "rv32imc", "--threads", "2"],
-    )
-    .expect("campaign");
-    let executed = run_command(
-        "campaign",
-        CAMPAIGN_PROGRAM,
-        &[
-            "--mutants",
-            "2",
-            "--isa",
-            "rv32imc",
-            "--threads",
-            "2",
-            "--no-prune",
-        ],
-    )
-    .expect("campaign");
+    // equivalent ones; the classification summary must not change, on
+    // golden runs that trap and that take interrupts too.
     let summary = |out: &str| {
         out.lines()
             .filter(|l| l.contains('%') || l.starts_with("mutants:"))
             .map(String::from)
             .collect::<Vec<_>>()
     };
-    assert_eq!(summary(&pruned), summary(&executed), "{pruned}\n{executed}");
-    assert!(!summary(&pruned).is_empty(), "{pruned}");
+    for (source, isa) in [
+        (CAMPAIGN_PROGRAM, "rv32imc"),
+        (TRAP_PROGRAM, "rv32imc"),
+        (JUMP_TRAP_PROGRAM, "rv32im"),
+        (TIMER_PROGRAM, "rv32imc"),
+    ] {
+        let args = ["--mutants", "2", "--isa", isa, "--threads", "2"];
+        let pruned = run_command("campaign", source, &args).expect("campaign");
+        let executed = run_command("campaign", source, &[&args[..], &["--no-prune"]].concat())
+            .expect("campaign");
+        assert_eq!(summary(&pruned), summary(&executed), "{pruned}\n{executed}");
+        assert!(!summary(&pruned).is_empty(), "{pruned}");
+        assert!(!pruned.contains("harness error"), "{pruned}");
+    }
 }
 
 #[test]
