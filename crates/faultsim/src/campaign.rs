@@ -10,7 +10,9 @@ use crate::trace::{ExecTrace, TracePlugin};
 use core::fmt;
 use s4e_isa::{Gpr, IsaConfig};
 use s4e_obs::Tracer;
-use s4e_vp::{BusFault, CancelToken, FlightRecorder, RunOutcome, TimingModel, Vp, VpBuilder};
+use s4e_vp::{
+    BusFault, CancelToken, DispatchStats, FlightRecorder, RunOutcome, TimingModel, Vp, VpBuilder,
+};
 use std::collections::BTreeMap;
 use std::error::Error;
 use std::fmt::Write as _;
@@ -150,9 +152,10 @@ pub struct CampaignConfig {
     /// mutant suffixes run *natively* too: the JIT arena survives each
     /// per-mutant snapshot restore (blocks re-validate against the code
     /// bytes they were compiled from), an armed flight recorder is
-    /// written from the native block prologues, and stuck-at mutants
-    /// run on the JIT's masked engine, which reads every register
-    /// operand through the armed stuck-at masks. Blocks that are not
+    /// written from the native block prologues (compiled in only while
+    /// one is armed), and stuck-at mutants run on the JIT's masked
+    /// engine, which reads the registers with armed stuck-at masks
+    /// through them and every other register raw. Blocks that are not
     /// yet hot, or that the JIT cannot compile (CSR, FP and system
     /// instructions, division), still run on the micro-op engine. This
     /// is the `--no-jit` A/B switch over the whole campaign — golden
@@ -658,16 +661,24 @@ impl Campaign {
         spec: &FaultSpec,
         cancel: Option<&CancelToken>,
     ) -> FaultResult {
-        let outcome = self.execute_mutant(spec, cancel);
+        let (outcome, _) = self.execute_mutant(spec, cancel);
         FaultResult {
             spec: *spec,
             outcome,
         }
     }
 
-    fn execute_mutant(&self, spec: &FaultSpec, cancel: Option<&CancelToken>) -> FaultOutcome {
+    /// The legacy full-rerun path: boots a fresh VP, runs the mutant on
+    /// it and returns the outcome with the VP's dispatch statistics,
+    /// which would otherwise be dropped with it.
+    pub(crate) fn execute_mutant(
+        &self,
+        spec: &FaultSpec,
+        cancel: Option<&CancelToken>,
+    ) -> (FaultOutcome, DispatchStats) {
         let mut vp = self.loaded_vp();
-        self.execute_mutant_on(&mut vp, spec, cancel)
+        let outcome = self.execute_mutant_on(&mut vp, spec, cancel);
+        (outcome, vp.take_dispatch_stats())
     }
 
     /// The legacy full-rerun path with forensics attached: same fresh

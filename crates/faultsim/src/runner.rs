@@ -338,6 +338,9 @@ impl Campaign {
                 None => cancel.clone(),
             };
             let mutant_start = ring.as_ref().map(|r| r.now_us());
+            // A legacy rerun runs on a VP of its own and drops it: its
+            // dispatch statistics come back here, not from the slot.
+            let mut rerun_stats = None;
             let execution = catch_unwind(AssertUnwindSafe(|| {
                 if let Some(hook) = self.mutant_hook() {
                     hook(index, spec);
@@ -367,7 +370,11 @@ impl Campaign {
                     None if forensics => {
                         self.execute_mutant_forensic(spec, Some(&mutant_token), &mut slot)
                     }
-                    None => self.run_one_cancellable(spec, Some(&mutant_token)).outcome,
+                    None => {
+                        let (outcome, stats) = self.execute_mutant(spec, Some(&mutant_token));
+                        rerun_stats = Some(stats);
+                        outcome
+                    }
                 };
                 if let (Some(plan), Some(key)) = (plan, dedup_key) {
                     plan.dedup_insert(key, outcome);
@@ -375,7 +382,7 @@ impl Campaign {
                 (outcome, None)
             }));
             let stats = if self.progress().is_some() || ring.is_some() {
-                slot.as_mut().map(|vp| vp.take_dispatch_stats())
+                rerun_stats.or_else(|| slot.as_mut().map(|vp| vp.take_dispatch_stats()))
             } else {
                 None
             };

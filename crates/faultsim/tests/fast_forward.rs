@@ -198,6 +198,50 @@ fn interrupt_armed_golden_falls_back_to_legacy() {
 }
 
 #[test]
+fn rerun_mutants_reach_the_dispatch_counters() {
+    // Mutants on the legacy full-rerun path each run on a fresh VP: an
+    // interrupt-armed golden run forces it, and so does a sweep with
+    // fast-forward off. Their execution must still reach the campaign's
+    // dispatch counters.
+    let interrupt_armed = r#"
+        li t0, 0x80
+        csrw mie, t0
+        li t1, 40
+        li a0, 0
+        loop: add a0, a0, t1
+        addi t1, t1, -1
+        bnez t1, loop
+        ebreak
+    "#;
+    for (src, cfg) in [
+        (interrupt_armed, CampaignConfig::new().threads(2)),
+        (
+            WORK_PROGRAM,
+            CampaignConfig::new().threads(2).fast_forward(false),
+        ),
+    ] {
+        let mut c = campaign(src, &cfg);
+        assert!(!c.fast_forward_active());
+        let progress = Arc::new(CampaignProgress::new());
+        c.set_progress(Arc::clone(&progress));
+        let specs: Vec<FaultSpec> = (0..24u64)
+            .map(|t| FaultSpec {
+                target: FaultTarget::GprBit {
+                    reg: Gpr::new(6).unwrap(),
+                    bit: (t % 4) as u8,
+                },
+                kind: FaultKind::Transient { at_insn: t * 3 },
+            })
+            .collect();
+        c.run_all(&specs);
+        let snap = progress.snapshot();
+        for name in ["campaign_retired", "campaign_translations"] {
+            assert!(snap.counter(name).unwrap_or(0) > 0, "{name} reads 0");
+        }
+    }
+}
+
+#[test]
 fn interrupt_free_golden_reports_unarmed_trace() {
     let c = campaign(WORK_PROGRAM, &CampaignConfig::new());
     assert!(!c.golden().trace().interrupts_armed);

@@ -141,10 +141,22 @@ impl Cpu {
     /// hard-wired `x0`). The plain engine reads the file raw, so the
     /// dispatcher runs it only while
     /// [`faults_enabled`](Cpu::faults_enabled) is false; with masks
-    /// armed it runs the masked engine, which filters every read
-    /// through [`gpr_masks_ptr`](Cpu::gpr_masks_ptr).
+    /// armed it runs the masked engine, which filters reads of the
+    /// [`armed_gprs`](Cpu::armed_gprs) through
+    /// [`gpr_masks_ptr`](Cpu::gpr_masks_ptr) and reads the rest raw.
     pub(crate) fn gprs_ptr(&mut self) -> *mut u32 {
         self.gprs.as_mut_ptr()
+    }
+
+    /// The registers with a non-trivial stuck-at mask, bit `r` for
+    /// `x<r>`: those with `one[r] != 0` or `keep[r] != !0`. A read of
+    /// any other register passes its raw value through the masks
+    /// unchanged, so the masked template JIT reads only these through
+    /// the table.
+    pub(crate) fn armed_gprs(&self) -> u32 {
+        (0..32)
+            .filter(|&r| self.masks.one[r] != 0 || self.masks.keep[r] != u32::MAX)
+            .fold(0, |set, r| set | 1 << r)
     }
 
     /// Raw pointer to `keep[0]` of the stuck-at mask table, for the

@@ -55,6 +55,14 @@
 //!   evicts: a full buffer leaves through the deadline exit before any
 //!   write, and the dispatcher drains it into the plugins whenever
 //!   native code returns. Plugin-free code never contains the write.
+//! - **Flight ring**: code compiled while a flight recorder is armed
+//!   appends one `Block` event per block entry to the recorder's ring,
+//!   unconditionally, after the deadline check and the event write and
+//!   before the budget check. Recorder-free blocks contain neither the
+//!   write nor any reference to the ring register (r8). At run entry
+//!   the VP resets both engines when either holds blocks compiled for
+//!   the other recorder state (`JitEngine::ring`), so the two kinds of
+//!   code never meet in one arena.
 //!
 //! ## Arena lifecycle
 //!
@@ -84,18 +92,24 @@
 //!
 //! ## Masked engine
 //!
-//! A `Vp` owns up to two engines. The plain engine reads the GPR file
-//! raw and runs only while no stuck-at register mask is armed; the
-//! masked engine (`JitEngine::new(true)`) runs while masks are armed.
-//! It compiles the unfused lowering — one micro-op per instruction, so
-//! micro-op `k` is instruction `k` and no fused pair computes through
-//! an unmasked intermediate register — and every template reads each
-//! GPR operand as `(raw | one[r]) & keep[r]`, exactly like
-//! `Cpu::gpr`, from the CPU's mask table, whose `keep` base the
-//! trampoline pins in `rbp` (`one` sits 128 bytes below it). Register
-//! writes, path accounting, the flight-ring prologue, chaining,
-//! restore retention and every bail contract are the plain engine's;
-//! the plain engine's block code is unaffected by the flag.
+//! A `Vp` owns up to two engines, each compiled for a set of armed
+//! registers (`JitEngine::new(armed)`, one bit per GPR). The plain
+//! engine's set is empty: it reads the GPR file raw and runs only while
+//! no stuck-at register mask is armed. The masked engine runs while
+//! masks are armed, and its set is the registers whose masks are
+//! non-trivial (`Cpu::armed_gprs`). It compiles the unfused lowering —
+//! one micro-op per instruction, so micro-op `k` is instruction `k` and
+//! no fused pair computes through an unmasked intermediate register —
+//! and its templates read an armed register `r` as
+//! `(raw | one[r]) & keep[r]`, exactly like `Cpu::gpr`, from the CPU's
+//! mask table, whose `keep` base the trampoline pins in `rbp` (`one`
+//! sits 128 bytes below it). Every other register has `one[r] == 0` and
+//! `keep[r] == !0`, so its raw read is exact. The VP re-arms the engine
+//! (dropping its code) at run entry whenever the CPU's set differs from
+//! the engine's; masks change only between runs. Register writes, path
+//! accounting, the prologue, chaining, restore retention and every bail
+//! contract are the plain engine's, and the plain engine's block code
+//! is that of an engine with no register armed.
 
 #[cfg(target_arch = "x86_64")]
 pub(crate) use native::JitEngine;
@@ -174,7 +188,17 @@ mod stub {
     pub(crate) struct JitEngine {}
 
     impl JitEngine {
-        pub(crate) fn new(_masked: bool) -> Option<JitEngine> {
+        pub(crate) fn new(_armed: u32) -> Option<JitEngine> {
+            None
+        }
+
+        pub(crate) fn armed(&self) -> u32 {
+            0
+        }
+
+        pub(crate) fn rearm(&mut self, _armed: u32) {}
+
+        pub(crate) fn ring(&self) -> Option<bool> {
             None
         }
 
@@ -209,6 +233,7 @@ mod stub {
             _ram_len: u32,
             _hash: u64,
             _events: bool,
+            _flight: bool,
         ) -> Compiled {
             Compiled::Ineligible
         }
@@ -468,8 +493,9 @@ mod native {
         code_lo: u32,    // 64 (in: translated guest code range)
         code_hi: u32,    // 68
         fused: u64,      // 72 (out: fused macro-ops executed)
-        /// Armed flight-recorder ring header, or null. Non-null makes
-        /// every block entry append a `Block` event natively.
+        /// Armed flight-recorder ring header, or null: non-null exactly
+        /// when the engine's code was compiled with ring writes, which
+        /// append a `Block` event at every block entry.
         flight: *mut FlightRing, // 80 (in)
         /// `instret at native entry + remaining at native entry`: the
         /// ring write stamps each block with `instret_bias - r14`,
@@ -478,7 +504,8 @@ mod native {
         /// One of the `BAIL_*` codes (out; meaningful on bail exits).
         bail_reason: u32, // 96
         /// `keep[0]` of the stuck-at mask table (`Cpu::gpr_masks_ptr`),
-        /// pinned in rbp; only the masked engine's templates read it.
+        /// pinned in rbp; only the masked engine's templates read it,
+        /// for its armed registers.
         masks: *const u32, // 104 (in)
         /// The next free slot of the plugin event buffer (in/out): code
         /// compiled with events writes a [`BlockEntry`] there and
@@ -537,9 +564,10 @@ mod native {
     // r13 = RAM base, r14 = remaining instruction budget, r12 = cycles
     // consumed, r11 = fused ops executed, r10 = native block
     // executions, r9 = cycle deadline, r8 = flight ring header (or
-    // null). rax/rcx/rdx are scratch, and so is rsi in the block body
-    // (plugin event slot, flight slot, dirty bitmap word). Native code
-    // makes no calls, so the caller-saved r8–r11 need no saving.
+    // null; only code compiled with ring writes reads it). rax/rcx/rdx
+    // are scratch, and so is rsi in the block body (plugin event slot,
+    // flight slot, dirty bitmap word). Native code makes no calls, so
+    // the caller-saved r8–r11 need no saving.
     const RAX: u8 = 0;
     const RCX: u8 = 1;
     const RDX: u8 = 2;
@@ -583,6 +611,9 @@ mod native {
         code: Vec<u8>,
         labels: Vec<Option<usize>>,
         fixups: Vec<(usize, FixTarget)>,
+        /// The host registers r8–r15 the code names, bit `r - 8`: each
+        /// needs a REX bit, so [`rex`](Asm::rex) sees every one.
+        high: u8,
     }
 
     impl Asm {
@@ -592,7 +623,14 @@ mod native {
                 code: Vec::with_capacity(512),
                 labels: Vec::new(),
                 fixups: Vec::new(),
+                high: 0,
             }
+        }
+
+        /// Whether the code so far names host register `r` (r8–r15).
+        fn names(&self, r: u8) -> bool {
+            debug_assert!(r >= R8);
+            self.high >> (r - R8) & 1 != 0
         }
 
         /// Arena-absolute position of the next emitted byte.
@@ -625,6 +663,7 @@ mod native {
         /// Optional REX prefix: `w` selects 64-bit operand size,
         /// `reg`/`rm` contribute their high bits to REX.R/REX.B.
         fn rex(&mut self, w: bool, reg: u8, rm: u8) {
+            self.high |= ((1u16 << reg | 1u16 << rm) >> 8) as u8;
             let b = 0x40 | u8::from(w) << 3 | (reg >> 3) << 2 | (rm >> 3);
             if b != 0x40 {
                 self.byte(b);
@@ -1033,10 +1072,10 @@ mod native {
     const BLOCK_RESERVE: usize = 256;
 
     /// Arena bytes `compile` reserves per micro-op: its template and
-    /// the exit and bail stubs it adds. Masked templates add up to two
-    /// mask reads per operand.
-    fn per_uop(masked: bool) -> usize {
-        if masked {
+    /// the exit and bail stubs it adds. With registers armed, templates
+    /// add up to two mask reads per operand.
+    fn per_uop(armed: u32) -> usize {
+        if armed != 0 {
             256
         } else {
             224
@@ -1087,9 +1126,13 @@ mod native {
         /// site to rel32 = 0, i.e. its local fall-through exit stub,
         /// and re-queues it on `pending` for a future recompile.
         applied: HashMap<u32, Vec<usize>>,
-        /// Whether templates read GPR operands through the stuck-at
-        /// mask table (the masked engine) or raw (the plain engine).
-        masked: bool,
+        /// The armed registers, one bit per GPR: templates read these
+        /// operands through the stuck-at mask table and every other
+        /// register raw. Empty for the plain engine.
+        armed: u32,
+        /// Whether the blocks the engine holds write the flight ring:
+        /// the `flight` choice of every compile since the last reset.
+        ring: bool,
         ctx: JitCtx,
     }
 
@@ -1119,9 +1162,10 @@ mod native {
     unsafe impl Send for JitEngine {}
 
     impl JitEngine {
-        /// A fresh engine; `masked` selects the masked engine (see the
-        /// module docs). The arena is mapped on the first compile.
-        pub(crate) fn new(masked: bool) -> Option<JitEngine> {
+        /// A fresh engine for the `armed` registers: empty for the
+        /// plain engine, non-empty for the masked engine (see the module
+        /// docs). The arena is mapped on the first compile.
+        pub(crate) fn new(armed: u32) -> Option<JitEngine> {
             Some(JitEngine {
                 arena: None,
                 dead: false,
@@ -1132,7 +1176,8 @@ mod native {
                 blocks: HashMap::new(),
                 pending: HashMap::new(),
                 applied: HashMap::new(),
-                masked,
+                armed,
+                ring: false,
                 ctx: JitCtx {
                     gprs: core::ptr::null_mut(),
                     ram: core::ptr::null_mut(),
@@ -1166,6 +1211,26 @@ mod native {
             self.pending.clear();
             self.applied.clear();
             self.cursor = self.code_start;
+        }
+
+        /// The registers this engine's templates read through the mask
+        /// table.
+        pub(crate) fn armed(&self) -> u32 {
+            self.armed
+        }
+
+        /// Resets the engine and compiles from now on for the `armed`
+        /// registers, keeping the arena. Like [`reset`](JitEngine::reset),
+        /// the caller drops every entry cookie with it.
+        pub(crate) fn rearm(&mut self, armed: u32) {
+            self.reset();
+            self.armed = armed;
+        }
+
+        /// Whether the engine's blocks write the flight ring, or `None`
+        /// while it holds no block.
+        pub(crate) fn ring(&self) -> Option<bool> {
+            (!self.blocks.is_empty()).then_some(self.ring)
         }
 
         /// Retention across a snapshot restore: keeps every compiled
@@ -1370,30 +1435,42 @@ mod native {
         ///
         /// # Safety
         ///
-        /// - `entry` must be a cookie returned by [`JitEngine::compile`]
-        ///   on this engine after the most recent [`JitEngine::reset`].
+        /// - `entry` must be the cookie of a block this engine still
+        ///   holds: returned by [`JitEngine::compile`] since the most
+        ///   recent [`reset`](JitEngine::reset) or
+        ///   [`rearm`](JitEngine::rearm), and not dropped since by
+        ///   restore retention, [`invalidate_span`](JitEngine::invalidate_span)
+        ///   or [`drop_retained`](JitEngine::drop_retained). Chain sites
+        ///   only ever lead to such blocks.
         /// - `gprs` must point to the 32-slot GPR file, `ram` to the
         ///   RAM slice and `dirty` to its page dirty bitmap (one bit
         ///   per 4 KiB page, in 64-bit words covering every page), all
         ///   exclusively borrowed for the duration of the call, with
         ///   `ram`/`dirty` matching the `ram_base`/`ram_len` the
         ///   blocks were compiled against: native loads and stores
-        ///   index `ram` by offset, and stores read and set the bitmap
-        ///   word of the page they write.
+        ///   index `ram` by offset, stores read and set the bitmap word
+        ///   of the page they write, and register writes go to
+        ///   `gprs[1..32]`.
         /// - `masks` must point to `keep[0]` of the same CPU's stuck-at
         ///   mask table (`Cpu::gpr_masks_ptr`), with `one[0..32]` in the
         ///   128 bytes below it, readable and unmodified for the
-        ///   duration of the call. Only the masked engine reads it.
-        /// - `code_lo..code_hi` must cover every guest address whose
-        ///   translation is live (same contract as the interpreter's
-        ///   SMC filter).
-        /// - For the plain engine, no register fault armed: its
-        ///   templates read the GPR file raw.
+        ///   duration of the call. Only templates of armed registers
+        ///   read it.
+        /// - Every register with a non-trivial mask (`one[r] != 0` or
+        ///   `keep[r] != !0`, see `Cpu::armed_gprs`) is in the engine's
+        ///   [`armed`](JitEngine::armed) set: templates read every other
+        ///   register raw. The plain engine's set is empty, so it runs
+        ///   only while no register fault is armed.
+        /// - `code_lo..code_hi` must cover the guest code bytes of every
+        ///   block this engine holds (same contract as the interpreter's
+        ///   SMC filter): a store there bails instead of writing.
         /// - No block reachable from `entry` is subscribed to plugin
         ///   instruction events: native code reports no instruction or
         ///   RAM-access event.
-        /// - `flight` is either null or an exclusively borrowed
-        ///   [`FlightRing`] whose buffer stays valid for the call.
+        /// - `flight` is non-null exactly when the engine's code was
+        ///   compiled with ring writes, and then points to an
+        ///   exclusively borrowed [`FlightRing`] whose buffer stays
+        ///   valid for the call; recorder-free code never reads it.
         /// - `events` is the plugin event buffer, non-empty whenever
         ///   blocks compiled with events can run (an empty buffer is
         ///   always full, so they would only ever take the deadline
@@ -1416,6 +1493,10 @@ mod native {
             events: &mut [BlockEntry],
         ) -> JitExit {
             let arena = self.arena.as_ref().expect("JIT run without an arena");
+            debug_assert!(
+                self.blocks.is_empty() || self.ring != flight.is_null(),
+                "flight ring pointer does not match the compiled code"
+            );
             let events = events.as_mut_ptr_range();
             self.ctx = JitCtx {
                 gprs,
@@ -1471,8 +1552,9 @@ mod native {
         /// is not statically a valid RAM fast-path access, path sums
         /// overflow an `imm32`, or the arena is full/unavailable.
         /// `events` emits the plugin block-event write into the entry
-        /// prologue (see the module docs); without it the block's code
-        /// is exactly that of a VP with no plugin attached.
+        /// prologue and `flight` the flight-ring write (see the module
+        /// docs); without them the block's code is exactly that of a VP
+        /// with no plugin attached and no recorder armed.
         #[allow(clippy::too_many_arguments)]
         pub(crate) fn compile(
             &mut self,
@@ -1483,15 +1565,19 @@ mod native {
             ram_len: u32,
             hash: u64,
             events: bool,
+            flight: bool,
         ) -> Compiled {
             if self.dead || uops.is_empty() {
                 return Compiled::Ineligible;
             }
             debug_assert!(
-                !self.masked || uops.iter().all(|u| u.n == 1),
+                self.armed == 0 || uops.iter().all(|u| u.n == 1),
                 "the masked engine compiles the unfused lowering"
             );
-            let masked = self.masked;
+            debug_assert!(
+                self.blocks.is_empty() || self.ring == flight,
+                "one arena would mix code with and without ring writes"
+            );
             let mut worst_cyc: u64 = 0;
             let mut total_n: u64 = 0;
             for u in uops {
@@ -1505,12 +1591,70 @@ mod native {
                 return Compiled::Ineligible;
             }
             if !self.ensure_arena()
-                || self.cursor + BLOCK_RESERVE + uops.len() * per_uop(masked) > ARENA_CAP
+                || self.cursor + BLOCK_RESERVE + uops.len() * per_uop(self.armed) > ARENA_CAP
             {
                 return Compiled::Ineligible;
             }
-            let epilogue = self.epilogue;
             let entry = self.cursor;
+            let (a, sites) =
+                self.assemble(entry, pc, uops, fall_pc, ram_base, ram_len, events, flight);
+            debug_assert!(flight || !a.names(R8), "recorder-free code names r8");
+            let code = a.finalize();
+            self.ring = flight;
+            let arena = self.arena.as_mut().expect("arena ensured above");
+            arena.set_exec(false);
+            arena.write(entry, &code);
+            self.cursor = entry + code.len();
+            self.blocks.insert(
+                pc,
+                NativeBlock {
+                    entry,
+                    hash,
+                    len: fall_pc.wrapping_sub(pc),
+                },
+            );
+            // Chain: point this block's static exits at already
+            // compiled successors (including itself), queue the rest,
+            // and resolve any sites that were waiting for this pc.
+            // Every applied site is remembered per target so dropping a
+            // retained block after a restore can sever it again.
+            for (site, target) in sites {
+                if let Some(b) = self.blocks.get(&target) {
+                    arena.patch32(site, (b.entry as i64 - (site as i64 + 4)) as i32);
+                    self.applied.entry(target).or_default().push(site);
+                } else {
+                    self.pending.entry(target).or_default().push(site);
+                }
+            }
+            if let Some(waiters) = self.pending.remove(&pc) {
+                for site in waiters {
+                    arena.patch32(site, (entry as i64 - (site as i64 + 4)) as i32);
+                    self.applied.entry(pc).or_default().push(site);
+                }
+            }
+            arena.set_exec(true);
+            Compiled::Entry(entry)
+        }
+
+        /// Assembles a block for arena offset `entry`, with the
+        /// arguments and eligibility of [`compile`](JitEngine::compile),
+        /// and returns the code with its chain sites as (arena offset of
+        /// the rel32 field, target pc).
+        #[allow(clippy::too_many_arguments)]
+        fn assemble(
+            &self,
+            entry: usize,
+            pc: u32,
+            uops: &[MicroOp],
+            fall_pc: u32,
+            ram_base: u32,
+            ram_len: u32,
+            events: bool,
+            flight: bool,
+        ) -> (Asm, Vec<(usize, u32)>) {
+            let epilogue = self.epilogue;
+            let armed = self.armed;
+            let total_n: u64 = uops.iter().map(|u| u64::from(u.n)).sum();
             let mut a = Asm::new(entry);
             let mut sites: Vec<(usize, u32)> = Vec::new();
             let mut takens: Vec<TakenStub> = Vec::new();
@@ -1558,42 +1702,41 @@ mod native {
                 a.add_mem64_imm(R15, OFF_EVENTS, EVENT_SIZE);
                 a.bind(no_event);
             }
-            // Flight ring append (skipped when no recorder is armed, r8
-            // null): slot = buf + pos*32; slot = {instret_bias - budget,
-            // pc, TAG_BLOCK}; pos = (pos+1) % cap; len < cap ? len++ :
-            // evicted++; blocks++ — the exact wraparound arithmetic of
+            // Flight ring append (compiled in only while a recorder is
+            // armed, so r8 is the ring header): slot = buf + pos*32;
+            // slot = {instret_bias - budget, pc, TAG_BLOCK};
+            // pos = (pos+1) % cap; len < cap ? len++ : evicted++;
+            // blocks++ — the exact wraparound arithmetic of
             // `FlightRecorder::record_block`.
-            let no_flight = a.label();
-            a.test_rr64(R8, R8);
-            a.jcc(CC_E, no_flight);
-            a.mov_r64_mem(RAX, R15, OFF_INSTRET_BIAS);
-            a.sub_rr64(RAX, R14);
-            a.mov_r64_mem(RCX, R8, RING_POS);
-            a.mov_rr64(RSI, RCX);
-            a.shl_r64(RSI, RING_SLOT_SHIFT);
-            a.alu_r64_mem(0x03, RSI, R8, RING_BUF);
-            a.mov_mem_r64(RSI, 0, RAX); // slot.instret
-            a.mov_mem32_imm(RSI, 8, pc as i32); // slot.pc
-            a.mov_mem32_imm(RSI, 12, 0); // slot.tag = Block
-            a.add_r64_imm(RCX, 1);
-            a.cmp_r64_mem(RCX, R8, RING_CAP);
-            let no_wrap = a.label();
-            a.jcc(CC_B, no_wrap);
-            a.mov_ri32(RCX, 0);
-            a.bind(no_wrap);
-            a.mov_mem_r64(R8, RING_POS, RCX);
-            a.mov_r64_mem(RAX, R8, RING_LEN);
-            a.cmp_r64_mem(RAX, R8, RING_CAP);
-            let ring_full = a.label();
-            let ring_done = a.label();
-            a.jcc(CC_AE, ring_full);
-            a.add_mem64_imm(R8, RING_LEN, 1);
-            a.jmp_lbl(ring_done);
-            a.bind(ring_full);
-            a.add_mem64_imm(R8, RING_EVICTED, 1);
-            a.bind(ring_done);
-            a.add_mem64_imm(R8, RING_BLOCKS, 1);
-            a.bind(no_flight);
+            if flight {
+                a.mov_r64_mem(RAX, R15, OFF_INSTRET_BIAS);
+                a.sub_rr64(RAX, R14);
+                a.mov_r64_mem(RCX, R8, RING_POS);
+                a.mov_rr64(RSI, RCX);
+                a.shl_r64(RSI, RING_SLOT_SHIFT);
+                a.alu_r64_mem(0x03, RSI, R8, RING_BUF);
+                a.mov_mem_r64(RSI, 0, RAX); // slot.instret
+                a.mov_mem32_imm(RSI, 8, pc as i32); // slot.pc
+                a.mov_mem32_imm(RSI, 12, 0); // slot.tag = Block
+                a.add_r64_imm(RCX, 1);
+                a.cmp_r64_mem(RCX, R8, RING_CAP);
+                let no_wrap = a.label();
+                a.jcc(CC_B, no_wrap);
+                a.mov_ri32(RCX, 0);
+                a.bind(no_wrap);
+                a.mov_mem_r64(R8, RING_POS, RCX);
+                a.mov_r64_mem(RAX, R8, RING_LEN);
+                a.cmp_r64_mem(RAX, R8, RING_CAP);
+                let ring_full = a.label();
+                let ring_done = a.label();
+                a.jcc(CC_AE, ring_full);
+                a.add_mem64_imm(R8, RING_LEN, 1);
+                a.jmp_lbl(ring_done);
+                a.bind(ring_full);
+                a.add_mem64_imm(R8, RING_EVICTED, 1);
+                a.bind(ring_done);
+                a.add_mem64_imm(R8, RING_BLOCKS, 1);
+            }
             a.cmp_r64_imm(R14, total_n as i32);
             a.jcc(CC_B, bail0);
             a.add_r64_imm(R10, 1);
@@ -1632,7 +1775,7 @@ mod native {
                                 Op::Andi => 4,
                                 _ => 6,
                             };
-                            load_gpr(&mut a, masked, RAX, rs1);
+                            load_gpr(&mut a, armed, RAX, rs1);
                             if !(u.op == Op::Addi && u.imm == 0) {
                                 a.alu_ri32(ext, RAX, u.imm);
                             }
@@ -1641,7 +1784,7 @@ mod native {
                     }
                     Op::Slti | Op::Sltiu => {
                         if rd != 0 {
-                            load_gpr(&mut a, masked, RAX, rs1);
+                            load_gpr(&mut a, armed, RAX, rs1);
                             a.alu_ri32(7, RAX, u.imm);
                             a.setcc_zx32(if u.op == Op::Slti { CC_L } else { CC_B }, RAX);
                             a.mov_mem_r32(RBX, g(rd), RAX);
@@ -1654,7 +1797,7 @@ mod native {
                                 Op::Srli => 5,
                                 _ => 7,
                             };
-                            load_gpr(&mut a, masked, RAX, rs1);
+                            load_gpr(&mut a, armed, RAX, rs1);
                             a.shift_ri32(ext, RAX, (u.imm as u32 & 31) as u8);
                             a.mov_mem_r32(RBX, g(rd), RAX);
                         }
@@ -1668,15 +1811,15 @@ mod native {
                                 Op::Or => 0x0b,
                                 _ => 0x23,
                             };
-                            load_gpr(&mut a, masked, RAX, rs1);
-                            alu_gpr(&mut a, masked, opc, RAX, rs2);
+                            load_gpr(&mut a, armed, RAX, rs1);
+                            alu_gpr(&mut a, armed, opc, RAX, rs2);
                             a.mov_mem_r32(RBX, g(rd), RAX);
                         }
                     }
                     Op::Slt | Op::Sltu => {
                         if rd != 0 {
-                            load_gpr(&mut a, masked, RAX, rs1);
-                            alu_gpr(&mut a, masked, 0x3b, RAX, rs2);
+                            load_gpr(&mut a, armed, RAX, rs1);
+                            alu_gpr(&mut a, armed, 0x3b, RAX, rs2);
                             a.setcc_zx32(if u.op == Op::Slt { CC_L } else { CC_B }, RAX);
                             a.mov_mem_r32(RBX, g(rd), RAX);
                         }
@@ -1688,16 +1831,16 @@ mod native {
                                 Op::Srl => 5,
                                 _ => 7,
                             };
-                            load_gpr(&mut a, masked, RAX, rs1);
-                            load_gpr(&mut a, masked, RCX, rs2);
+                            load_gpr(&mut a, armed, RAX, rs1);
+                            load_gpr(&mut a, armed, RCX, rs2);
                             a.shift_cl32(ext, RAX);
                             a.mov_mem_r32(RBX, g(rd), RAX);
                         }
                     }
                     Op::Mul => {
                         if rd != 0 {
-                            load_gpr(&mut a, masked, RAX, rs1);
-                            load_gpr(&mut a, masked, RCX, rs2);
+                            load_gpr(&mut a, armed, RAX, rs1);
+                            load_gpr(&mut a, armed, RCX, rs2);
                             a.imul_rr32(RAX, RCX);
                             a.mov_mem_r32(RBX, g(rd), RAX);
                         }
@@ -1705,14 +1848,14 @@ mod native {
                     Op::Mulh | Op::Mulhsu | Op::Mulhu => {
                         if rd != 0 {
                             if u.op == Op::Mulhu {
-                                load_gpr(&mut a, masked, RAX, rs1);
+                                load_gpr(&mut a, armed, RAX, rs1);
                             } else {
-                                load_gpr_sx(&mut a, masked, RAX, rs1);
+                                load_gpr_sx(&mut a, armed, RAX, rs1);
                             }
                             if u.op == Op::Mulh {
-                                load_gpr_sx(&mut a, masked, RCX, rs2);
+                                load_gpr_sx(&mut a, armed, RCX, rs2);
                             } else {
-                                load_gpr(&mut a, masked, RCX, rs2);
+                                load_gpr(&mut a, armed, RCX, rs2);
                             }
                             a.imul_rr64(RAX, RCX);
                             a.shr_r64(RAX, 32);
@@ -1721,7 +1864,7 @@ mod native {
                     }
                     Op::ShiftPair => {
                         if rd != 0 {
-                            load_gpr(&mut a, masked, RAX, rs1);
+                            load_gpr(&mut a, armed, RAX, rs1);
                             a.shift_ri32(4, RAX, (u.imm as u32 & 31) as u8);
                             a.shift_ri32(5, RAX, (u.imm2 as u32 & 31) as u8);
                             a.mov_mem_r32(RBX, g(rd), RAX);
@@ -1729,7 +1872,7 @@ mod native {
                     }
                     Op::Lb | Op::Lh | Op::Lw | Op::Lbu | Op::Lhu => {
                         let (size, signed) = load_kind(u.op);
-                        load_gpr(&mut a, masked, RAX, rs1);
+                        load_gpr(&mut a, armed, RAX, rs1);
                         if u.imm != 0 {
                             a.alu_ri32(0, RAX, u.imm);
                         }
@@ -1748,7 +1891,7 @@ mod native {
                     }
                     Op::Sb | Op::Sh | Op::Sw => {
                         let size = store_size(u.op);
-                        load_gpr(&mut a, masked, RAX, rs1);
+                        load_gpr(&mut a, armed, RAX, rs1);
                         if u.imm != 0 {
                             a.alu_ri32(0, RAX, u.imm);
                         }
@@ -1794,7 +1937,7 @@ mod native {
                         a.jcc(CC_NE, marked);
                         a.alu_mem64_r64(0x09, RSI, RDX);
                         a.bind(marked);
-                        load_gpr(&mut a, masked, RCX, rs2);
+                        load_gpr(&mut a, armed, RCX, rs2);
                         a.ram_dyn(RCX, size, false, true);
                     }
                     Op::AbsLb | Op::AbsLh | Op::AbsLw | Op::AbsLbu | Op::AbsLhu => {
@@ -1841,7 +1984,7 @@ mod native {
                         a.jcc(CC_B, marked);
                         a.bit_mem64_imm(5, RDX, word, page as u8);
                         a.bind(marked);
-                        load_gpr(&mut a, masked, RCX, rs2);
+                        load_gpr(&mut a, armed, RCX, rs2);
                         a.ram_abs(RCX, size, false, true, off as i32);
                     }
                     Op::Beq | Op::Bne | Op::Blt | Op::Bge | Op::Bltu | Op::Bgeu => {
@@ -1853,8 +1996,8 @@ mod native {
                             Op::Bltu => CC_B,
                             _ => CC_AE,
                         };
-                        load_gpr(&mut a, masked, RAX, rs1);
-                        alu_gpr(&mut a, masked, 0x3b, RAX, rs2);
+                        load_gpr(&mut a, armed, RAX, rs1);
+                        alu_gpr(&mut a, armed, 0x3b, RAX, rs2);
                         let t = taken_label(
                             &mut a,
                             &mut takens,
@@ -1883,11 +2026,11 @@ mod native {
                             Op::SltiuBrz => (CC_B, true, false),
                             _ => (CC_B, true, true),
                         };
-                        load_gpr(&mut a, masked, RAX, rs1);
+                        load_gpr(&mut a, armed, RAX, rs1);
                         if imm_form {
                             a.alu_ri32(7, RAX, u.imm2);
                         } else {
-                            alu_gpr(&mut a, masked, 0x3b, RAX, rs2);
+                            alu_gpr(&mut a, armed, 0x3b, RAX, rs2);
                         }
                         a.setcc_zx32(cc, RAX);
                         if rd != 0 {
@@ -1905,14 +2048,14 @@ mod native {
                         a.jcc(if take_if_set { CC_NE } else { CC_E }, t);
                     }
                     Op::AddBeq | Op::AddBne => {
-                        load_gpr(&mut a, masked, RAX, rs1);
+                        load_gpr(&mut a, armed, RAX, rs1);
                         if u.imm2 != 0 {
                             a.alu_ri32(0, RAX, u.imm2);
                         }
                         if rd != 0 {
                             a.mov_mem_r32(RBX, g(rd), RAX);
                         }
-                        alu_gpr(&mut a, masked, 0x3b, RAX, rs2);
+                        alu_gpr(&mut a, armed, 0x3b, RAX, rs2);
                         let t = taken_label(
                             &mut a,
                             &mut takens,
@@ -1938,7 +2081,7 @@ mod native {
                         );
                     }
                     Op::Jalr => {
-                        load_gpr(&mut a, masked, RAX, rs1);
+                        load_gpr(&mut a, armed, RAX, rs1);
                         if u.imm != 0 {
                             a.alu_ri32(0, RAX, u.imm);
                         }
@@ -1993,41 +2136,7 @@ mod native {
             a.mov_mem32_imm(R15, OFF_EXIT_PC, pc as i32);
             a.mov_mem32_imm(R15, OFF_BAIL_UOP, NO_BAIL as i32);
             a.jmp_abs(epilogue);
-
-            let code = a.finalize();
-            let arena = self.arena.as_mut().expect("arena ensured above");
-            arena.set_exec(false);
-            arena.write(entry, &code);
-            self.cursor = entry + code.len();
-            self.blocks.insert(
-                pc,
-                NativeBlock {
-                    entry,
-                    hash,
-                    len: fall_pc.wrapping_sub(pc),
-                },
-            );
-            // Chain: point this block's static exits at already
-            // compiled successors (including itself), queue the rest,
-            // and resolve any sites that were waiting for this pc.
-            // Every applied site is remembered per target so dropping a
-            // retained block after a restore can sever it again.
-            for (site, target) in sites {
-                if let Some(b) = self.blocks.get(&target) {
-                    arena.patch32(site, (b.entry as i64 - (site as i64 + 4)) as i32);
-                    self.applied.entry(target).or_default().push(site);
-                } else {
-                    self.pending.entry(target).or_default().push(site);
-                }
-            }
-            if let Some(waiters) = self.pending.remove(&pc) {
-                for site in waiters {
-                    arena.patch32(site, (entry as i64 - (site as i64 + 4)) as i32);
-                    self.applied.entry(pc).or_default().push(site);
-                }
-            }
-            arena.set_exec(true);
-            Compiled::Entry(entry)
+            (a, sites)
         }
     }
 
@@ -2069,21 +2178,26 @@ mod native {
         (i16::from(g(r)) - 128) as i8
     }
 
+    /// Whether `r` is in the `armed` register set.
+    fn is_armed(armed: u32, r: u8) -> bool {
+        armed >> r & 1 != 0
+    }
+
     /// Loads guest register `r` into `dst` the way the hart reads it:
-    /// raw in the plain engine, `(raw | one[r]) & keep[r]` in the masked
-    /// engine (`Cpu::gpr`).
-    fn load_gpr(a: &mut Asm, masked: bool, dst: u8, r: u8) {
+    /// `(raw | one[r]) & keep[r]` when `r` is armed (`Cpu::gpr`), raw
+    /// otherwise.
+    fn load_gpr(a: &mut Asm, armed: u32, dst: u8, r: u8) {
         a.mov_r32_mem(dst, RBX, g(r));
-        if masked {
+        if is_armed(armed, r) {
             a.alu_r32_mem(0x0b, dst, RBP, one_disp(r));
             a.alu_r32_mem(0x23, dst, RBP, g(r));
         }
     }
 
     /// [`load_gpr`] sign-extended to 64 bits.
-    fn load_gpr_sx(a: &mut Asm, masked: bool, dst: u8, r: u8) {
-        if masked {
-            load_gpr(a, true, dst, r);
+    fn load_gpr_sx(a: &mut Asm, armed: u32, dst: u8, r: u8) {
+        if is_armed(armed, r) {
+            load_gpr(a, armed, dst, r);
             a.movsxd_rr(dst, dst);
         } else {
             a.movsxd_mem(dst, RBX, g(r));
@@ -2091,13 +2205,13 @@ mod native {
     }
 
     /// 32-bit ALU `op dst, <guest register r>` (opcodes as for
-    /// [`Asm::alu_r32_mem`]): a GPR-file memory operand in the plain
-    /// engine; the masked engine first loads `r` through the masks into
-    /// rcx, so `dst` must not be rcx.
-    fn alu_gpr(a: &mut Asm, masked: bool, opc: u8, dst: u8, r: u8) {
-        if masked {
+    /// [`Asm::alu_r32_mem`]): a GPR-file memory operand, or, when `r`
+    /// is armed, `r` loaded through the masks into rcx first, so `dst`
+    /// must not be rcx.
+    fn alu_gpr(a: &mut Asm, armed: u32, opc: u8, dst: u8, r: u8) {
+        if is_armed(armed, r) {
             debug_assert_ne!(dst, RCX);
-            load_gpr(a, true, RCX, r);
+            load_gpr(a, armed, RCX, r);
             a.alu_rr32(opc, dst, RCX);
         } else {
             a.alu_r32_mem(opc, dst, RBX, g(r));
@@ -2360,10 +2474,11 @@ mod native {
 
         #[test]
         fn masked_operand_reads_encode() {
+            let armed = 1 << 10 | 1 << 31 | 1;
             let mut a = Asm::new(0);
-            load_gpr(&mut a, true, RAX, 10);
-            alu_gpr(&mut a, true, 0x3b, RAX, 31);
-            load_gpr_sx(&mut a, true, RCX, 0);
+            load_gpr(&mut a, armed, RAX, 10);
+            alu_gpr(&mut a, armed, 0x3b, RAX, 31);
+            load_gpr_sx(&mut a, armed, RCX, 0);
             assert_eq!(
                 a.finalize(),
                 vec![
@@ -2380,11 +2495,22 @@ mod native {
                     0x48, 0x63, 0xc9, // movsxd rcx, ecx
                 ]
             );
-            // The plain engine reads the register file directly.
-            let mut a = Asm::new(0);
-            load_gpr(&mut a, false, RAX, 10);
-            alu_gpr(&mut a, false, 0x3b, RAX, 31);
-            assert_eq!(a.finalize(), vec![0x8b, 0x43, 0x28, 0x3b, 0x43, 0x7c]);
+            // Unarmed registers read the register file directly, in the
+            // plain engine and beside armed registers alike.
+            for armed in [0, 1 << 11 | 1 << 30] {
+                let mut a = Asm::new(0);
+                load_gpr(&mut a, armed, RAX, 10);
+                alu_gpr(&mut a, armed, 0x3b, RAX, 31);
+                load_gpr_sx(&mut a, armed, RCX, 0);
+                assert_eq!(
+                    a.finalize(),
+                    vec![
+                        0x8b, 0x43, 0x28, // mov eax, [rbx+40]
+                        0x3b, 0x43, 0x7c, // cmp eax, [rbx+124]
+                        0x48, 0x63, 0x4b, 0x00, // movsxd rcx, [rbx+0]
+                    ]
+                );
+            }
         }
 
         #[test]
@@ -2392,7 +2518,7 @@ mod native {
         fn compile_throughput_probe() {
             use crate::uop::MicroOp;
             use s4e_isa::Gpr;
-            let mut e = JitEngine::new(false).unwrap();
+            let mut e = JitEngine::new(0).unwrap();
             let x1 = Gpr::new(1).unwrap();
             let uop = |op: Op| {
                 let mut u = MicroOp {
@@ -2420,7 +2546,7 @@ mod native {
             for r in 0..rounds {
                 for b in 0..15u32 {
                     let pc = 0x8000_0000 + b * 0x40;
-                    match e.compile(pc, &uops, pc + 0x10, 0x8000_0000, 0x100000, 1, false) {
+                    match e.compile(pc, &uops, pc + 0x10, 0x8000_0000, 0x100000, 1, false, false) {
                         Compiled::Entry(_) => {}
                         Compiled::Ineligible => panic!("round {r}: ineligible"),
                     }
@@ -2470,7 +2596,7 @@ mod native {
 
         #[test]
         fn trampoline_round_trips_budget() {
-            let mut e = JitEngine::new(false).unwrap();
+            let mut e = JitEngine::new(0).unwrap();
             assert!(e.ensure_arena());
             let entry = e.epilogue;
             let x = run_plain(&mut e, entry, &mut [0; 32], &mut [0; 64], &mut [0; 1], 42);
@@ -2518,78 +2644,83 @@ mod native {
             }
         }
 
+        /// Every op with a template.
+        const TEMPLATE_OPS: [Op; 60] = [
+            Op::Nop,
+            Op::LoadConst,
+            Op::Addi,
+            Op::Slti,
+            Op::Sltiu,
+            Op::Xori,
+            Op::Ori,
+            Op::Andi,
+            Op::Slli,
+            Op::Srli,
+            Op::Srai,
+            Op::Add,
+            Op::Sub,
+            Op::Sll,
+            Op::Slt,
+            Op::Sltu,
+            Op::Xor,
+            Op::Srl,
+            Op::Sra,
+            Op::Or,
+            Op::And,
+            Op::Mul,
+            Op::Mulh,
+            Op::Mulhsu,
+            Op::Mulhu,
+            Op::ShiftPair,
+            Op::Lb,
+            Op::Lh,
+            Op::Lw,
+            Op::Lbu,
+            Op::Lhu,
+            Op::Sb,
+            Op::Sh,
+            Op::Sw,
+            Op::AbsLb,
+            Op::AbsLh,
+            Op::AbsLw,
+            Op::AbsLbu,
+            Op::AbsLhu,
+            Op::AbsSb,
+            Op::AbsSh,
+            Op::AbsSw,
+            Op::Beq,
+            Op::Bne,
+            Op::Blt,
+            Op::Bge,
+            Op::Bltu,
+            Op::Bgeu,
+            Op::SltBrz,
+            Op::SltBrnz,
+            Op::SltuBrz,
+            Op::SltuBrnz,
+            Op::SltiBrz,
+            Op::SltiBrnz,
+            Op::SltiuBrz,
+            Op::SltiuBrnz,
+            Op::AddBeq,
+            Op::AddBne,
+            Op::Jal,
+            Op::Jalr,
+        ];
+
         #[test]
         fn every_template_fits_its_arena_reservation() {
             let ram_base = 0x8000_0000;
-            let ops = [
-                Op::Nop,
-                Op::LoadConst,
-                Op::Addi,
-                Op::Slti,
-                Op::Sltiu,
-                Op::Xori,
-                Op::Ori,
-                Op::Andi,
-                Op::Slli,
-                Op::Srli,
-                Op::Srai,
-                Op::Add,
-                Op::Sub,
-                Op::Sll,
-                Op::Slt,
-                Op::Sltu,
-                Op::Xor,
-                Op::Srl,
-                Op::Sra,
-                Op::Or,
-                Op::And,
-                Op::Mul,
-                Op::Mulh,
-                Op::Mulhsu,
-                Op::Mulhu,
-                Op::ShiftPair,
-                Op::Lb,
-                Op::Lh,
-                Op::Lw,
-                Op::Lbu,
-                Op::Lhu,
-                Op::Sb,
-                Op::Sh,
-                Op::Sw,
-                Op::AbsLb,
-                Op::AbsLh,
-                Op::AbsLw,
-                Op::AbsLbu,
-                Op::AbsLhu,
-                Op::AbsSb,
-                Op::AbsSh,
-                Op::AbsSw,
-                Op::Beq,
-                Op::Bne,
-                Op::Blt,
-                Op::Bge,
-                Op::Bltu,
-                Op::Bgeu,
-                Op::SltBrz,
-                Op::SltBrnz,
-                Op::SltuBrz,
-                Op::SltuBrnz,
-                Op::SltiBrz,
-                Op::SltiBrnz,
-                Op::SltiuBrz,
-                Op::SltiuBrnz,
-                Op::AddBeq,
-                Op::AddBne,
-                Op::Jal,
-                Op::Jalr,
-            ];
-            for masked in [false, true] {
-                let mut e = JitEngine::new(masked).unwrap();
+            // The worst case: every write in the prologue, and in the
+            // masked engine every register read through the masks.
+            for armed in [0, !0] {
+                let masked = armed != 0;
+                let mut e = JitEngine::new(armed).unwrap();
                 assert!(e.ensure_arena());
                 let mut size = |uops: &[MicroOp]| {
                     let pc = ram_base + 0x100;
                     let before = e.cursor;
-                    let compiled = e.compile(pc, uops, pc + 8, ram_base, 1 << 20, 1, true);
+                    let compiled = e.compile(pc, uops, pc + 8, ram_base, 1 << 20, 1, true, true);
                     assert!(matches!(compiled, Compiled::Entry(_)), "{:?}", uops[0].op);
                     let bytes = e.cursor - before;
                     e.reset();
@@ -2599,18 +2730,49 @@ mod native {
                 // bytes, within `BLOCK_RESERVE + k * per_uop` for every
                 // `k` exactly when it holds for `k = 1` and the template
                 // fits `per_uop`.
-                for op in ops {
+                for op in TEMPLATE_OPS {
                     let u = big_uop(op, ram_base, masked);
                     let one = size(&[u]);
                     let template = size(&[u, u]) - one;
                     assert!(
-                        template <= per_uop(masked),
+                        template <= per_uop(armed),
                         "{op:?}, masked {masked}: {template}-byte template"
                     );
                     assert!(
-                        one <= BLOCK_RESERVE + per_uop(masked),
+                        one <= BLOCK_RESERVE + per_uop(armed),
                         "{op:?}, masked {masked}: {one}-byte block"
                     );
+                }
+            }
+        }
+
+        #[test]
+        fn recorder_free_code_names_no_ring_register() {
+            let ram_base = 0x8000_0000;
+            for armed in [0, !0] {
+                let e = JitEngine::new(armed).unwrap();
+                for op in TEMPLATE_OPS {
+                    let u = big_uop(op, ram_base, armed != 0);
+                    for events in [false, true] {
+                        let names_r8 = |flight| {
+                            let (a, _) = e.assemble(
+                                0,
+                                ram_base,
+                                &[u, u],
+                                ram_base + 8,
+                                ram_base,
+                                1 << 20,
+                                events,
+                                flight,
+                            );
+                            a.names(R8)
+                        };
+                        assert!(
+                            !names_r8(false),
+                            "{op:?}, armed {armed:#x}, events {events}"
+                        );
+                        assert!(names_r8(true), "{op:?}, armed {armed:#x}, events {events}");
+                    }
                 }
             }
         }
@@ -2655,7 +2817,7 @@ mod native {
                 },
             ];
             let mut ram = vec![0u8; 128 << PAGE_SHIFT];
-            let mut e = JitEngine::new(false).unwrap();
+            let mut e = JitEngine::new(0).unwrap();
             let Compiled::Entry(entry) = e.compile(
                 ram_base,
                 &uops,
@@ -2663,6 +2825,7 @@ mod native {
                 ram_base,
                 ram.len() as u32,
                 0,
+                false,
                 false,
             ) else {
                 panic!("block compiles");
@@ -2698,7 +2861,7 @@ mod native {
         fn retention_drops_dirty_pages_and_keeps_clean_ones() {
             use crate::uop::MicroOp;
             use s4e_isa::Gpr;
-            let mut e = JitEngine::new(false).unwrap();
+            let mut e = JitEngine::new(0).unwrap();
             let x1 = Gpr::new(1).unwrap();
             let uops = vec![MicroOp {
                 op: Op::Addi,
@@ -2727,7 +2890,7 @@ mod native {
                 (ram_base + 0x1000, 13),
             ] {
                 assert!(matches!(
-                    e.compile(pc, &uops, pc + 4, ram_base, 0x10000, hash, false),
+                    e.compile(pc, &uops, pc + 4, ram_base, 0x10000, hash, false, false),
                     Compiled::Entry(_)
                 ));
             }
@@ -2753,7 +2916,7 @@ mod native {
         fn invalidate_span_drops_only_overlapping_blocks() {
             use crate::uop::MicroOp;
             use s4e_isa::Gpr;
-            let mut e = JitEngine::new(false).unwrap();
+            let mut e = JitEngine::new(0).unwrap();
             let x1 = Gpr::new(1).unwrap();
             let uops = vec![MicroOp {
                 op: Op::Addi,
@@ -2773,7 +2936,7 @@ mod native {
             // Three adjacent 4-byte blocks on one page.
             for pc in [ram_base, ram_base + 4, ram_base + 8] {
                 assert!(matches!(
-                    e.compile(pc, &uops, pc + 4, ram_base, 0x10000, 7, false),
+                    e.compile(pc, &uops, pc + 4, ram_base, 0x10000, 7, false, false),
                     Compiled::Entry(_)
                 ));
             }

@@ -174,9 +174,10 @@ impl std::fmt::Debug for ChainLink {
 }
 
 /// Per-block template-JIT promotion state, indexed by engine: `0` for
-/// the plain engine, `1` for the masked engine that runs while stuck-at
-/// register masks are armed. The engines compile different lowerings
-/// into different arenas, so each keeps its own count and cookie.
+/// the plain engine, `1` for the masked engine, which runs while
+/// stuck-at register masks are armed and reads the armed registers
+/// through them. The engines compile different lowerings into different
+/// arenas, so each keeps its own count and cookie.
 ///
 /// Interior-mutable for the same reason — and under the same safety
 /// argument — as [`ChainLink`]: every read and write goes through the
@@ -342,9 +343,9 @@ impl VpBuilder {
         }
         let pages = self.ram_size.div_ceil(PAGE_SIZE) as usize;
         // `JitEngine::new` returns `None` off x86-64. The masked engine
-        // is created on the first native dispatch with masks armed.
+        // is created at the first run entry with masks armed.
         let jit = if self.jit_enabled && self.cache_enabled {
-            [JitEngine::new(false).map(Box::new), None]
+            [JitEngine::new(0).map(Box::new), None]
         } else {
             [None, None]
         };
@@ -422,8 +423,9 @@ pub struct Vp {
     /// The template JIT engines: `[plain, masked]`, indexed like
     /// [`JitSlot`]. The plain engine is `None` when the JIT is disabled
     /// at build time, without a block cache, or on hosts other than
-    /// x86-64; the masked engine is created on the first native dispatch
-    /// with stuck-at masks armed.
+    /// x86-64; the masked engine is created at the first run entry with
+    /// stuck-at masks armed, and re-armed at every run entry whose armed
+    /// registers differ from its own.
     jit: [Option<Box<JitEngine>>; 2],
     /// Block executions before a hot block is promoted to native code.
     jit_threshold: u32,
@@ -474,7 +476,8 @@ pub struct Vp {
     /// blocks, traps and device accesses, recorded natively (one
     /// `Option` discriminant check per event when disarmed) so arming it
     /// keeps every block on the micro-op engine, the RAM fast path and
-    /// the template JIT.
+    /// the template JIT. Native code carries the ring write only while
+    /// a recorder is armed.
     flight: Option<FlightRecorder>,
     /// The plugin event buffer: native code compiled while a plugin is
     /// attached writes one [`BlockEntry`] per block entry here, and
@@ -585,7 +588,10 @@ impl Vp {
     /// [`Plugin`] that subscribes no block, an armed recorder keeps the
     /// micro-op engine, the RAM fast path and the template JIT active:
     /// it only observes block dispatches, traps and device accesses, all
-    /// visible off the fast paths.
+    /// visible off the fast paths. Native code writes the ring only
+    /// when compiled while a recorder is armed, so the next run after
+    /// arming or disarming drops the blocks translated and compiled so
+    /// far; replacing an armed recorder keeps them.
     pub fn set_flight_recorder(&mut self, recorder: Option<FlightRecorder>) {
         self.flight = recorder;
     }
@@ -623,9 +629,51 @@ impl Vp {
         if self.block_events.is_empty() {
             self.block_events = vec![BlockEntry::default(); BLOCK_EVENTS].into_boxed_slice();
         }
+        self.reset_native();
+    }
+
+    /// Drops every translated block and resets both JIT engines, so
+    /// every block is compiled again for the VP's current plugins and
+    /// flight recorder. The tracked code range stays: it may only be
+    /// too wide, which costs a spurious invalidation at worst.
+    fn reset_native(&mut self) {
         self.drop_translations();
         for jit in self.jit.iter_mut().flatten() {
             jit.reset();
+        }
+    }
+
+    /// Matches the JIT engines to the flight recorder and the stuck-at
+    /// masks at run entry, where no block pointer is live; both change
+    /// only between runs, since plugins receive `&Cpu`. An engine whose
+    /// blocks were compiled with the ring write while no recorder is
+    /// armed, or without it while one is, resets both engines and drops
+    /// every translation. With faults enabled, the masked engine is
+    /// pointed at the registers the CPU's masks arm, created on first
+    /// use: its templates read only those registers through the masks,
+    /// so a different set drops its code and the translations holding
+    /// the entry cookies; a repeated set keeps both, restores included.
+    fn arm_engines(&mut self) {
+        let flight = self.flight.is_some();
+        if self
+            .jit
+            .iter()
+            .flatten()
+            .any(|e| e.ring().is_some_and(|r| r != flight))
+        {
+            self.reset_native();
+        }
+        if !self.cpu.faults_enabled() {
+            return;
+        }
+        let armed = self.cpu.armed_gprs();
+        match &mut self.jit[1] {
+            Some(engine) if engine.armed() == armed => {}
+            Some(engine) => {
+                engine.rearm(armed);
+                self.drop_translations();
+            }
+            None => self.jit[1] = JitEngine::new(armed).map(Box::new),
         }
     }
 
@@ -853,9 +901,13 @@ impl Vp {
         // flight recorder nor an attached plugin disqualifies native
         // entry: the templates write the block-entry ring and the
         // plugin block events inline, and the loop below offers no block
-        // a plugin subscribes to `jit_dispatch`. Armed register fault masks select
-        // the masked engine inside `jit_dispatch`.
+        // a plugin subscribes to `jit_dispatch`. Armed register fault
+        // masks select the masked engine inside `jit_dispatch`. Both
+        // engines are matched here to this run's recorder and masks.
         let use_jit = self.jit[0].is_some() && self.cache_enabled;
+        if use_jit {
+            self.arm_engines();
+        }
         // The block to dispatch next via a direct chain link, and the
         // (predecessor, slot) pair waiting for its successor to be
         // resolved so the link can be installed. Both are dropped at
@@ -1032,14 +1084,16 @@ impl Vp {
         if *remaining == 0 {
             return None;
         }
-        // Armed stuck-at masks filter every GPR read; the plain engine
-        // reads the file raw, so they select the masked engine, whose
-        // templates read through the mask table. Masks only change
-        // between runs, so a native chain never crosses engines.
+        // Armed stuck-at masks filter GPR reads; the plain engine reads
+        // the file raw, so they select the masked engine, whose
+        // templates read the armed registers through the mask table.
+        // Masks only change between runs, so a native chain never
+        // crosses engines, and run entry armed the engine for them.
         let masked = self.cpu.faults_enabled();
-        if masked && self.jit[1].is_none() {
-            self.jit[1] = JitEngine::new(true).map(Box::new);
-        }
+        debug_assert!(
+            !masked || self.jit[1].as_ref().map(|e| e.armed()) == Some(self.cpu.armed_gprs()),
+            "masked engine armed for other registers than the CPU's masks"
+        );
         let engine = usize::from(masked);
         // SAFETY: dispatch-boundary argument as in `exec_block_uops`;
         // slot access follows the `JitSlot` exclusive-`Vp` rule.
@@ -1111,6 +1165,7 @@ impl Vp {
                         self.bus.ram_size(),
                         hash,
                         !self.plugins.is_empty(),
+                        self.flight.is_some(),
                     ) {
                         jit::Compiled::Entry(entry) => {
                             self.stats.jit_blocks += 1;
@@ -1159,16 +1214,19 @@ impl Vp {
         let jit = self.jit[engine].as_mut().expect("compiled above");
         // SAFETY: `entry` was produced by this engine since its last
         // reset — cookies live in per-engine `JitSlot` entries (dropped
-        // with the blocks whenever the engines reset) and retained
-        // entries are hash-revalidated at adoption. The GPR/mask/RAM/
-        // dirty pointers, the flight ring and the event buffer are
-        // exclusively ours through `&mut self` for the duration of the
-        // call; armed masks selected the masked engine above. Only
-        // unsubscribed blocks are ever compiled (the run loop never
-        // offers subscribed ones, and subscriptions depend on the block
-        // alone),
-        // and `add_plugin` resets the engines and sizes the event buffer,
-        // so code with event writes always runs with a non-empty buffer.
+        // with the blocks whenever the engines reset or drop blocks)
+        // and retained entries are hash-revalidated at adoption. The
+        // GPR/mask/RAM/dirty pointers, the flight ring and the event
+        // buffer are exclusively ours through `&mut self` for the
+        // duration of the call; armed masks selected the masked engine
+        // above, which run entry armed for exactly the CPU's armed
+        // registers. Only unsubscribed blocks are ever compiled (the run
+        // loop never offers subscribed ones, and subscriptions depend on
+        // the block alone). `add_plugin` resets the engines and sizes
+        // the event buffer, so code with event writes always runs with a
+        // non-empty buffer, and run entry resets them when the
+        // recorder's armed state differs from their code's, so `flight`
+        // is non-null exactly for code compiled with ring writes.
         let res = unsafe {
             jit.run(
                 entry,

@@ -232,7 +232,13 @@ fn flight_fingerprint(
         vp.flight_recorder_mut().unwrap().clear();
         run_to_break(&mut vp);
     }
-    let rec = vp.flight_recorder().unwrap();
+    ring_fingerprint(&vp)
+}
+
+/// The armed recorder's block tail (instret stamps and pcs), eviction
+/// and lifetime-block counts, and the full architectural state.
+fn ring_fingerprint(vp: &Vp) -> (Vec<(u64, u32)>, u64, u64, String) {
+    let rec = vp.flight_recorder().expect("armed");
     let tail: Vec<(u64, u32)> = rec
         .tail()
         .iter()
@@ -270,4 +276,76 @@ fn flight_ring_is_identical_with_jit_on_and_off() {
             }
         }
     }
+}
+
+// ------------------------------------------- arming and disarming
+//
+// Native code carries the ring write only while a recorder is armed, so
+// the run after arming or disarming one must drop the code compiled so
+// far.
+
+/// A VP for the arming tests: the JIT at threshold 1, or pinned off.
+fn arming_vp(jit_on: bool) -> Vp {
+    let b = Vp::builder().isa(IsaConfig::rv32imc());
+    let mut vp = if jit_on {
+        b.jit_threshold(1)
+    } else {
+        b.jit(false)
+    }
+    .build();
+    load_src(&mut vp, TORTURE[0].1);
+    vp
+}
+
+#[test]
+fn arming_after_native_code_exists_records_every_block() {
+    // The first 101 instructions of the tight loop run with no recorder
+    // (natively, with the JIT on), then a recorder is armed for the
+    // rest: native code compiled without the ring write must not run
+    // with it armed.
+    let run = |jit_on: bool| {
+        let mut vp = arming_vp(jit_on);
+        assert_eq!(vp.run_for(101), RunOutcome::InsnLimit);
+        let before = vp.take_dispatch_stats();
+        vp.set_flight_recorder(Some(FlightRecorder::new(64)));
+        assert_eq!(vp.run(), RunOutcome::Break);
+        (ring_fingerprint(&vp), before.jit_exec, vp.dispatch_stats())
+    };
+    let (native, exec_before, stats) = run(true);
+    let (interpreted, _, _) = run(false);
+    assert_eq!(native, interpreted);
+    assert!(exec_before > 20, "the loop ran natively before arming");
+    assert!(stats.jit_exec > 20, "and after: {stats:?}");
+    assert!(native.2 > 60, "the armed half entered every block");
+}
+
+#[test]
+fn disarming_drops_ring_writing_code_and_replacing_keeps_it() {
+    // Armed for the first 101 instructions (native code with the ring
+    // write), replaced for the next 101, then disarmed for the rest.
+    let run = |jit_on: bool| {
+        let mut vp = arming_vp(jit_on);
+        vp.set_flight_recorder(Some(FlightRecorder::new(8)));
+        assert_eq!(vp.run_for(101), RunOutcome::InsnLimit);
+        let first = vp.take_dispatch_stats();
+        // Replacing an armed recorder keeps the compiled code.
+        vp.set_flight_recorder(Some(FlightRecorder::new(8)));
+        assert_eq!(vp.run_for(101), RunOutcome::InsnLimit);
+        let replaced = ring_fingerprint(&vp);
+        let second = vp.take_dispatch_stats();
+        let taken = vp.take_flight_recorder().expect("armed");
+        assert!(taken.blocks_recorded() > 30);
+        assert_eq!(vp.run(), RunOutcome::Break);
+        let third = vp.take_dispatch_stats();
+        (format!("{:?}", vp.cpu()), replaced, [first, second, third])
+    };
+    let (native, native_ring, [first, second, third]) = run(true);
+    let (interpreted, interpreted_ring, _) = run(false);
+    assert_eq!(native, interpreted);
+    assert_eq!(native_ring, interpreted_ring);
+    assert!(first.jit_blocks > 0 && first.jit_exec > 20, "{first:?}");
+    assert_eq!(second.jit_blocks, 0, "replacing recompiled: {second:?}");
+    assert!(second.jit_exec > 20, "{second:?}");
+    // Disarming drops the ring-writing code: the rest compiles again.
+    assert!(third.jit_blocks > 0 && third.jit_exec > 20, "{third:?}");
 }

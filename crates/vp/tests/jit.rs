@@ -424,6 +424,54 @@ fn masked_blocks_survive_restore() {
         .plant_gpr_fault(Gpr::new(5).unwrap(), 9, false);
     assert_eq!(oracle.run(), RunOutcome::Break);
     assert_eq!(cpu_state(&oracle), first);
+
+    // A mask on another register re-arms the masked engine: the blocks
+    // compiled for t0 read a1 raw, so the run compiles again.
+    jit.restore(&snap);
+    jit.cpu_mut()
+        .plant_gpr_fault(Gpr::new(11).unwrap(), 3, true);
+    assert_eq!(jit.run(), RunOutcome::Break);
+    let stats = jit.take_dispatch_stats();
+    assert!(stats.jit_blocks > 0 && stats.jit_exec > 100, "{stats:?}");
+    let mut oracle = oracle_vp();
+    load_src(&mut oracle, HOT_LOOP);
+    oracle
+        .cpu_mut()
+        .plant_gpr_fault(Gpr::new(11).unwrap(), 3, true);
+    assert_eq!(oracle.run(), RunOutcome::Break);
+    assert_eq!(cpu_state(&jit), cpu_state(&oracle));
+}
+
+#[test]
+fn replanting_on_another_register_rearms_the_masked_engine() {
+    // The first stretch of the hot loop runs with a1 bit 0 stuck at 1
+    // (a1 is written, never read), natively on the masked engine. Then,
+    // with no restore in between, the faults are cleared and, unless
+    // `replant` is off, a0 bit 1 is stuck at 1 instead: `addi a0, a0,
+    // 3` reads a0, so code that still read a0 raw would sum otherwise.
+    let run = |mut vp: Vp, replant: bool| {
+        load_src(&mut vp, HOT_LOOP);
+        vp.cpu_mut().plant_gpr_fault(Gpr::new(11).unwrap(), 0, true);
+        assert_eq!(vp.run_for(201), RunOutcome::InsnLimit);
+        let first = vp.take_dispatch_stats();
+        vp.cpu_mut().clear_faults();
+        if replant {
+            vp.cpu_mut().plant_gpr_fault(Gpr::new(10).unwrap(), 1, true);
+        }
+        assert_eq!(vp.run(), RunOutcome::Break);
+        (
+            cpu_state(&vp),
+            gpr(&vp, 10),
+            first,
+            vp.take_dispatch_stats(),
+        )
+    };
+    let (state, a0, first, second) = run(jit_vp(), true);
+    assert_eq!(state, run(oracle_vp(), true).0);
+    assert_eq!(state, run(nojit_vp(), true).0);
+    assert!(first.jit_exec > 20, "{first:?}");
+    assert!(second.jit_blocks > 0 && second.jit_exec > 20, "{second:?}");
+    assert_ne!(a0, run(nojit_vp(), false).1, "the a0 mask changes the sum");
 }
 
 // ------------------------------------------------- run bookkeeping
