@@ -1,9 +1,8 @@
 //! # s4e-bench — the experiment harness
 //!
 //! Shared machinery for the table/figure regeneration binaries (one per
-//! experiment in DESIGN.md) and the Criterion ablation benches: the
-//! benchmark [`kernels`], kernel execution helpers, and WCET-annotation
-//! plumbing.
+//! experiment in DESIGN.md): the benchmark [`kernels`], kernel execution
+//! helpers, and WCET-annotation plumbing.
 
 #![warn(missing_docs)]
 
@@ -38,14 +37,15 @@ pub fn build(source: &str, isa: IsaConfig) -> Image {
         .unwrap_or_else(|e| panic!("kernel must assemble: {e}\n{source}"))
 }
 
-/// Runs an image to its `ebreak` on a fresh VP.
+/// Assembles a kernel and runs it to its `ebreak` on a fresh VP.
 ///
 /// # Panics
 ///
-/// Panics if the program does not terminate at `ebreak` within 200 M
-/// instructions.
-pub fn run_image(image: &Image, isa: IsaConfig, cache: bool) -> RunStats {
-    let mut vp = Vp::builder().isa(isa).block_cache(cache).build();
+/// Panics if the kernel does not assemble, or does not terminate at
+/// `ebreak` within 200 M instructions.
+pub fn run_kernel(source: &str, isa: IsaConfig) -> RunStats {
+    let image = build(source, isa);
+    let mut vp = Vp::new(isa);
     vp.load(image.base(), image.bytes())
         .expect("kernel fits RAM");
     vp.cpu_mut().set_pc(image.entry());
@@ -56,11 +56,6 @@ pub fn run_image(image: &Image, isa: IsaConfig, cache: bool) -> RunStats {
         cycles: vp.cpu().cycles(),
         instret: vp.cpu().instret(),
     }
-}
-
-/// Convenience: assemble + run a kernel source.
-pub fn run_kernel(source: &str, isa: IsaConfig) -> RunStats {
-    run_image(&build(source, isa), isa, true)
 }
 
 /// Builds the [`WcetOptions`] for a kernel, resolving its label-keyed
@@ -188,7 +183,7 @@ mod tests {
             let opts = wcet_options_for(&k, &image);
             let report =
                 s4e_wcet::analyze(&prog, &opts).unwrap_or_else(|e| panic!("{}: {e}", k.name));
-            let dynamic = run_image(&image, IsaConfig::full(), true).cycles;
+            let dynamic = run_kernel(&k.source, IsaConfig::full()).cycles;
             assert!(
                 dynamic <= report.total_wcet(),
                 "{}: dynamic {} > static {}",

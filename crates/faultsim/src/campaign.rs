@@ -100,11 +100,11 @@ impl From<BusFault> for CampaignError {
 
 /// Campaign configuration.
 ///
-/// Field lifetimes split two ways. `isa`, `ram_size`, `budget_multiplier`,
-/// `compare_memory` and `jit` are **per-campaign**: they are baked into
-/// the golden run, the derived instruction budget and the hoisted VP
-/// builder at [`Campaign::prepare`] time, so changing any of them
-/// requires preparing a new campaign. `threads`, `timeout`,
+/// Field lifetimes split two ways. `isa`, `ram_size`, `budget_multiplier`
+/// and `jit` are **per-campaign**: they are baked into the golden run,
+/// the derived instruction budget and the hoisted VP builder at
+/// [`Campaign::prepare`] time, so changing any of them requires
+/// preparing a new campaign. `threads`, `timeout`,
 /// `fast_forward` and `prune` are **per-sweep execution policy**: they
 /// steer how mutants are scheduled, supervised and accelerated without
 /// affecting any classification.
@@ -121,9 +121,6 @@ pub struct CampaignConfig {
     pub budget_multiplier: u64,
     /// Worker threads for [`Campaign::run_all`].
     pub threads: usize,
-    /// Whether classification compares final memory in addition to
-    /// registers (the A4 ablation switches this off).
-    pub compare_memory: bool,
     /// Per-mutant wall-clock watchdog for the supervised runner: a mutant
     /// still executing after this long is stopped and classified
     /// [`FaultOutcome::Cancelled`]. `None` (the default) bounds mutants by
@@ -165,16 +162,14 @@ pub struct CampaignConfig {
 }
 
 impl CampaignConfig {
-    /// Defaults: RV32IMC, 256 KiB RAM, 4× budget, single thread, memory
-    /// comparison on, no wall-clock watchdog, fast-forward and
-    /// equivalence pruning enabled.
+    /// Defaults: RV32IMC, 256 KiB RAM, 4× budget, single thread, no
+    /// wall-clock watchdog, fast-forward and equivalence pruning enabled.
     pub fn new() -> CampaignConfig {
         CampaignConfig {
             isa: IsaConfig::rv32imc(),
             ram_size: 256 * 1024,
             budget_multiplier: 4,
             threads: 1,
-            compare_memory: true,
             timeout: None,
             fast_forward: true,
             prune: true,
@@ -210,13 +205,6 @@ impl CampaignConfig {
     #[must_use]
     pub fn timeout(mut self, timeout: Duration) -> CampaignConfig {
         self.timeout = Some(timeout);
-        self
-    }
-
-    /// Enables or disables final-memory comparison.
-    #[must_use]
-    pub fn compare_memory(mut self, on: bool) -> CampaignConfig {
-        self.compare_memory = on;
         self
     }
 
@@ -841,12 +829,11 @@ impl Campaign {
             RunOutcome::Break | RunOutcome::Exit(0) => {
                 let regs_match =
                     snapshot_gprs(vp) == self.golden.gprs && snapshot_fprs(vp) == self.golden.fprs;
-                let mem_match = !self.config.compare_memory
-                    || vp
-                        .bus()
-                        .dump(self.base & !0xfff, self.config.ram_size as usize)
-                        .map(|m| m == self.golden.mem.as_slice())
-                        .unwrap_or(false);
+                let mem_match = vp
+                    .bus()
+                    .dump(self.base & !0xfff, self.config.ram_size as usize)
+                    .map(|m| m == self.golden.mem.as_slice())
+                    .unwrap_or(false);
                 if regs_match && mem_match {
                     FaultOutcome::Masked
                 } else {

@@ -11,10 +11,9 @@
 //!    (full-width register write, or a store covering the byte) before
 //!    any read, the flip is erased and the mutant is `Masked`. If it is
 //!    never accessed again, the run terminates exactly like the golden
-//!    run with only that bit diverged: `SilentCorruption` for register
-//!    targets (final registers are always compared), and for memory
-//!    targets `SilentCorruption` when final-memory comparison is on,
-//!    `Masked` otherwise. Only a post-injection read forces execution.
+//!    run with only that bit diverged, which classification (comparing
+//!    final registers and memory) reports as `SilentCorruption`. Only a
+//!    post-injection read forces execution.
 //!
 //!    The replay runs on block events: each entered block's
 //!    instructions give its reads and writes by the executed-prefix
@@ -88,13 +87,7 @@ enum Case {
     /// Outcome known without running or replaying.
     Known(FaultOutcome),
     /// Needs the def-use replay: injection at `t`, watching `loc`.
-    /// `never` is the verdict if the location is never accessed again.
-    Query {
-        t: u64,
-        loc: Loc,
-        never: FaultOutcome,
-        delta: DeltaKey,
-    },
+    Query { t: u64, loc: Loc, delta: DeltaKey },
     /// Must execute (no def-use query applies); `delta` keys the dedupe
     /// map when the spec is expressible as a normalized delta.
     Execute(Option<DeltaKey>),
@@ -153,19 +146,9 @@ impl PrunePlan {
         for (i, spec) in specs.iter().enumerate() {
             match classify_case(campaign, spec, golden_len) {
                 Case::Known(outcome) => verdicts[i] = Some(outcome),
-                Case::Query {
-                    t,
-                    loc,
-                    never,
-                    delta,
-                } => {
+                Case::Query { t, loc, delta } => {
                     deltas[i] = Some(delta);
-                    queries.push(Query {
-                        spec: i,
-                        t,
-                        loc,
-                        never,
-                    });
+                    queries.push(Query { spec: i, t, loc });
                 }
                 Case::Execute(delta) => deltas[i] = delta,
             }
@@ -237,11 +220,6 @@ fn classify_case(campaign: &Campaign, spec: &FaultSpec, golden_len: u64) -> Case
     let t = campaign.injection_point(spec);
     let (ram_lo, ram_size) = campaign.ram_bounds();
     let in_ram = |addr: u32| addr.wrapping_sub(ram_lo) < ram_size;
-    let never_mem = if campaign.config().compare_memory {
-        FaultOutcome::SilentCorruption
-    } else {
-        FaultOutcome::Masked
-    };
     match (spec.kind, spec.target) {
         // Injecting at or past golden termination: both execution paths
         // classify the unmutated (or post-termination) final state.
@@ -256,7 +234,6 @@ fn classify_case(campaign: &Campaign, spec: &FaultSpec, golden_len: u64) -> Case
             Case::Query {
                 t,
                 loc: Loc::Gpr(reg.index()),
-                never: FaultOutcome::SilentCorruption,
                 delta: DeltaKey::FlipGpr(reg, bit),
             }
         }
@@ -267,7 +244,6 @@ fn classify_case(campaign: &Campaign, spec: &FaultSpec, golden_len: u64) -> Case
             Case::Query {
                 t,
                 loc: Loc::Fpr(reg.index()),
-                never: FaultOutcome::SilentCorruption,
                 delta: DeltaKey::FlipFpr(reg, bit),
             }
         }
@@ -281,7 +257,6 @@ fn classify_case(campaign: &Campaign, spec: &FaultSpec, golden_len: u64) -> Case
             Case::Query {
                 t,
                 loc: Loc::Mem(addr),
-                never: never_mem,
                 delta: DeltaKey::FlipMem(addr, bit),
             }
         }
@@ -306,7 +281,6 @@ fn classify_case(campaign: &Campaign, spec: &FaultSpec, golden_len: u64) -> Case
             Case::Query {
                 t: 0,
                 loc: Loc::Fpr(reg.index()),
-                never: FaultOutcome::SilentCorruption,
                 delta: DeltaKey::FlipFpr(reg, bit),
             }
         }
@@ -326,7 +300,6 @@ fn classify_case(campaign: &Campaign, spec: &FaultSpec, golden_len: u64) -> Case
             Case::Query {
                 t: 0,
                 loc: Loc::Mem(addr),
-                never: never_mem,
                 delta: DeltaKey::FlipMem(addr, bit),
             }
         }
@@ -339,7 +312,6 @@ struct Query {
     spec: usize,
     t: u64,
     loc: Loc,
-    never: FaultOutcome,
 }
 
 /// Replays the golden run once with a [`DefUsePlugin`] watching every
@@ -377,7 +349,7 @@ fn resolve_queries(
             (Some(_), Some(_)) | (None, Some(_)) => Some(FaultOutcome::Masked),
             // Never accessed again: the suffix runs exactly like the
             // golden run with one diverged bit in the final state.
-            (None, None) => Some(q.never),
+            (None, None) => Some(FaultOutcome::SilentCorruption),
         };
     }
     ReplayStats {

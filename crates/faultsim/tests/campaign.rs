@@ -160,29 +160,6 @@ fn memory_data_fault_detected_by_comparison() {
 }
 
 #[test]
-fn memory_comparison_ablation() {
-    // With memory comparison off, a late flip of an already-written result
-    // byte (after the final load) is invisible to register comparison.
-    let cfg = CampaignConfig::new().compare_memory(false);
-    let c = campaign(SUM_PROGRAM, &cfg);
-    let &result_byte = c.golden().trace().written_bytes.iter().next().unwrap();
-    let r = c.run_one(&FaultSpec {
-        target: FaultTarget::MemBit {
-            addr: result_byte,
-            bit: 3,
-        },
-        kind: FaultKind::Transient {
-            at_insn: c.golden().instret() - 1,
-        },
-    });
-    assert_eq!(
-        r.outcome,
-        FaultOutcome::Masked,
-        "exit-only comparison under-reports corruption"
-    );
-}
-
-#[test]
 fn self_reported_failures_classified() {
     // Program with a software safety check: exits 1 when the sum is wrong.
     let src = r#"

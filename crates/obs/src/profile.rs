@@ -4,10 +4,10 @@
 //! VP's hook API.
 //!
 //! Every event costs a handful of relaxed atomic adds (the block-entry
-//! path adds one `HashMap` probe to find the block's counters), so the
-//! profiler can stay attached during long campaigns; the
-//! `plugin_overhead` criterion bench tracks the cost against bare
-//! execution.
+//! path adds one `HashMap` probe to find the block's counters). The
+//! plugin subscribes every block to instruction events, which keeps
+//! them all off the template JIT; `figure2_perf`'s profile row measures
+//! the cost against the default builder.
 
 use crate::metrics::{Counter, MetricsRegistry};
 use crate::names;

@@ -6,8 +6,8 @@
 //! (`campaign_<suffix>` in campaign metrics) and a one-line help string
 //! that is also the field's rustdoc. The macro generates the struct,
 //! [`DispatchStats::merge`] and [`DispatchStats::counters`], and every
-//! consumer (campaign metrics, `# HELP` text, the bench JSON) reads the
-//! table through `counters`, so a new counter is one row plus its
+//! consumer (campaign and `vp_<suffix>` metrics, `# HELP` text) reads
+//! the table through `counters`, so a new counter is one row plus its
 //! increment. Exported names are read by name downstream: a suffix is
 //! never renamed.
 
