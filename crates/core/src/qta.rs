@@ -32,7 +32,6 @@ use std::sync::Arc;
 
 /// A runtime loop-bound violation observed during co-simulation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct BoundViolation {
     /// The loop header whose bound was exceeded.
     pub header: u32,

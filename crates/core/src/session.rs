@@ -12,7 +12,6 @@ use std::collections::BTreeMap;
 /// The result of one QTA co-simulation: the three timing quantities the
 /// tool demonstration compares, plus per-block evidence.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct QtaRun {
     /// How the guest terminated.
     pub outcome: RunOutcome,

@@ -57,7 +57,6 @@ const MEM_REGION_SHIFT: u32 = 8;
 /// assert!(!r.is_full());
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Ratio {
     covered: usize,
     total: usize,
@@ -113,7 +112,6 @@ impl std::fmt::Display for Ratio {
 
 /// An accumulated coverage measurement.
 #[derive(Debug, Clone, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct CoverageReport {
     isa: IsaConfig,
     insn_counts: BTreeMap<InsnKind, u64>,

@@ -295,7 +295,6 @@ impl GoldenRun {
 
 /// One mutant's result.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct FaultResult {
     /// The injected fault.
     pub spec: FaultSpec,
@@ -882,7 +881,6 @@ fn snapshot_gprs(vp: &Vp) -> [u32; 32] {
 
 /// The aggregated campaign result.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct CampaignReport {
     results: Vec<FaultResult>,
     panics: Vec<(FaultSpec, String)>,

@@ -7,9 +7,9 @@
 //! valid after a `kill -9` at any instant (the worst case is one
 //! truncated trailing line, which [`read_checkpoint`] skips).
 //!
-//! The line format is deliberately flat, hand-rolled JSON — the build
-//! environment vendors a no-op `serde` stub, and a checkpoint format
-//! should not depend on derive internals anyway. One line per mutant:
+//! The line format is one flat JSON object per mutant, written by hand
+//! and read back through [`s4e_obs::json`], the workspace's one JSON
+//! reader:
 //!
 //! ```text
 //! {"tgt":"gpr","loc":10,"bit":31,"kind":"stuck","arg":1,"out":"detected","cause":2,"tval":19}
@@ -25,8 +25,8 @@
 use crate::fault::{FaultKind, FaultOutcome, FaultSpec, FaultTarget};
 use crate::FaultResult;
 use s4e_isa::{Fpr, Gpr};
+use s4e_obs::json::{self, Json};
 use s4e_vp::Trap;
-use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::fs::{File, OpenOptions};
 use std::io::{self, BufRead, BufReader, BufWriter, Read as _, Seek, Write};
@@ -302,7 +302,7 @@ pub fn encode_result(result: &FaultResult, panic: Option<&str>) -> String {
         }
         FaultOutcome::HarnessError => {
             if let Some(msg) = panic {
-                let _ = write!(out, ",\"panic\":\"{}\"", escape_json(msg));
+                let _ = write!(out, ",\"panic\":\"{}\"", json::escape(msg));
             }
         }
         _ => {}
@@ -327,38 +327,15 @@ pub(crate) fn outcome_tag(outcome: &FaultOutcome) -> &'static str {
     }
 }
 
-pub(crate) fn escape_json(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 // --------------------------------------------------------------- decode
 
 /// Decodes one checkpoint line. Returns `None` for anything malformed —
 /// corrupt bytes, a truncated tail, unknown tags, out-of-range fields.
 pub fn decode_result(line: &str) -> Option<(FaultResult, Option<String>)> {
-    let fields = parse_flat_object(line)?;
-    let num = |key: &str| match fields.get(key) {
-        Some(Value::Num(n)) => Some(*n),
-        _ => None,
-    };
-    let text = |key: &str| match fields.get(key) {
-        Some(Value::Str(s)) => Some(s.as_str()),
-        _ => None,
-    };
+    let doc = json::parse(line)?;
+    let fields = doc.as_obj()?;
+    let num = |key: &str| fields.get(key).and_then(Json::as_num);
+    let text = |key: &str| fields.get(key).and_then(Json::as_str);
 
     let bit = u8::try_from(num("bit")?).ok()?;
     let loc = num("loc")?;
@@ -436,83 +413,6 @@ fn trap_from_parts(mcause: u32, mtval: u32) -> Option<Trap> {
         0x8000_000b => Trap::MachineExternalInterrupt,
         _ => return None,
     })
-}
-
-enum Value {
-    Num(u64),
-    Str(String),
-}
-
-/// Parses a single flat JSON object (string keys; unsigned-integer or
-/// string values; no nesting). Returns `None` on any syntax error or
-/// trailing garbage.
-fn parse_flat_object(line: &str) -> Option<BTreeMap<String, Value>> {
-    let mut chars = line.trim().chars().peekable();
-    let mut fields = BTreeMap::new();
-    if chars.next()? != '{' {
-        return None;
-    }
-    if chars.peek() == Some(&'}') {
-        chars.next();
-    } else {
-        loop {
-            let key = parse_string(&mut chars)?;
-            if chars.next()? != ':' {
-                return None;
-            }
-            let value = match chars.peek()? {
-                '"' => Value::Str(parse_string(&mut chars)?),
-                '0'..='9' => {
-                    let mut n: u64 = 0;
-                    while let Some(d) = chars.peek().and_then(|c| c.to_digit(10)) {
-                        n = n.checked_mul(10)?.checked_add(u64::from(d))?;
-                        chars.next();
-                    }
-                    Value::Num(n)
-                }
-                _ => return None,
-            };
-            fields.insert(key, value);
-            match chars.next()? {
-                ',' => continue,
-                '}' => break,
-                _ => return None,
-            }
-        }
-    }
-    // Anything after the closing brace is corruption.
-    chars.next().is_none().then_some(fields)
-}
-
-fn parse_string(chars: &mut std::iter::Peekable<std::str::Chars<'_>>) -> Option<String> {
-    if chars.next()? != '"' {
-        return None;
-    }
-    let mut out = String::new();
-    loop {
-        match chars.next()? {
-            '"' => return Some(out),
-            '\\' => match chars.next()? {
-                '"' => out.push('"'),
-                '\\' => out.push('\\'),
-                '/' => out.push('/'),
-                'n' => out.push('\n'),
-                'r' => out.push('\r'),
-                't' => out.push('\t'),
-                'b' => out.push('\u{8}'),
-                'f' => out.push('\u{c}'),
-                'u' => {
-                    let mut code = 0u32;
-                    for _ in 0..4 {
-                        code = code * 16 + chars.next()?.to_digit(16)?;
-                    }
-                    out.push(char::from_u32(code)?);
-                }
-                _ => return None,
-            },
-            c => out.push(c),
-        }
-    }
 }
 
 #[cfg(test)]

@@ -6,7 +6,6 @@ use s4e_vp::Trap;
 
 /// Where a fault is injected.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum FaultTarget {
     /// A bit of a general-purpose register.
     GprBit {
@@ -45,7 +44,6 @@ impl fmt::Display for FaultTarget {
 
 /// When and how the fault manifests.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum FaultKind {
     /// Permanent stuck-at fault, in force for the whole run.
     ///
@@ -76,7 +74,6 @@ impl fmt::Display for FaultKind {
 
 /// One fault to inject — a "mutant" of the hardware model.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct FaultSpec {
     /// The fault location.
     pub target: FaultTarget,
@@ -92,7 +89,6 @@ impl fmt::Display for FaultSpec {
 
 /// The classified effect of one injected fault.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum FaultOutcome {
     /// Normal termination with architecturally identical results — the
     /// fault was masked.
@@ -217,23 +213,5 @@ mod tests {
         ];
         let names: std::collections::BTreeSet<_> = all.iter().map(|o| o.class_name()).collect();
         assert_eq!(names.len(), all.len());
-    }
-}
-
-#[cfg(all(test, feature = "serde"))]
-mod serde_tests {
-    use super::*;
-
-    fn assert_serde<T: serde::Serialize + for<'de> serde::Deserialize<'de>>() {}
-
-    #[test]
-    fn fault_types_implement_serde() {
-        assert_serde::<FaultTarget>();
-        assert_serde::<FaultKind>();
-        assert_serde::<FaultSpec>();
-        assert_serde::<FaultOutcome>();
-        assert_serde::<crate::FaultResult>();
-        assert_serde::<crate::CampaignReport>();
-        assert_serde::<crate::ExecTrace>();
     }
 }

@@ -23,6 +23,7 @@
 use crate::checkpoint::atomic_write_file;
 use crate::fault::{FaultKind, FaultSpec, FaultTarget};
 use s4e_isa::Gpr;
+use s4e_obs::json;
 use s4e_vp::{FlightEvent, Vp};
 use std::fmt::Write as _;
 use std::io;
@@ -142,27 +143,19 @@ impl IncidentBundle {
     /// Serializes the bundle as one JSON document.
     pub fn to_json(&self) -> String {
         let mut out = String::with_capacity(512);
-        let _ = write!(
-            out,
-            "{{\"incident\":\"{}\"",
-            crate::checkpoint::escape_json(&self.incident)
-        );
+        let _ = write!(out, "{{\"incident\":\"{}\"", json::escape(&self.incident));
         let (tgt, loc, bit) = spec_location(&self.spec);
         let (kind, arg) = spec_kind(&self.spec);
         let _ = write!(
             out,
             ",\"spec\":{{\"tgt\":\"{tgt}\",\"loc\":{loc},\"bit\":{bit},\"kind\":\"{kind}\",\"arg\":{arg},\"display\":\"{}\"}}",
-            crate::checkpoint::escape_json(&self.spec.to_string())
+            json::escape(&self.spec.to_string())
         );
         if let Some(index) = self.index {
             let _ = write!(out, ",\"index\":{index}");
         }
         if let Some(panic) = &self.panic {
-            let _ = write!(
-                out,
-                ",\"panic\":\"{}\"",
-                crate::checkpoint::escape_json(panic)
-            );
+            let _ = write!(out, ",\"panic\":\"{}\"", json::escape(panic));
         }
         out.push_str(",\"flight\":{");
         if let Some((blocks, traps, devices)) = self.flight_totals {
@@ -206,8 +199,7 @@ impl IncidentBundle {
                         u8::from(*is_store)
                     );
                     if let Some(name) = device {
-                        let _ =
-                            write!(out, ",\"dev\":\"{}\"", crate::checkpoint::escape_json(name));
+                        let _ = write!(out, ",\"dev\":\"{}\"", json::escape(name));
                     }
                     out.push('}');
                 }
@@ -234,7 +226,7 @@ impl IncidentBundle {
                 if i > 0 {
                     out.push(',');
                 }
-                let _ = write!(out, "\"{}\"", crate::checkpoint::escape_json(line));
+                let _ = write!(out, "\"{}\"", json::escape(line));
             }
             out.push(']');
         }

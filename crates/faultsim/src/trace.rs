@@ -16,7 +16,6 @@ use std::collections::BTreeSet;
 /// injection targets (MBMV 2020: inject only where the software actually
 /// exercises the hardware).
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct ExecTrace {
     /// Addresses of executed instructions, trapping ones included.
     pub executed_pcs: BTreeSet<u32>,
@@ -34,7 +33,6 @@ pub struct ExecTrace {
     /// splitting a run into several `run_for` segments inserts extra
     /// interrupt-sampling points at the seams, which is architecturally
     /// invisible only while no interrupt can be delivered.
-    #[cfg_attr(feature = "serde", serde(default))]
     pub interrupts_armed: bool,
 }
 

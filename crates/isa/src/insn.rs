@@ -30,7 +30,6 @@ use core::fmt;
 /// # Ok::<(), s4e_isa::DecodeError>(())
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Insn {
     kind: InsnKind,
     rd: u8,
@@ -300,7 +299,6 @@ impl fmt::Display for Insn {
 /// [`effective_gpr_written`](RegUses::effective_gpr_written) when the
 /// architectural no-op behaviour matters.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct RegUses {
     /// GPRs read (up to two).
     pub gpr_read: [Option<Gpr>; 2],

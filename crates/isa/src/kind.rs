@@ -19,7 +19,6 @@ use core::fmt;
 /// assert_eq!(Extension::M.name(), "M");
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum Extension {
     /// Base integer ISA (including the privileged `mret`/`wfi`).
     I,
@@ -76,7 +75,6 @@ impl fmt::Display for Extension {
 /// and the static WCET per-block costs, which is what makes the
 /// `dynamic ≤ simulated ≤ static` invariant of experiment F1 a real property.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum InsnClass {
     /// Register/immediate ALU operations (including BMI).
     Alu,
@@ -150,7 +148,6 @@ macro_rules! insn_kinds {
         /// assert_eq!(InsnKind::Lw.class(), InsnClass::Load);
         /// ```
         #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-        #[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
         pub enum InsnKind {
             $(
                 #[doc = concat!("The `", $mnemonic, "` instruction.")]
@@ -333,7 +330,6 @@ macro_rules! c_kinds {
         /// assert_eq!(CKind::CAddi.mnemonic(), "c.addi");
         /// ```
         #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-        #[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
         pub enum CKind {
             $(
                 #[doc = concat!("The `", $mnemonic, "` encoding.")]
@@ -411,7 +407,6 @@ impl fmt::Display for CKind {
 /// assert_eq!(isa.isa_string(), "RV32IMZicsr_Zifencei");
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct IsaConfig {
     mask: u8,
 }
@@ -591,25 +586,5 @@ mod tests {
                 assert!(k.ends_block());
             }
         }
-    }
-}
-
-#[cfg(all(test, feature = "serde"))]
-mod serde_tests {
-    use super::*;
-
-    fn assert_serde<T: serde::Serialize + for<'de> serde::Deserialize<'de>>() {}
-
-    #[test]
-    fn data_types_implement_serde() {
-        assert_serde::<Extension>();
-        assert_serde::<InsnClass>();
-        assert_serde::<InsnKind>();
-        assert_serde::<CKind>();
-        assert_serde::<IsaConfig>();
-        assert_serde::<crate::Gpr>();
-        assert_serde::<crate::Fpr>();
-        assert_serde::<crate::Csr>();
-        assert_serde::<crate::Insn>();
     }
 }

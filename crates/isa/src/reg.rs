@@ -26,7 +26,6 @@ use core::fmt;
 /// assert_eq!(sp.index(), 2);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Gpr(u8);
 
 impl Gpr {
@@ -124,7 +123,6 @@ pub(crate) const GPR_ABI_NAMES: [&str; 32] = [
 /// assert_eq!(fa0.abi_name(), "fa0");
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Fpr(u8);
 
 impl Fpr {
@@ -188,7 +186,6 @@ pub(crate) const FPR_ABI_NAMES: [&str; 32] = [
 /// assert_eq!(Csr::new(0x123).name(), None);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Csr(u16);
 
 impl Csr {

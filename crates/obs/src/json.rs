@@ -1,9 +1,12 @@
-//! A minimal JSON reader for snapshot round-trips.
+//! The workspace's one JSON reader and string escaper.
 //!
-//! The build environment vendors a no-op `serde`, so the snapshot format
-//! is hand-rolled (like the faultsim checkpoint). The subset parsed here
-//! is exactly what [`Snapshot::to_json`](crate::Snapshot::to_json)
-//! emits: objects, arrays, strings and unsigned integers — no floats,
+//! Every JSON artifact the ecosystem writes is hand-rolled: metrics
+//! snapshots ([`Snapshot::to_json`](crate::Snapshot::to_json)), Chrome
+//! traces ([`to_chrome_json`](crate::to_chrome_json)), campaign
+//! checkpoint lines and incident bundles (`s4e-faultsim`). Their
+//! writers escape strings with [`escape`], and their readers decode
+//! through [`parse`]. The subset parsed is exactly what those writers
+//! emit: objects, arrays, strings and unsigned integers, with no floats,
 //! booleans or nulls.
 
 use std::collections::BTreeMap;
@@ -12,7 +15,7 @@ use std::str::Chars;
 
 /// A parsed JSON value (the emitted subset).
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub(crate) enum Json {
+pub enum Json {
     /// An object, keys in parse order not preserved (BTreeMap).
     Obj(BTreeMap<String, Json>),
     /// An array.
@@ -24,28 +27,32 @@ pub(crate) enum Json {
 }
 
 impl Json {
-    pub(crate) fn as_obj(&self) -> Option<&BTreeMap<String, Json>> {
+    /// The object's members, when this is an object.
+    pub fn as_obj(&self) -> Option<&BTreeMap<String, Json>> {
         match self {
             Json::Obj(m) => Some(m),
             _ => None,
         }
     }
 
-    pub(crate) fn as_arr(&self) -> Option<&[Json]> {
+    /// The array's items, when this is an array.
+    pub fn as_arr(&self) -> Option<&[Json]> {
         match self {
             Json::Arr(v) => Some(v),
             _ => None,
         }
     }
 
-    pub(crate) fn as_str(&self) -> Option<&str> {
+    /// The string, when this is a string.
+    pub fn as_str(&self) -> Option<&str> {
         match self {
             Json::Str(s) => Some(s),
             _ => None,
         }
     }
 
-    pub(crate) fn as_num(&self) -> Option<u64> {
+    /// The number, when this is an unsigned integer.
+    pub fn as_num(&self) -> Option<u64> {
         match self {
             Json::Num(n) => Some(*n),
             _ => None,
@@ -54,7 +61,7 @@ impl Json {
 }
 
 /// Parses one complete JSON document; trailing garbage is an error.
-pub(crate) fn parse(text: &str) -> Option<Json> {
+pub fn parse(text: &str) -> Option<Json> {
     let mut chars = text.chars().peekable();
     let value = parse_value(&mut chars)?;
     skip_ws(&mut chars);
@@ -160,7 +167,7 @@ fn parse_string(chars: &mut Peekable<Chars<'_>>) -> Option<String> {
 }
 
 /// Escapes a string for embedding in a JSON document.
-pub(crate) fn escape(s: &str) -> String {
+pub fn escape(s: &str) -> String {
     use std::fmt::Write as _;
     let mut out = String::with_capacity(s.len());
     for c in s.chars() {

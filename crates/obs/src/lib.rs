@@ -1,18 +1,18 @@
 //! Observability for the Scale4Edge ecosystem: a lock-free metrics
-//! registry, serializable snapshots, and the hot-block profiler plugin.
+//! registry, serializable snapshots, the hot-block profiler plugin, and
+//! structured tracing.
 //!
 //! The QTA flow and the fault-injection campaigns both run millions of
 //! simulated instructions; this crate is how those runs report what they
-//! did without slowing down while doing it. Three pieces:
+//! did without slowing down while doing it. The pieces:
 //!
 //! - [`MetricsRegistry`] — named [`Counter`]s, [`Gauge`]s and log₂-bucketed
 //!   [`Histogram`]s. Handles are `Arc`s; recording an event is a relaxed
 //!   atomic add, with the registry lock touched only at registration and
 //!   snapshot time.
 //! - [`Snapshot`] — a point-in-time copy of every metric, mergeable across
-//!   workers and serializable to JSON ([`Snapshot::to_json`]) or
-//!   Prometheus-style text exposition ([`Snapshot::to_text`]), both
-//!   round-trippable.
+//!   workers and round-trippable through JSON ([`Snapshot::to_json`],
+//!   [`Snapshot::from_json`]).
 //! - [`ProfilePlugin`] — a VP [`Plugin`](s4e_vp::Plugin) that counts block
 //!   executions, per-kind instruction retirement, memory/device traffic
 //!   and traps, and renders a hot-block table.
@@ -20,6 +20,8 @@
 //!   merged into one Chrome `trace_event` timeline
 //!   ([`to_chrome_json`]), so a whole sharded campaign — supervisor,
 //!   workers, VP incidents — is inspectable in Perfetto.
+//! - [`json`] — the one JSON reader and string escaper behind every
+//!   hand-rolled JSON format in the workspace.
 //!
 //! # Examples
 //!
@@ -42,7 +44,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod json;
+pub mod json;
 mod metrics;
 mod profile;
 mod snapshot;
@@ -61,8 +63,8 @@ pub mod names {
     //! The metric naming scheme shared by every instrumented subsystem.
     //!
     //! Names satisfy `[a-z_][a-z0-9_]*` (enforced by
-    //! [`MetricsRegistry`](crate::MetricsRegistry)) so one spelling works
-    //! in both the JSON and the Prometheus text expositions. Dotted
+    //! [`MetricsRegistry`](crate::MetricsRegistry)), so the CLI, CI and
+    //! the benchmark can match a name verbatim, with no escaping. Dotted
     //! mnemonics (`c.addi`, `fadd.s`) and camel-case class names
     //! (`FpLoad`) are mangled by [`sanitize`].
 
@@ -162,94 +164,6 @@ pub mod names {
     pub const QTA_SLACK: &str = "qta_slack_cycles";
     /// Block entries whose observed cycles exceeded the static WCET.
     pub const QTA_OVERRUNS: &str = "qta_overruns";
-
-    /// The `# HELP` text for a metric name, when the name belongs to one
-    /// of the ecosystem's known families (exact names first, then the
-    /// `campaign_<suffix>` and `vp_<suffix>` rows of the
-    /// [`DispatchStats`](s4e_vp::DispatchStats) table, then the
-    /// generated-name prefixes). [`Snapshot::to_text`](crate::Snapshot::to_text)
-    /// emits the returned line ahead of the metric's `# TYPE`; unknown
-    /// names get no `# HELP` line, which scrapers accept.
-    pub fn help_for(name: &str) -> Option<&'static str> {
-        let exact = match name {
-            INSN_RETIRED => "Instructions observed by the profiler (retired, plus trapped).",
-            BLOCKS_TRANSLATED => "Basic blocks translated into the block cache.",
-            BLOCK_EXECS => "Basic-block entries (all blocks).",
-            MEM_READS => "RAM loads observed.",
-            MEM_WRITES => "RAM stores observed.",
-            DEV_READS => "Device loads observed.",
-            DEV_WRITES => "Device stores observed.",
-            TRAPS => "Traps taken (exceptions and interrupts).",
-            QTA_SLACK => "Per-block-entry slack (static WCET minus observed cycles).",
-            QTA_OVERRUNS => "Block entries whose observed cycles exceeded the static WCET.",
-            "campaign_total" => "Mutants queued for the sweep.",
-            "campaign_done" => "Mutants classified so far.",
-            "campaign_resumed" => "Mutants skipped because a checkpoint already held them.",
-            "campaign_workers" => "Worker threads dispatching mutants.",
-            "campaign_workers_exited" => "Worker threads that finished their queue.",
-            "campaign_shards" => "Worker processes of the sharded campaign.",
-            "campaign_shards_done" => "Shard ranges fully classified.",
-            "campaign_shard_crashes" => "Shard worker processes that died and were reaped.",
-            "campaign_shard_restarts" => "Shard workers restarted from their checkpoints.",
-            "campaign_shard_bisections" => "Crashing shard ranges split to isolate the culprit.",
-            "campaign_shard_backoff_ms" => "Milliseconds spent backing off before restarts.",
-            "campaign_pruned_dead" => "Mutants classified by def-use analysis without executing.",
-            "campaign_pruned_dedup" => {
-                "Mutants sharing an identical already-executed classification."
-            }
-            "campaign_queue_steals" => "Queue claims that migrated between worker threads.",
-            _ => "",
-        };
-        if !exact.is_empty() {
-            return Some(exact);
-        }
-        let dispatch = name
-            .strip_prefix("campaign_")
-            .or_else(|| name.strip_prefix("vp_"))
-            .and_then(|suffix| {
-                s4e_vp::DispatchStats::default()
-                    .counters()
-                    .into_iter()
-                    .find(|c| c.suffix == suffix)
-            });
-        if let Some(counter) = dispatch {
-            return Some(counter.help);
-        }
-        if name.starts_with("vp_trap_irq_") {
-            return Some("Interrupts taken with this IRQ number.");
-        }
-        if name.starts_with("vp_trap_cause_") {
-            return Some("Exceptions taken with this mcause value.");
-        }
-        if name.starts_with("vp_class_") {
-            return Some("Instructions retired in this class.");
-        }
-        if name.starts_with("vp_cinsn_") {
-            return Some("Compressed instructions retired with this mnemonic.");
-        }
-        if name.starts_with("vp_insn_") {
-            return Some("Instructions retired with this mnemonic.");
-        }
-        if name.starts_with(BLOCK_PREFIX) && name.ends_with("_execs") {
-            return Some("Entries into this basic block.");
-        }
-        if name.starts_with(BLOCK_PREFIX) && name.ends_with("_insns") {
-            return Some("Instructions attributed to this basic block.");
-        }
-        if name.starts_with("qta_block_") {
-            return Some("Observed cycles per entry of this basic block.");
-        }
-        if name.starts_with("campaign_worker_") {
-            return Some("Mutants claimed by this worker thread (liveness heartbeat).");
-        }
-        if name.starts_with("campaign_outcome_") {
-            return Some("Mutants classified with this outcome.");
-        }
-        if name.starts_with("campaign_quarantined_") {
-            return Some("A quarantined mutant and its forensic bundle path.");
-        }
-        None
-    }
 
     /// Histogram name for a block's observed cycles
     /// (`qta_block_00000100_cycles`).

@@ -142,12 +142,6 @@ impl Gauge {
         self.value.store(v, Ordering::Relaxed);
     }
 
-    /// Raises the level to at least `v`.
-    #[inline]
-    pub fn raise_to(&self, v: u64) {
-        self.value.fetch_max(v, Ordering::Relaxed);
-    }
-
     /// The current level.
     pub fn value(&self) -> u64 {
         self.value.load(Ordering::Relaxed)
@@ -418,10 +412,9 @@ mod tests {
         assert_eq!(c.value(), 10);
         let g = Gauge::new();
         g.set(5);
-        g.raise_to(3);
         assert_eq!(g.value(), 5);
-        g.raise_to(8);
-        assert_eq!(g.value(), 8);
+        g.set(3);
+        assert_eq!(g.value(), 3);
     }
 
     #[test]

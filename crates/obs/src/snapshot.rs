@@ -1,5 +1,5 @@
-//! Point-in-time metric snapshots: merge, JSON and Prometheus-style text
-//! exposition, and the parsers that make both round-trip.
+//! Point-in-time metric snapshots: merge, and the JSON form that
+//! `--metrics-out` writes and [`Snapshot::from_json`] reads back.
 
 use crate::json::{self, Json};
 use crate::metrics::{bucket_index, bucket_upper, NUM_BUCKETS};
@@ -12,7 +12,6 @@ use std::fmt::Write as _;
 /// in ascending index order; bucket `b` covers values in
 /// `[2^(b-1), 2^b - 1]` (bucket 0 is the value `0`).
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct HistogramSnapshot {
     /// Observations recorded.
     pub count: u64,
@@ -102,7 +101,6 @@ impl HistogramSnapshot {
 
 /// One metric's snapshotted value.
 #[derive(Debug, Clone, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum MetricValue {
     /// A counter's running total.
     Counter(u64),
@@ -112,8 +110,7 @@ pub enum MetricValue {
     Histogram(HistogramSnapshot),
     /// A free-text annotation riding alongside the numeric metrics —
     /// how a campaign names its quarantined mutants and forensic-bundle
-    /// paths in a `--metrics-out` snapshot. Not a Prometheus sample; the
-    /// text exposition renders the value as a quoted JSON string.
+    /// paths in a `--metrics-out` snapshot.
     Info(String),
 }
 
@@ -165,11 +162,8 @@ impl std::error::Error for SnapshotParseError {}
 /// let snap = registry.snapshot();
 /// let json = snap.to_json();
 /// assert_eq!(Snapshot::from_json(&json).unwrap(), snap);
-/// let text = snap.to_text();
-/// assert_eq!(Snapshot::from_text(&text).unwrap(), snap);
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Snapshot {
     metrics: BTreeMap<String, MetricValue>,
 }
@@ -399,162 +393,6 @@ impl Snapshot {
             };
             metrics.insert(name.clone(), value);
         }
-        Ok(Snapshot { metrics })
-    }
-
-    // ------------------------------------------------------------- text
-
-    /// Serializes in Prometheus-style text exposition: a `# HELP` line
-    /// for every name the ecosystem's naming scheme knows
-    /// ([`names::help_for`](crate::names::help_for)) and a `# TYPE` line
-    /// per metric, cumulative `_bucket{le="…"}` lines for histograms
-    /// (bucket upper bounds, closed by the `+Inf` terminal), plus
-    /// `_sum`, `_count` and a non-standard `_max` line carrying the
-    /// exact maximum so the text form round-trips.
-    pub fn to_text(&self) -> String {
-        let mut out = String::new();
-        for (name, value) in &self.metrics {
-            if let Some(help) = crate::names::help_for(name) {
-                let _ = writeln!(out, "# HELP {name} {help}");
-            }
-            let _ = writeln!(out, "# TYPE {name} {}", value.kind_name());
-            match value {
-                MetricValue::Counter(n) | MetricValue::Gauge(n) => {
-                    let _ = writeln!(out, "{name} {n}");
-                }
-                MetricValue::Info(s) => {
-                    let _ = writeln!(out, "{name} \"{}\"", json::escape(s));
-                }
-                MetricValue::Histogram(h) => {
-                    let mut cumulative = 0u64;
-                    for &(index, n) in &h.buckets {
-                        cumulative += n;
-                        let _ = writeln!(
-                            out,
-                            "{name}_bucket{{le=\"{}\"}} {cumulative}",
-                            bucket_upper(index as usize)
-                        );
-                    }
-                    let _ = writeln!(out, "{name}_bucket{{le=\"+Inf\"}} {}", h.count);
-                    let _ = writeln!(out, "{name}_sum {}", h.sum);
-                    let _ = writeln!(out, "{name}_count {}", h.count);
-                    let _ = writeln!(out, "{name}_max {}", h.max);
-                }
-            }
-        }
-        out
-    }
-
-    /// Decodes a snapshot from its [`to_text`](Snapshot::to_text) form.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SnapshotParseError`] on malformed lines, samples outside
-    /// a `# TYPE` block, or inconsistent histogram series.
-    pub fn from_text(text: &str) -> Result<Snapshot, SnapshotParseError> {
-        let mut metrics = BTreeMap::new();
-        let mut current: Option<(String, String)> = None;
-        let mut histogram: Option<(String, HistogramSnapshot, u64)> = None;
-        let flush = |hist: &mut Option<(String, HistogramSnapshot, u64)>,
-                     metrics: &mut BTreeMap<String, MetricValue>| {
-            if let Some((name, snap, _)) = hist.take() {
-                metrics.insert(name, MetricValue::Histogram(snap));
-            }
-        };
-        for line in text.lines() {
-            let line = line.trim();
-            if line.is_empty() {
-                continue;
-            }
-            if let Some(rest) = line.strip_prefix("# TYPE ") {
-                flush(&mut histogram, &mut metrics);
-                let (name, kind) = rest
-                    .split_once(' ')
-                    .ok_or_else(|| SnapshotParseError::new(format!("bad TYPE line `{line}`")))?;
-                if kind == "histogram" {
-                    histogram = Some((name.to_string(), HistogramSnapshot::default(), 0));
-                }
-                current = Some((name.to_string(), kind.to_string()));
-                continue;
-            }
-            if line.starts_with('#') {
-                continue;
-            }
-            if let Some((name, kind)) = current.as_ref().filter(|cur| cur.1 == "info") {
-                let text = line
-                    .strip_prefix(name.as_str())
-                    .and_then(|rest| rest.strip_prefix(' '))
-                    .and_then(|rest| json::parse(rest.trim()))
-                    .and_then(|v| v.as_str().map(str::to_string))
-                    .ok_or_else(|| {
-                        SnapshotParseError::new(format!("bad {kind} sample `{line}`"))
-                    })?;
-                metrics.insert(name.clone(), MetricValue::Info(text));
-                continue;
-            }
-            let (sample, value) = line
-                .rsplit_once(' ')
-                .ok_or_else(|| SnapshotParseError::new(format!("bad sample line `{line}`")))?;
-            let value: u64 = value
-                .parse()
-                .map_err(|_| SnapshotParseError::new(format!("bad value in `{line}`")))?;
-            let (name, kind) = current
-                .as_ref()
-                .ok_or_else(|| SnapshotParseError::new(format!("sample before TYPE: `{line}`")))?;
-            match kind.as_str() {
-                "counter" if sample == name => {
-                    metrics.insert(name.clone(), MetricValue::Counter(value));
-                }
-                "gauge" if sample == name => {
-                    metrics.insert(name.clone(), MetricValue::Gauge(value));
-                }
-                "histogram" => {
-                    let (hname, snap, cumulative) = histogram.as_mut().ok_or_else(|| {
-                        SnapshotParseError::new(format!("stray histogram sample `{line}`"))
-                    })?;
-                    let suffix = sample.strip_prefix(hname.as_str()).ok_or_else(|| {
-                        SnapshotParseError::new(format!("sample `{sample}` outside `{hname}`"))
-                    })?;
-                    if let Some(le) = suffix
-                        .strip_prefix("_bucket{le=\"")
-                        .and_then(|s| s.strip_suffix("\"}"))
-                    {
-                        if le == "+Inf" {
-                            continue; // redundant with `_count`
-                        }
-                        let upper: u64 = le.parse().map_err(|_| {
-                            SnapshotParseError::new(format!("bad bucket bound in `{line}`"))
-                        })?;
-                        let delta = value.checked_sub(*cumulative).ok_or_else(|| {
-                            SnapshotParseError::new(format!(
-                                "non-cumulative bucket series at `{line}`"
-                            ))
-                        })?;
-                        *cumulative = value;
-                        if delta > 0 {
-                            snap.buckets.push((bucket_index(upper) as u8, delta));
-                        }
-                    } else {
-                        match suffix {
-                            "_sum" => snap.sum = value,
-                            "_count" => snap.count = value,
-                            "_max" => snap.max = value,
-                            _ => {
-                                return Err(SnapshotParseError::new(format!(
-                                    "unknown histogram sample `{sample}`"
-                                )))
-                            }
-                        }
-                    }
-                }
-                _ => {
-                    return Err(SnapshotParseError::new(format!(
-                        "sample `{sample}` does not match TYPE `{name}`"
-                    )))
-                }
-            }
-        }
-        flush(&mut histogram, &mut metrics);
         Ok(Snapshot { metrics })
     }
 }

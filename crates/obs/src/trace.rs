@@ -33,10 +33,9 @@
 //! against shard trace chunks.
 //!
 //! The export format is the Chrome `trace_event` JSON array wrapped in
-//! `{"traceEvents": [...]}`; [`from_chrome_json`] parses it back (the
-//! build environment vendors a no-op `serde`, so the exporter is
-//! hand-rolled like the snapshot and checkpoint formats and round-trips
-//! through the same minimal JSON reader).
+//! `{"traceEvents": [...]}`; [`from_chrome_json`] parses it back
+//! through the crate's one JSON reader ([`json`](crate::json)), like the
+//! snapshot and checkpoint formats.
 //!
 //! # Examples
 //!

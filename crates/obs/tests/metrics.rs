@@ -176,34 +176,6 @@ fn json_roundtrip() {
 }
 
 #[test]
-fn text_roundtrip() {
-    let snap = sample_snapshot();
-    let text = snap.to_text();
-    // Prometheus exposition shape: TYPE lines and cumulative buckets.
-    assert!(text.contains("# TYPE vp_insn_retired counter"));
-    assert!(text.contains("# TYPE campaign_inflight gauge"));
-    assert!(text.contains("# TYPE qta_block_00000100_cycles histogram"));
-    assert!(text.contains("qta_block_00000100_cycles_bucket{le=\"+Inf\"} 7"));
-    let reparsed = Snapshot::from_text(&text).expect("parses back");
-    assert_eq!(reparsed, snap);
-}
-
-#[test]
-fn help_lines_precede_known_metrics() {
-    let snap = sample_snapshot();
-    let text = snap.to_text();
-    assert!(text.contains("# HELP vp_insn_retired "));
-    assert!(text.contains("# HELP qta_block_00000100_cycles "));
-    // HELP precedes TYPE for the same metric, Prometheus-style.
-    let help = text.find("# HELP vp_insn_retired").unwrap();
-    let ty = text.find("# TYPE vp_insn_retired").unwrap();
-    assert!(help < ty);
-    // Unknown names get no HELP line and still round-trip.
-    assert!(!text.contains("# HELP campaign_inflight"));
-    assert_eq!(Snapshot::from_text(&text).expect("parses back"), snap);
-}
-
-#[test]
 fn info_metrics_roundtrip_both_expositions() {
     let mut snap = sample_snapshot();
     snap.insert(
@@ -216,10 +188,6 @@ fn info_metrics_roundtrip_both_expositions() {
     );
     let json = snap.to_json();
     assert_eq!(Snapshot::from_json(&json).expect("json parses"), snap);
-    let text = snap.to_text();
-    assert!(text.contains("# TYPE campaign_quarantined_0 info"));
-    assert!(text.contains("# HELP campaign_quarantined_0 "));
-    assert_eq!(Snapshot::from_text(&text).expect("text parses"), snap);
     // Merging never concatenates annotations: the first value wins.
     let mut merged = snap.clone();
     let mut other = Snapshot::new();
@@ -242,9 +210,6 @@ fn parsers_reject_malformed_input() {
     assert!(Snapshot::from_json("{\"a\":{\"type\":\"nope\",\"value\":1}}").is_err());
     assert!(Snapshot::from_json("{\"a\":{\"type\":\"counter\"}}").is_err());
     assert!(Snapshot::from_json("{\"a\":{\"type\":\"info\",\"value\":1}}").is_err());
-    assert!(Snapshot::from_text("vp_x 1").is_err()); // sample before TYPE
-    assert!(Snapshot::from_text("# TYPE vp_x counter\nvp_x nope").is_err());
-    assert!(Snapshot::from_text("# TYPE vp_x info\nvp_x unquoted").is_err());
 }
 
 #[test]

@@ -132,7 +132,6 @@ impl Clone for FlightRecorder {
 /// One recorded execution event, stamped with `instret` at the time it
 /// happened.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum FlightEvent {
     /// A basic block was dispatched.
     Block {

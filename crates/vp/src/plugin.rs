@@ -67,7 +67,6 @@ pub struct BlockEntry {
 
 /// A data-memory access performed by the guest.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct MemAccess {
     /// PC of the accessing instruction.
     pub pc: u32,
@@ -83,7 +82,6 @@ pub struct MemAccess {
 
 /// An access that hit a memory-mapped device rather than RAM.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct DeviceAccess {
     /// The device's stable name (e.g. `"uart"`).
     pub device: &'static str,

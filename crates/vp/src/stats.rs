@@ -3,13 +3,13 @@
 //!
 //! Every counter is one row of the `dispatch_counters!` table below:
 //! its field name, the metric suffix it is exported under
-//! (`campaign_<suffix>` in campaign metrics) and a one-line help string
-//! that is also the field's rustdoc. The macro generates the struct,
+//! (`campaign_<suffix>` in campaign metrics) and a one-line description
+//! that becomes the field's rustdoc. The macro generates the struct,
 //! [`DispatchStats::merge`] and [`DispatchStats::counters`], and every
-//! consumer (campaign and `vp_<suffix>` metrics, `# HELP` text) reads
-//! the table through `counters`, so a new counter is one row plus its
-//! increment. Exported names are read by name downstream: a suffix is
-//! never renamed.
+//! consumer (the campaign and `vp_<suffix>` metrics) reads the table
+//! through `counters`, so a new counter is one row plus its increment.
+//! Exported names are read by name downstream: a suffix is never
+//! renamed.
 
 /// One [`DispatchStats`] counter: its table row and its value.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -19,14 +19,12 @@ pub struct DispatchCounter {
     /// The metric suffix: campaign metrics export the counter as
     /// `campaign_<suffix>`.
     pub suffix: &'static str,
-    /// One line of help text, also the field's rustdoc.
-    pub help: &'static str,
     /// The counter's value.
     pub value: u64,
 }
 
 macro_rules! dispatch_counters {
-    ($( $field:ident => $suffix:literal, $help:literal; )+) => {
+    ($( $field:ident => $suffix:literal, $doc:literal; )+) => {
         /// Counters for the dispatch fast path and the snapshot machinery.
         ///
         /// Retrieved with [`Vp::dispatch_stats`](crate::Vp::dispatch_stats)
@@ -34,11 +32,10 @@ macro_rules! dispatch_counters {
         /// [`Vp::take_dispatch_stats`](crate::Vp::take_dispatch_stats)
         /// (reset-on-read, for periodic merging into an `s4e-obs` metrics
         /// registry). [`counters`](DispatchStats::counters) lists every
-        /// field with its metric suffix and help line.
+        /// field with its metric suffix.
         #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
-        #[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
         pub struct DispatchStats {
-            $( #[doc = $help] pub $field: u64, )+
+            $( #[doc = $doc] pub $field: u64, )+
         }
 
         /// Rows in the counter table.
@@ -46,12 +43,11 @@ macro_rules! dispatch_counters {
 
         impl DispatchStats {
             /// Every counter in table order, with its field name, metric
-            /// suffix, help line and value.
+            /// suffix and value.
             pub fn counters(&self) -> [DispatchCounter; COUNTERS] {
                 [$(DispatchCounter {
                     field: stringify!($field),
                     suffix: $suffix,
-                    help: $help,
                     value: self.$field,
                 }),+]
             }

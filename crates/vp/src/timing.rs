@@ -27,7 +27,6 @@ use s4e_isa::{Insn, InsnClass};
 /// assert_eq!(model.class_cost(InsnClass::Alu), 1);
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct TimingModel {
     costs: [u64; InsnClass::ALL.len()],
     branch_taken_extra: u64,

@@ -14,7 +14,6 @@ use core::fmt;
 /// assert!(Trap::MachineTimerInterrupt.is_interrupt());
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum Trap {
     /// Instruction address misaligned (cause 0).
     InsnMisaligned {

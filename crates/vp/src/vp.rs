@@ -48,7 +48,6 @@ pub const DEFAULT_INSN_LIMIT: u64 = 100_000_000;
 
 /// Why a [`Vp::run`] call returned.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum RunOutcome {
     /// The guest wrote the system controller's exit register.
     Exit(u32),
@@ -241,7 +240,6 @@ pub struct VpBuilder {
     ram_size: u32,
     timing: TimingModel,
     cache_enabled: bool,
-    standard_devices: bool,
     jit_enabled: bool,
     jit_threshold: u32,
 }
@@ -288,14 +286,6 @@ impl VpBuilder {
         self
     }
 
-    /// Whether to map the standard devices (UART, system controller,
-    /// CLINT). Default: mapped.
-    #[must_use]
-    pub fn standard_devices(mut self, mapped: bool) -> VpBuilder {
-        self.standard_devices = mapped;
-        self
-    }
-
     /// Enables or disables the template JIT tier (default: enabled).
     ///
     /// With the JIT on, blocks that stay hot past the promotion
@@ -336,11 +326,9 @@ impl VpBuilder {
     /// Panics if the RAM region is empty or wraps the address space.
     pub fn build(self) -> Vp {
         let mut bus = Bus::new(self.ram_base, self.ram_size);
-        if self.standard_devices {
-            bus.map_device(UART_BASE, UART_SIZE, Box::new(Uart::new()));
-            bus.map_device(SYSCON_BASE, SYSCON_SIZE, Box::new(Syscon::new()));
-            bus.map_device(CLINT_BASE, CLINT_SIZE, Box::new(Clint::new()));
-        }
+        bus.map_device(UART_BASE, UART_SIZE, Box::new(Uart::new()));
+        bus.map_device(SYSCON_BASE, SYSCON_SIZE, Box::new(Syscon::new()));
+        bus.map_device(CLINT_BASE, CLINT_SIZE, Box::new(Clint::new()));
         let pages = self.ram_size.div_ceil(PAGE_SIZE) as usize;
         // `JitEngine::new` returns `None` off x86-64. The masked engine
         // is created at the first run entry with masks armed.
@@ -384,7 +372,6 @@ impl Default for VpBuilder {
             ram_size: RAM_SIZE,
             timing: TimingModel::new(),
             cache_enabled: true,
-            standard_devices: true,
             jit_enabled: true,
             jit_threshold: 8,
         }

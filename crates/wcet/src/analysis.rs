@@ -9,7 +9,6 @@ use std::collections::{BTreeMap, BTreeSet, HashMap};
 
 /// Where a loop bound came from.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum BoundSource {
     /// Supplied by the user via [`LoopBounds`].
     Annotated,
@@ -19,7 +18,6 @@ pub enum BoundSource {
 
 /// Per-loop analysis result.
 #[derive(Debug, Clone, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct LoopTiming {
     /// The loop header block address.
     pub header: u32,
@@ -35,7 +33,6 @@ pub struct LoopTiming {
 
 /// Per-block static timing.
 #[derive(Debug, Clone, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct BlockTiming {
     /// Block start address.
     pub start: u32,
@@ -49,7 +46,6 @@ pub struct BlockTiming {
 
 /// Per-function analysis result.
 #[derive(Debug, Clone, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct FunctionWcet {
     /// Function entry address.
     pub entry: u32,
@@ -66,7 +62,6 @@ pub struct FunctionWcet {
 
 /// The full analysis result — the ecosystem's equivalent of an aiT report.
 #[derive(Debug, Clone, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct WcetReport {
     entry: u32,
     functions: BTreeMap<u32, FunctionWcet>,

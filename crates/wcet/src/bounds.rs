@@ -27,7 +27,6 @@ use std::collections::BTreeMap;
 /// assert_eq!(bounds.get(0x8000_0020), None);
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct LoopBounds {
     by_header: BTreeMap<u32, u64>,
 }

@@ -21,7 +21,6 @@ use std::error::Error;
 
 /// One WCET-annotated block.
 #[derive(Debug, Clone, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct TimedBlock {
     /// Block start address.
     pub start: u32,
@@ -61,7 +60,6 @@ pub struct TimedBlock {
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct TimedCfg {
     entry: u32,
     total_wcet: u64,

@@ -408,7 +408,7 @@ fn write_metrics(path: &str, snapshot: &Snapshot, out: &mut String) -> Result<()
 }
 
 /// `snapshot` plus every [`DispatchStats`] row of `stats` as a
-/// `vp_<suffix>` counter, which gets its `# HELP` line from the row.
+/// `vp_<suffix>` counter.
 fn with_dispatch(mut snapshot: Snapshot, stats: &DispatchStats) -> Snapshot {
     let registry = MetricsRegistry::new();
     for c in stats.counters() {
@@ -969,10 +969,13 @@ fn run_command_inner(
                     range.end,
                     report.total()
                 );
-                // Flush this worker's trace chunk; the supervisor merges
-                // every shard's chunk into the sweep timeline.
+                // Flush this worker's trace chunk and counters; the
+                // supervisor merges them into the sweep's own.
                 if let (Some(tracer), Some(path)) = (&tracer, &opts.trace_out) {
                     write_trace(path, &tracer.drain(), &mut out)?;
+                }
+                if let (Some(progress), Some(path)) = (&progress, &opts.metrics_out) {
+                    write_metrics(path, &progress.snapshot(), &mut out)?;
                 }
                 return Ok(CliOutcome::clean(out));
             }
@@ -1008,6 +1011,8 @@ fn run_command_inner(
                     .or_else(|_| std::env::current_exe())
                     .map_err(|e| CliError::new(format!("cannot locate worker binary: {e}")))?;
                 let worker_args = worker_flag_args(opts, source_path);
+                // The metrics file of every worker spawned by this run.
+                let worker_metrics = std::cell::RefCell::new(std::collections::BTreeSet::new());
                 let supervisor = s4e_faultsim::ShardSupervisor::new(sup_cfg, |req| {
                     let mut cmd = std::process::Command::new(&worker_bin);
                     cmd.args(&worker_args)
@@ -1020,6 +1025,15 @@ fn run_command_inner(
                         // checkpoint; the supervisor merges the chunks.
                         cmd.arg("--trace-out")
                             .arg(req.checkpoint.with_extension("trace.json"));
+                    }
+                    if opts.metrics_out.is_some() {
+                        // Each worker writes its counters on a clean exit;
+                        // a stale file from an earlier attempt or run must
+                        // not stand in for one killed mid-range.
+                        let path = req.checkpoint.with_extension("metrics.json");
+                        let _ = std::fs::remove_file(&path);
+                        cmd.arg("--metrics-out").arg(&path);
+                        worker_metrics.borrow_mut().insert(path);
                     }
                     if let Some(dir) = &opts.trace_dir {
                         cmd.arg("--trace-dir").arg(dir);
@@ -1069,6 +1083,18 @@ fn run_command_inner(
                         opts.resume,
                     )
                     .map_err(|e| CliError::new(format!("campaign failed: {e}")))?;
+                // Outcomes come from the merged checkpoint; the workers'
+                // files add the counters only the workers saw.
+                if let Some(p) = &progress {
+                    for path in worker_metrics.borrow().iter() {
+                        if let Some(snap) = std::fs::read_to_string(path)
+                            .ok()
+                            .and_then(|text| Snapshot::from_json(&text).ok())
+                        {
+                            p.add_worker_counters(&snap);
+                        }
+                    }
+                }
                 drop(ticker);
                 if sharded.interrupted {
                     code = EXIT_INTERRUPTED;
