@@ -15,17 +15,14 @@
 //! 3. pruned against executed, on every tenth spec of the generator's
 //!    mix scaled past 10^5 mutants; pruning must classify some of them.
 //!
-//! Six shape gates (checked after the record is written):
+//! Five shape gates (checked after the record is written):
 //!
 //! - fast-forward ≥ 3x the legacy sweep's throughput;
 //! - the JIT in mutant suffixes ≥ 2x the `--no-jit` sweep's;
 //! - on a branch-heavy kernel, the micro-op engine ≥ 5.6x the uncached
 //!   interpreter and the template JIT ≥ 3x the micro-op engine;
 //! - on a memory-bound kernel, every access of the micro-op engine takes
-//!   the RAM fast path;
-//! - with the flight recorder disarmed, the micro-op engine reproduces
-//!   its MIPS within 2% across interleaved windows (an A/A bound); the
-//!   armed cost is recorded, not gated.
+//!   the RAM fast path.
 //!
 //! Timed arms run in interleaved rounds and keep each arm's fastest
 //! window: host throughput drifts between windows, and transient load
@@ -40,7 +37,7 @@ use s4e_faultsim::{
     FaultTarget, GeneratorConfig,
 };
 use s4e_isa::{Gpr, IsaConfig};
-use s4e_vp::{DispatchStats, FlightRecorder, RunOutcome, Vp};
+use s4e_vp::{DispatchStats, RunOutcome, Vp};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -229,13 +226,10 @@ fn main() {
     // instructions per run: long enough that per-run warm-up
     // (translation, and for the JIT promotion and compilation) amortizes.
     let branchy = build(&state_machine(4096).source, isa);
-    let dispatch = |image: &Image, cache: bool, jit: bool, flight: bool| {
+    let dispatch = |image: &Image, cache: bool, jit: bool| {
         let mut vp = Vp::builder().isa(isa).block_cache(cache).jit(jit).build();
         vp.load(image.base(), image.bytes()).expect("fits RAM");
         vp.cpu_mut().set_pc(image.entry());
-        if flight {
-            vp.set_flight_recorder(Some(FlightRecorder::new(1024)));
-        }
         let boot = vp.snapshot();
         let mut insns = 0u64;
         let mut per_run = 0u64;
@@ -258,7 +252,7 @@ fn main() {
     let mut best: [Option<(u64, f64, DispatchStats)>; 3] = [None; 3];
     for _ in 0..3 {
         for (i, &(cache, jit)) in tiers.iter().enumerate() {
-            let sample = dispatch(&branchy, cache, jit, false);
+            let sample = dispatch(&branchy, cache, jit);
             if best[i].is_none_or(|b| sample.1 > b.1) {
                 best[i] = Some(sample);
             }
@@ -293,7 +287,7 @@ fn main() {
     // inside RAM, on the micro-op engine: the JIT's own memory handling
     // would fold into the counters otherwise.
     let memory = build(&memcpy_checksum(256, 8).source, isa);
-    let (_, _, mem) = dispatch(&memory, true, false, false);
+    let (_, _, mem) = dispatch(&memory, true, false);
     let mem_accesses = mem.mem_fast_hits + mem.mem_slow_hits;
     let mem_fast_hit_rate = mem.mem_fast_hits as f64 / mem_accesses.max(1) as f64;
     println!();
@@ -301,52 +295,6 @@ fn main() {
         "memory-bound kernel: fast-path hit rate {:.1}% ({} slow-path accesses)",
         mem_fast_hit_rate * 100.0,
         mem.mem_slow_hits
-    );
-
-    // --- observability overhead ----------------------------------------
-    // The flight recorder's disarmed cost is one `Option` check per
-    // interpreted block dispatch. It is compiled in, so "disabled is
-    // free" is gated as an A/A bound: the disarmed engine, measured
-    // twice per round in interleaved windows, must reproduce its MIPS
-    // within 2%. The armed arm between them gives the recording cost,
-    // reported and not gated. The JIT is off on every arm because the
-    // check lives on the interpreted path: native blocks are compiled
-    // without the ring write while no recorder is armed, and with it
-    // (after a recompile of every block) while one is, so on the JIT
-    // the disarmed arms would never execute the check.
-    let measure = |flight: bool| {
-        let (run, mips, _) = dispatch(&branchy, true, false, flight);
-        assert_eq!(run, int.0, "observability must not change results");
-        mips
-    };
-    let _warmup = measure(false); // let frequency scaling settle
-    let mut mips_off = 0.0f64;
-    let mut mips_fr = 0.0f64;
-    // The round least disturbed by drift (minimum adjacent A/A spread)
-    // is the measurement's resolution.
-    let mut trace_off_overhead = f64::INFINITY;
-    for _ in 0..5 {
-        let a = measure(false);
-        let fr = measure(true);
-        let b = measure(false);
-        trace_off_overhead = trace_off_overhead.min((a - b).abs() / a.max(b));
-        mips_off = mips_off.max(a).max(b);
-        mips_fr = mips_fr.max(fr);
-    }
-    let flight_overhead = 1.0 - mips_fr / mips_off;
-
-    println!();
-    println!("# observability overhead (flight recorder, best of 5 interleaved)");
-    println!();
-    println!("| mode | MIPS |");
-    println!("|---|---|");
-    println!("| tracing disabled | {mips_off:.1} |");
-    println!("| flight recorder armed | {mips_fr:.1} |");
-    println!();
-    println!(
-        "tracing-disabled A/A spread: {:.2}%; flight-recorder-armed overhead: {:.2}%",
-        trace_off_overhead * 100.0,
-        flight_overhead * 100.0
     );
 
     let json = format!(
@@ -357,8 +305,7 @@ fn main() {
          \"interpreter_mips\": {mips_int:.3},\n  \"uop_engine_mips\": {mips_uop:.3},\n  \
          \"jit_mips\": {mips_jit:.3},\n  \"uop_over_interpreter\": {uop_speedup:.3},\n  \
          \"jit_speedup\": {jit_speedup:.3},\n  \"mem_fast_hit_rate\": {mem_fast_hit_rate:.4},\n  \
-         \"mem_slow_hits\": {},\n  \"trace_off_overhead\": {trace_off_overhead:.4},\n  \
-         \"flight_recorder_overhead\": {flight_overhead:.4}\n}}\n",
+         \"mem_slow_hits\": {}\n}}\n",
         git_rev.replace('"', ""),
         cpu_model.replace('"', ""),
         specs.len(),
@@ -404,12 +351,6 @@ fn main() {
         "shape: every memory access of the memory-bound kernel should take \
          the RAM fast path (hit rate {mem_fast_hit_rate:.4}, {} slow-path accesses)",
         mem.mem_slow_hits
-    );
-    assert!(
-        trace_off_overhead <= 0.02,
-        "shape: the tracing-disabled engine should reproduce its MIPS within \
-         2% across interleaved windows (got {:.2}%)",
-        trace_off_overhead * 100.0
     );
     println!("C1 shape check: PASS");
 }

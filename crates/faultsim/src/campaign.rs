@@ -148,16 +148,15 @@ pub struct CampaignConfig {
     /// tier. On by default; classifications are identical either way —
     /// mutant suffixes run *natively* too: the JIT arena survives each
     /// per-mutant snapshot restore (blocks re-validate against the code
-    /// bytes they were compiled from), an armed flight recorder is
-    /// written from the native block prologues (compiled in only while
-    /// one is armed), and stuck-at mutants run on the JIT's masked
-    /// engine, which reads the registers with armed stuck-at masks
-    /// through them and every other register raw. Blocks that are not
-    /// yet hot, or that the JIT cannot compile (CSR, FP and system
-    /// instructions, division), still run on the micro-op engine. This
-    /// is the `--no-jit` A/B switch over the whole campaign — golden
-    /// run, prefix replays, pruning analysis and every mutant suffix —
-    /// and turns both JIT engines off.
+    /// bytes they were compiled from), a flight recorder reads the
+    /// block entries native prologues write for every plugin, and
+    /// stuck-at mutants run on the JIT's masked engine, which reads the
+    /// registers with armed stuck-at masks through them and every other
+    /// register raw. Blocks that are not yet hot, or that the JIT cannot
+    /// compile (CSR, FP and system instructions, division), still run
+    /// on the micro-op engine. This is the `--no-jit` A/B switch over
+    /// the whole campaign — golden run, prefix replays, pruning analysis
+    /// and every mutant suffix — and turns both JIT engines off.
     pub jit: bool,
 }
 
@@ -480,8 +479,8 @@ impl Campaign {
     }
 
     /// Arms forensic incident bundles: every worker VP flies with a
-    /// [`FlightRecorder`] attached, and a mutant that times out, hangs,
-    /// expires its watchdog or panics the harness dumps an
+    /// [`FlightRecorder`] plugin attached, and a mutant that times out,
+    /// hangs, expires its watchdog or panics the harness dumps an
     /// [`IncidentBundle`](crate::IncidentBundle) (fault spec, flight
     /// tail, final architectural state) into `dir`.
     pub fn set_trace_dir(&mut self, dir: impl Into<std::path::PathBuf>) {
@@ -492,8 +491,8 @@ impl Campaign {
         self.trace_dir.as_deref()
     }
 
-    /// Whether the supervised runner should keep flight recorders armed
-    /// and worker VPs parked where forensics can reach them: only
+    /// Whether the supervised runner should attach flight recorders
+    /// and park worker VPs where forensics can reach them: only
     /// incident bundles read either, so only a trace directory arms
     /// them.
     pub(crate) fn forensics_active(&self) -> bool {
@@ -505,9 +504,9 @@ impl Campaign {
     /// restores into it, so a dumped tail never mixes two executions.
     pub(crate) fn arm_slot_flight(&self, slot: &mut Option<Vp>) {
         let vp = slot.get_or_insert_with(|| self.vp_builder.clone().build());
-        match vp.flight_recorder_mut() {
+        match vp.plugin_mut::<FlightRecorder>() {
             Some(flight) => flight.clear(),
-            None => vp.set_flight_recorder(Some(FlightRecorder::new(FLIGHT_RECORDER_CAPACITY))),
+            None => vp.add_plugin(Box::new(FlightRecorder::new(FLIGHT_RECORDER_CAPACITY))),
         }
     }
 
@@ -670,25 +669,17 @@ impl Campaign {
 
     /// The legacy full-rerun path with forensics attached: same fresh
     /// boot per mutant as [`execute_mutant`](Self::execute_mutant), but
-    /// the VP inherits the worker slot's (cleared) flight recorder and
-    /// is parked back in the slot afterwards, so an incident dump can
-    /// read the tail and the final architectural state.
+    /// the VP flies with a fresh flight recorder and is parked in the
+    /// worker slot afterwards, so an incident dump can read the tail
+    /// and the final architectural state.
     pub(crate) fn execute_mutant_forensic(
         &self,
         spec: &FaultSpec,
         cancel: Option<&CancelToken>,
         slot: &mut Option<Vp>,
     ) -> FaultOutcome {
-        let flight = slot
-            .take()
-            .and_then(|mut old| old.take_flight_recorder())
-            .map(|mut flight| {
-                flight.clear();
-                flight
-            })
-            .unwrap_or_else(|| FlightRecorder::new(FLIGHT_RECORDER_CAPACITY));
         let mut vp = self.loaded_vp();
-        vp.set_flight_recorder(Some(flight));
+        vp.add_plugin(Box::new(FlightRecorder::new(FLIGHT_RECORDER_CAPACITY)));
         let outcome = self.execute_mutant_on(&mut vp, spec, cancel);
         *slot = Some(vp);
         outcome

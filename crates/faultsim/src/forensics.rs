@@ -4,14 +4,13 @@
 //! A 50k-mutant sweep that quarantines one mutant, or times one out,
 //! leaves the obvious question unanswered: what was the guest *doing*?
 //! With `--trace-dir` set, the campaign answers it the way an air-crash
-//! investigation does — every worker VP flies with a
-//! [`FlightRecorder`](s4e_vp::FlightRecorder) armed, and when a mutant
-//! times out, hangs, panics the harness, or is quarantined by the shard
-//! supervisor, an [`IncidentBundle`] is written: the injected
-//! [`FaultSpec`], the recorder's tail of recently executed blocks,
-//! traps and device accesses, the final architectural state, and (for
-//! quarantines) the supervisor's attempt history for the crashing
-//! range.
+//! investigation does — every worker VP flies with a [`FlightRecorder`]
+//! plugin attached, and when a mutant times out, hangs, panics the
+//! harness, or is quarantined by the shard supervisor, an
+//! [`IncidentBundle`] is written: the injected [`FaultSpec`], the
+//! recorder's tail of recently executed blocks, traps and device
+//! accesses, the final architectural state, and (for quarantines) the
+//! supervisor's attempt history for the crashing range.
 //!
 //! Bundles are one JSON file per incident, written through
 //! [`atomic_write_file`] so a crash mid-dump never leaves a torn
@@ -24,7 +23,7 @@ use crate::checkpoint::atomic_write_file;
 use crate::fault::{FaultKind, FaultSpec, FaultTarget};
 use s4e_isa::Gpr;
 use s4e_obs::json;
-use s4e_vp::{FlightEvent, Vp};
+use s4e_vp::{FlightEvent, FlightRecorder, Vp};
 use std::fmt::Write as _;
 use std::io;
 use std::path::{Path, PathBuf};
@@ -88,10 +87,10 @@ impl IncidentBundle {
         self.panic = Some(message.to_string());
     }
 
-    /// Captures the VP's flight-recorder tail (when one is armed) and
-    /// its final architectural state.
+    /// Captures the VP's flight-recorder tail (when one is attached)
+    /// and its final architectural state.
     pub fn attach_vp(&mut self, vp: &Vp) {
-        if let Some(flight) = vp.flight_recorder() {
+        if let Some(flight) = vp.plugin::<FlightRecorder>() {
             self.flight = flight.tail();
             self.flight_evicted = flight.evicted();
             self.flight_totals = Some((

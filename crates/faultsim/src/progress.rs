@@ -158,9 +158,10 @@ impl CampaignProgress {
 
     /// Adds the counters of a shard worker's own `--metrics-out`
     /// snapshot that its checkpoint lines cannot carry: every
-    /// `campaign_<suffix>` dispatch row, both pruned counts, queue
-    /// steals and exited worker threads. The supervisor counts outcome,
-    /// done and total from the merged checkpoint, so those are not read.
+    /// `campaign_<suffix>` dispatch row, both pruned counts and queue
+    /// steals. The supervisor counts outcome, done and total from the
+    /// merged checkpoint, and workers as shard tasks, so those are not
+    /// read.
     pub fn add_worker_counters(&self, worker: &Snapshot) {
         let add = |counter: &Counter, name: &str| counter.add(worker.counter(name).unwrap_or(0));
         for (counter, c) in self
@@ -173,7 +174,6 @@ impl CampaignProgress {
         add(&self.pruned_dead, "campaign_pruned_dead");
         add(&self.pruned_dedup, "campaign_pruned_dedup");
         add(&self.queue_steals, "campaign_queue_steals");
-        add(&self.workers_exited, "campaign_workers_exited");
     }
 
     /// The dispatch stats merged so far, summed over every VP.
@@ -205,10 +205,14 @@ impl CampaignProgress {
         self.queue_steals.inc();
     }
 
-    /// Announces the shard-supervisor dimensions: `shards` worker
-    /// processes will cover the sweep. Called once before spawning.
+    /// Announces the shard-supervisor dimensions: `shards` shard tasks,
+    /// one worker process at a time each, will cover the sweep. Called
+    /// before spawning and again at every bisection, which turns one
+    /// task into two. In a sharded sweep the workers counted are these
+    /// tasks.
     pub fn begin_shards(&self, shards: usize) {
         self.shards.set(shards as u64);
+        self.workers.set(shards as u64);
     }
 
     /// A shard worker process died (signal, abort, nonzero exit) before
@@ -230,9 +234,11 @@ impl CampaignProgress {
         self.shard_bisections.inc();
     }
 
-    /// A shard finished its whole range.
+    /// A shard task retired: it finished its whole range, or its one
+    /// remaining mutant was quarantined. Its worker counts as exited.
     pub fn record_shard_done(&self) {
         self.shards_done.inc();
+        self.workers_exited.inc();
     }
 
     /// Shard worker processes that crashed so far.

@@ -50,19 +50,13 @@
 //!   exactly like the interpreter's fast path.
 //! - **Block events**: code compiled while a plugin is attached appends
 //!   one entry per block entry to the VP's plugin event buffer, after
-//!   the deadline check and before the flight-ring write, and only when
-//!   an instruction will run (budget above zero). The buffer never
-//!   evicts: a full buffer leaves through the deadline exit before any
-//!   write, and the dispatcher drains it into the plugins whenever
-//!   native code returns. Plugin-free code never contains the write.
-//! - **Flight ring**: code compiled while a flight recorder is armed
-//!   appends one `Block` event per block entry to the recorder's ring,
-//!   unconditionally, after the deadline check and the event write and
-//!   before the budget check. Recorder-free blocks contain neither the
-//!   write nor any reference to the ring register (r8). At run entry
-//!   the VP resets both engines when either holds blocks compiled for
-//!   the other recorder state (`JitEngine::ring`), so the two kinds of
-//!   code never meet in one arena.
+//!   the deadline check and before the budget check, and only when an
+//!   instruction will run (budget above zero). The buffer never evicts:
+//!   a full buffer leaves through the deadline exit before any write,
+//!   and the dispatcher drains it into the plugins whenever native code
+//!   returns. Plugin-free code never contains the write. The crash
+//!   flight recorder is such a plugin, so this is the one record native
+//!   code writes.
 //!
 //! ## Arena lifecycle
 //!
@@ -180,7 +174,6 @@ mod stub {
     //! Non-x86-64 hosts: the JIT compiles out; the engine is never
     //! constructed and every block is "ineligible".
     use super::{Compiled, JitExit};
-    use crate::flight::FlightRing;
     use crate::plugin::BlockEntry;
     use crate::uop::MicroOp;
 
@@ -197,10 +190,6 @@ mod stub {
         }
 
         pub(crate) fn rearm(&mut self, _armed: u32) {}
-
-        pub(crate) fn ring(&self) -> Option<bool> {
-            None
-        }
 
         pub(crate) fn reset(&mut self) {}
 
@@ -233,7 +222,6 @@ mod stub {
             _ram_len: u32,
             _hash: u64,
             _events: bool,
-            _flight: bool,
         ) -> Compiled {
             Compiled::Ineligible
         }
@@ -252,8 +240,6 @@ mod stub {
             _deadline: u64,
             _code_lo: u32,
             _code_hi: u32,
-            _flight: *mut FlightRing,
-            _instret_bias: u64,
             _events: &mut [BlockEntry],
         ) -> JitExit {
             unreachable!("stub JIT engine cannot run")
@@ -265,9 +251,9 @@ mod stub {
 mod native {
     use super::{Compiled, JitExit, BAIL_BUDGET, BAIL_MEM, BAIL_NONE, BAIL_SMC};
     use crate::bus::PAGE_SHIFT;
-    use crate::flight::FlightRing;
     use crate::plugin::BlockEntry;
     use crate::uop::{MicroOp, Op};
+    use core::mem::offset_of;
     use std::collections::HashMap;
     use std::sync::{Mutex, PoisonError};
 
@@ -473,8 +459,8 @@ mod native {
     }
 
     /// The in/out parameter block shared between the dispatcher and
-    /// native code. Field offsets are baked into the templates — keep
-    /// the layout and the `OFF_*` constants in sync. The trampoline
+    /// native code. Field offsets are baked into the templates through
+    /// the `OFF_*` constants, derived from this layout. The trampoline
     /// reads the run's inputs into their fixed-role registers once, and
     /// the shared epilogue writes `remaining`, `cyc`, `blocks` and
     /// `fused` back once per run.
@@ -493,46 +479,38 @@ mod native {
         code_lo: u32,    // 64 (in: translated guest code range)
         code_hi: u32,    // 68
         fused: u64,      // 72 (out: fused macro-ops executed)
-        /// Armed flight-recorder ring header, or null: non-null exactly
-        /// when the engine's code was compiled with ring writes, which
-        /// append a `Block` event at every block entry.
-        flight: *mut FlightRing, // 80 (in)
-        /// `instret at native entry + remaining at native entry`: the
-        /// ring write stamps each block with `instret_bias - r14`,
-        /// which is exactly `instret` at that block's entry.
-        instret_bias: u64, // 88 (in)
         /// One of the `BAIL_*` codes (out; meaningful on bail exits).
-        bail_reason: u32, // 96
+        bail_reason: u32, // 80
         /// `keep[0]` of the stuck-at mask table (`Cpu::gpr_masks_ptr`),
         /// pinned in rbp; only the masked engine's templates read it,
         /// for its armed registers.
-        masks: *const u32, // 104 (in)
+        masks: *const u32, // 88 (in)
         /// The next free slot of the plugin event buffer (in/out): code
         /// compiled with events writes a [`BlockEntry`] there and
         /// advances it.
-        events: *mut BlockEntry, // 112
+        events: *mut BlockEntry, // 96
         /// One past the buffer's last slot (in).
-        events_end: *mut BlockEntry, // 120
+        events_end: *mut BlockEntry, // 104
     }
 
-    const OFF_GPRS: i8 = 0;
-    const OFF_RAM: i8 = 8;
-    const OFF_DIRTY: i8 = 16;
-    const OFF_REMAINING: i8 = 24;
-    const OFF_CYC: i8 = 32;
-    const OFF_DEADLINE: i8 = 40;
-    const OFF_BLOCKS: i8 = 48;
-    const OFF_EXIT_PC: i8 = 56;
-    const OFF_BAIL_UOP: i8 = 60;
-    const OFF_CODE_LO: i8 = 64;
-    const OFF_CODE_HI: i8 = 68;
-    const OFF_FUSED: i8 = 72;
-    const OFF_FLIGHT: i8 = 80;
-    const OFF_INSTRET_BIAS: i8 = 88;
-    const OFF_BAIL_REASON: i8 = 96;
-    const OFF_MASKS: i8 = 104;
-    const OFF_EVENTS: i8 = 112;
-    const OFF_EVENTS_END: i8 = 120;
+    const OFF_GPRS: i8 = offset_of!(JitCtx, gprs) as i8;
+    const OFF_RAM: i8 = offset_of!(JitCtx, ram) as i8;
+    const OFF_DIRTY: i8 = offset_of!(JitCtx, dirty) as i8;
+    const OFF_REMAINING: i8 = offset_of!(JitCtx, remaining) as i8;
+    const OFF_CYC: i8 = offset_of!(JitCtx, cyc) as i8;
+    const OFF_DEADLINE: i8 = offset_of!(JitCtx, deadline) as i8;
+    const OFF_BLOCKS: i8 = offset_of!(JitCtx, blocks) as i8;
+    const OFF_EXIT_PC: i8 = offset_of!(JitCtx, exit_pc) as i8;
+    const OFF_BAIL_UOP: i8 = offset_of!(JitCtx, bail_uop) as i8;
+    const OFF_CODE_LO: i8 = offset_of!(JitCtx, code_lo) as i8;
+    const OFF_CODE_HI: i8 = offset_of!(JitCtx, code_hi) as i8;
+    const OFF_FUSED: i8 = offset_of!(JitCtx, fused) as i8;
+    const OFF_BAIL_REASON: i8 = offset_of!(JitCtx, bail_reason) as i8;
+    const OFF_MASKS: i8 = offset_of!(JitCtx, masks) as i8;
+    const OFF_EVENTS: i8 = offset_of!(JitCtx, events) as i8;
+    const OFF_EVENTS_END: i8 = offset_of!(JitCtx, events_end) as i8;
+    // Every offset must fit the templates' disp8 operands.
+    const _: () = assert!(core::mem::size_of::<JitCtx>() <= 128);
 
     // Field offsets of the `repr(C)` [`BlockEntry`] (asserted against
     // the real layout by a test in `plugin.rs`) and its size.
@@ -540,17 +518,6 @@ mod native {
     const EVENT_INSTRET: i8 = 8;
     const EVENT_CYCLES: i8 = 16;
     const EVENT_SIZE: i32 = core::mem::size_of::<BlockEntry>() as i32;
-
-    // Offsets into the `repr(C)` [`FlightRing`] header (asserted
-    // against the real layout by a test in `flight.rs`) and its 32-byte
-    // ring slots.
-    const RING_BUF: i8 = 0;
-    const RING_CAP: i8 = 8;
-    const RING_POS: i8 = 16;
-    const RING_LEN: i8 = 24;
-    const RING_EVICTED: i8 = 32;
-    const RING_BLOCKS: i8 = 40;
-    const RING_SLOT_SHIFT: u8 = 5;
 
     /// `bail_uop` value meaning "no bail: `exit_pc` is the next fetch
     /// pc".
@@ -563,11 +530,10 @@ mod native {
     // r15 = ctx, rbx = GPR file, rbp = stuck-at mask table (`keep[0]`),
     // r13 = RAM base, r14 = remaining instruction budget, r12 = cycles
     // consumed, r11 = fused ops executed, r10 = native block
-    // executions, r9 = cycle deadline, r8 = flight ring header (or
-    // null; only code compiled with ring writes reads it). rax/rcx/rdx
-    // are scratch, and so is rsi in the block body (plugin event slot,
-    // flight slot, dirty bitmap word). Native code makes no calls, so
-    // the caller-saved r8–r11 need no saving.
+    // executions, r9 = cycle deadline. rax/rcx/rdx are scratch, and so
+    // is rsi in the block body (plugin event slot, dirty bitmap word).
+    // Native code makes no calls, so the caller-saved r9–r11 need no
+    // saving.
     const RAX: u8 = 0;
     const RCX: u8 = 1;
     const RDX: u8 = 2;
@@ -575,7 +541,6 @@ mod native {
     const RBP: u8 = 5;
     const RSI: u8 = 6;
     const RDI: u8 = 7;
-    const R8: u8 = 8;
     const R9: u8 = 9;
     const R10: u8 = 10;
     const R11: u8 = 11;
@@ -611,9 +576,6 @@ mod native {
         code: Vec<u8>,
         labels: Vec<Option<usize>>,
         fixups: Vec<(usize, FixTarget)>,
-        /// The host registers r8–r15 the code names, bit `r - 8`: each
-        /// needs a REX bit, so [`rex`](Asm::rex) sees every one.
-        high: u8,
     }
 
     impl Asm {
@@ -623,14 +585,7 @@ mod native {
                 code: Vec::with_capacity(512),
                 labels: Vec::new(),
                 fixups: Vec::new(),
-                high: 0,
             }
-        }
-
-        /// Whether the code so far names host register `r` (r8–r15).
-        fn names(&self, r: u8) -> bool {
-            debug_assert!(r >= R8);
-            self.high >> (r - R8) & 1 != 0
         }
 
         /// Arena-absolute position of the next emitted byte.
@@ -663,7 +618,6 @@ mod native {
         /// Optional REX prefix: `w` selects 64-bit operand size,
         /// `reg`/`rm` contribute their high bits to REX.R/REX.B.
         fn rex(&mut self, w: bool, reg: u8, rm: u8) {
-            self.high |= ((1u16 << reg | 1u16 << rm) >> 8) as u8;
             let b = 0x40 | u8::from(w) << 3 | (reg >> 3) << 2 | (rm >> 3);
             if b != 0x40 {
                 self.byte(b);
@@ -803,13 +757,6 @@ mod native {
             self.modrm(3, b, a);
         }
 
-        /// `sub r64, r64`.
-        fn sub_rr64(&mut self, dst: u8, src: u8) {
-            self.rex(true, dst, src);
-            self.byte(0x2b);
-            self.modrm(3, dst, src);
-        }
-
         /// `cmp r64, r64`.
         fn cmp_rr64(&mut self, a: u8, b: u8) {
             self.rex(true, a, b);
@@ -839,14 +786,6 @@ mod native {
             self.rex(true, 0, r);
             self.byte(0xc1);
             self.modrm(3, 5, r);
-            self.byte(imm & 63);
-        }
-
-        /// `shl r64, imm`.
-        fn shl_r64(&mut self, r: u8, imm: u8) {
-            self.rex(true, 0, r);
-            self.byte(0xc1);
-            self.modrm(3, 4, r);
             self.byte(imm & 63);
         }
 
@@ -1011,14 +950,6 @@ mod native {
             self.fixups.push((at, FixTarget::Label(target)));
         }
 
-        /// `jmp rel32` to a local label.
-        fn jmp_lbl(&mut self, target: Label) {
-            self.byte(0xe9);
-            let at = self.code.len();
-            self.imm32(0);
-            self.fixups.push((at, FixTarget::Label(target)));
-        }
-
         /// `jmp rel32` to an arena-absolute offset (the epilogue).
         fn jmp_abs(&mut self, target: usize) {
             self.byte(0xe9);
@@ -1067,8 +998,8 @@ mod native {
     // ------------------------------------------------------- engine
 
     /// Arena bytes `compile` reserves for a block besides its
-    /// micro-ops: the entry checks with the event and flight-ring
-    /// writes, and the fall-through, deadline and entry-budget stubs.
+    /// micro-ops: the entry checks with the event write, and the
+    /// fall-through, deadline and entry-budget stubs.
     const BLOCK_RESERVE: usize = 256;
 
     /// Arena bytes `compile` reserves per micro-op: its template and
@@ -1130,9 +1061,6 @@ mod native {
         /// operands through the stuck-at mask table and every other
         /// register raw. Empty for the plain engine.
         armed: u32,
-        /// Whether the blocks the engine holds write the flight ring:
-        /// the `flight` choice of every compile since the last reset.
-        ring: bool,
         ctx: JitCtx,
     }
 
@@ -1177,7 +1105,6 @@ mod native {
                 pending: HashMap::new(),
                 applied: HashMap::new(),
                 armed,
-                ring: false,
                 ctx: JitCtx {
                     gprs: core::ptr::null_mut(),
                     ram: core::ptr::null_mut(),
@@ -1191,8 +1118,6 @@ mod native {
                     code_lo: 0,
                     code_hi: 0,
                     fused: 0,
-                    flight: core::ptr::null_mut(),
-                    instret_bias: 0,
                     bail_reason: BAIL_NONE,
                     masks: core::ptr::null(),
                     events: core::ptr::null_mut(),
@@ -1225,12 +1150,6 @@ mod native {
         pub(crate) fn rearm(&mut self, armed: u32) {
             self.reset();
             self.armed = armed;
-        }
-
-        /// Whether the engine's blocks write the flight ring, or `None`
-        /// while it holds no block.
-        pub(crate) fn ring(&self) -> Option<bool> {
-            (!self.blocks.is_empty()).then_some(self.ring)
         }
 
         /// Retention across a snapshot restore: keeps every compiled
@@ -1403,7 +1322,6 @@ mod native {
             a.mov_r64_mem(R13, R15, OFF_RAM);
             a.mov_r64_mem(R14, R15, OFF_REMAINING);
             a.mov_r64_mem(R9, R15, OFF_DEADLINE);
-            a.mov_r64_mem(R8, R15, OFF_FLIGHT);
             for r in [R12, R11, R10] {
                 a.alu_rr32(0x33, r, r); // xor: zero-extends to 64 bits
             }
@@ -1467,10 +1385,6 @@ mod native {
         /// - No block reachable from `entry` is subscribed to plugin
         ///   instruction events: native code reports no instruction or
         ///   RAM-access event.
-        /// - `flight` is non-null exactly when the engine's code was
-        ///   compiled with ring writes, and then points to an
-        ///   exclusively borrowed [`FlightRing`] whose buffer stays
-        ///   valid for the call; recorder-free code never reads it.
         /// - `events` is the plugin event buffer, non-empty whenever
         ///   blocks compiled with events can run (an empty buffer is
         ///   always full, so they would only ever take the deadline
@@ -1488,15 +1402,9 @@ mod native {
             deadline: u64,
             code_lo: u32,
             code_hi: u32,
-            flight: *mut FlightRing,
-            instret_bias: u64,
             events: &mut [BlockEntry],
         ) -> JitExit {
             let arena = self.arena.as_ref().expect("JIT run without an arena");
-            debug_assert!(
-                self.blocks.is_empty() || self.ring != flight.is_null(),
-                "flight ring pointer does not match the compiled code"
-            );
             let events = events.as_mut_ptr_range();
             self.ctx = JitCtx {
                 gprs,
@@ -1511,8 +1419,6 @@ mod native {
                 code_lo,
                 code_hi,
                 fused: 0,
-                flight,
-                instret_bias,
                 bail_reason: BAIL_NONE,
                 masks,
                 events: events.start,
@@ -1552,9 +1458,8 @@ mod native {
         /// is not statically a valid RAM fast-path access, path sums
         /// overflow an `imm32`, or the arena is full/unavailable.
         /// `events` emits the plugin block-event write into the entry
-        /// prologue and `flight` the flight-ring write (see the module
-        /// docs); without them the block's code is exactly that of a VP
-        /// with no plugin attached and no recorder armed.
+        /// prologue (see the module docs); without it the block's code
+        /// is exactly that of a VP with no plugin attached.
         #[allow(clippy::too_many_arguments)]
         pub(crate) fn compile(
             &mut self,
@@ -1565,7 +1470,6 @@ mod native {
             ram_len: u32,
             hash: u64,
             events: bool,
-            flight: bool,
         ) -> Compiled {
             if self.dead || uops.is_empty() {
                 return Compiled::Ineligible;
@@ -1573,10 +1477,6 @@ mod native {
             debug_assert!(
                 self.armed == 0 || uops.iter().all(|u| u.n == 1),
                 "the masked engine compiles the unfused lowering"
-            );
-            debug_assert!(
-                self.blocks.is_empty() || self.ring == flight,
-                "one arena would mix code with and without ring writes"
             );
             let mut worst_cyc: u64 = 0;
             let mut total_n: u64 = 0;
@@ -1596,11 +1496,7 @@ mod native {
                 return Compiled::Ineligible;
             }
             let entry = self.cursor;
-            let (a, sites) =
-                self.assemble(entry, pc, uops, fall_pc, ram_base, ram_len, events, flight);
-            debug_assert!(flight || !a.names(R8), "recorder-free code names r8");
-            let code = a.finalize();
-            self.ring = flight;
+            let (code, sites) = self.assemble(entry, pc, uops, fall_pc, ram_base, ram_len, events);
             let arena = self.arena.as_mut().expect("arena ensured above");
             arena.set_exec(false);
             arena.write(entry, &code);
@@ -1650,8 +1546,7 @@ mod native {
             ram_base: u32,
             ram_len: u32,
             events: bool,
-            flight: bool,
-        ) -> (Asm, Vec<(usize, u32)>) {
+        ) -> (Vec<u8>, Vec<(usize, u32)>) {
             let epilogue = self.epilogue;
             let armed = self.armed;
             let total_n: u64 = uops.iter().map(|u| u64::from(u.n)).sum();
@@ -1660,16 +1555,15 @@ mod native {
             let mut takens: Vec<TakenStub> = Vec::new();
             let mut bails: Vec<BailStub> = Vec::new();
 
-            // Entry checks: deadline, then the inline plugin-event and
-            // flight-recorder writes, then whole-block budget. The
-            // ordering is the equivalence contract with the
-            // interpreter: a deadline exit redispatches the same block
-            // (which records then), while an entry-budget bail resumes
-            // *this* dispatch in the micro-op engine without
-            // re-recording — so the writes must sit between the two
-            // checks to record each dispatch exactly once. The
-            // block-execution counter only advances once both checks
-            // pass.
+            // Entry checks: deadline, then the inline plugin-event
+            // write, then whole-block budget. The ordering is the
+            // equivalence contract with the interpreter: a deadline exit
+            // redispatches the same block (which records then), while an
+            // entry-budget bail resumes *this* dispatch in the micro-op
+            // engine without re-recording — so the write must sit
+            // between the two checks to record each block entry exactly
+            // once. The block-execution counter only advances once both
+            // checks pass.
             let deadline_lbl = a.label();
             let bail0 = a.label();
             bails.push(BailStub {
@@ -1701,41 +1595,6 @@ mod native {
                 a.mov_mem_r64(RSI, EVENT_CYCLES, R12);
                 a.add_mem64_imm(R15, OFF_EVENTS, EVENT_SIZE);
                 a.bind(no_event);
-            }
-            // Flight ring append (compiled in only while a recorder is
-            // armed, so r8 is the ring header): slot = buf + pos*32;
-            // slot = {instret_bias - budget, pc, TAG_BLOCK};
-            // pos = (pos+1) % cap; len < cap ? len++ : evicted++;
-            // blocks++ — the exact wraparound arithmetic of
-            // `FlightRecorder::record_block`.
-            if flight {
-                a.mov_r64_mem(RAX, R15, OFF_INSTRET_BIAS);
-                a.sub_rr64(RAX, R14);
-                a.mov_r64_mem(RCX, R8, RING_POS);
-                a.mov_rr64(RSI, RCX);
-                a.shl_r64(RSI, RING_SLOT_SHIFT);
-                a.alu_r64_mem(0x03, RSI, R8, RING_BUF);
-                a.mov_mem_r64(RSI, 0, RAX); // slot.instret
-                a.mov_mem32_imm(RSI, 8, pc as i32); // slot.pc
-                a.mov_mem32_imm(RSI, 12, 0); // slot.tag = Block
-                a.add_r64_imm(RCX, 1);
-                a.cmp_r64_mem(RCX, R8, RING_CAP);
-                let no_wrap = a.label();
-                a.jcc(CC_B, no_wrap);
-                a.mov_ri32(RCX, 0);
-                a.bind(no_wrap);
-                a.mov_mem_r64(R8, RING_POS, RCX);
-                a.mov_r64_mem(RAX, R8, RING_LEN);
-                a.cmp_r64_mem(RAX, R8, RING_CAP);
-                let ring_full = a.label();
-                let ring_done = a.label();
-                a.jcc(CC_AE, ring_full);
-                a.add_mem64_imm(R8, RING_LEN, 1);
-                a.jmp_lbl(ring_done);
-                a.bind(ring_full);
-                a.add_mem64_imm(R8, RING_EVICTED, 1);
-                a.bind(ring_done);
-                a.add_mem64_imm(R8, RING_BLOCKS, 1);
             }
             a.cmp_r64_imm(R14, total_n as i32);
             a.jcc(CC_B, bail0);
@@ -2136,7 +1995,7 @@ mod native {
             a.mov_mem32_imm(R15, OFF_EXIT_PC, pc as i32);
             a.mov_mem32_imm(R15, OFF_BAIL_UOP, NO_BAIL as i32);
             a.jmp_abs(epilogue);
-            (a, sites)
+            (a.finalize(), sites)
         }
     }
 
@@ -2432,18 +2291,16 @@ mod native {
             a.alu_mem64_r64(0x09, RSI, RDX);
             a.cmp_rr64(R12, R9);
             a.mov_r64_mem(R9, R15, OFF_DEADLINE);
-            a.mov_r64_mem(R8, R15, OFF_FLIGHT);
             a.alu_rr32(0x33, R12, R12);
             a.add_r64_imm(R12, 5);
             a.add_r64_imm(R11, 1000);
             a.sub_r64_imm(R14, 2);
             a.add_r64_imm(R10, 1);
             a.cmp_r64_imm(R14, 300);
-            a.test_rr64(R8, R8);
+            a.test_rr64(R14, R14);
             a.mov_mem_r64(RSI, EVENT_CYCLES, R12);
             a.mov_mem_r64(R15, OFF_CYC, R12);
-            a.mov_r64_mem(RCX, R8, RING_POS);
-            a.add_mem64_imm(R8, RING_LEN, 1);
+            a.add_mem64_imm(R15, OFF_EVENTS, EVENT_SIZE);
             assert_eq!(
                 a.finalize(),
                 vec![
@@ -2456,18 +2313,16 @@ mod native {
                     0x48, 0x09, 0x16, // or [rsi], rdx
                     0x4d, 0x3b, 0xe1, // cmp r12, r9
                     0x4d, 0x8b, 0x4f, 0x28, // mov r9, [r15+40]
-                    0x4d, 0x8b, 0x47, 0x50, // mov r8, [r15+80]
                     0x45, 0x33, 0xe4, // xor r12d, r12d
                     0x49, 0x83, 0xc4, 0x05, // add r12, 5
                     0x49, 0x81, 0xc3, 0xe8, 0x03, 0x00, 0x00, // add r11, 1000
                     0x49, 0x83, 0xee, 0x02, // sub r14, 2
                     0x49, 0x83, 0xc2, 0x01, // add r10, 1
                     0x49, 0x81, 0xfe, 0x2c, 0x01, 0x00, 0x00, // cmp r14, 300
-                    0x4d, 0x85, 0xc0, // test r8, r8
+                    0x4d, 0x85, 0xf6, // test r14, r14
                     0x4c, 0x89, 0x66, 0x10, // mov [rsi+16], r12
                     0x4d, 0x89, 0x67, 0x20, // mov [r15+32], r12
-                    0x49, 0x8b, 0x48, 0x10, // mov rcx, [r8+16]
-                    0x49, 0x83, 0x40, 0x18, 0x01, // add qword [r8+24], 1
+                    0x49, 0x83, 0x47, 0x60, 0x18, // add qword [r15+96], 24
                 ]
             );
         }
@@ -2546,7 +2401,7 @@ mod native {
             for r in 0..rounds {
                 for b in 0..15u32 {
                     let pc = 0x8000_0000 + b * 0x40;
-                    match e.compile(pc, &uops, pc + 0x10, 0x8000_0000, 0x100000, 1, false, false) {
+                    match e.compile(pc, &uops, pc + 0x10, 0x8000_0000, 0x100000, 1, false) {
                         Compiled::Entry(_) => {}
                         Compiled::Ineligible => panic!("round {r}: ineligible"),
                     }
@@ -2558,8 +2413,8 @@ mod native {
             println!("{n} compiles in {s:.3}s = {:.0} ns/compile", s / n * 1e9);
         }
 
-        /// Runs `entry` on plain-engine state: no masks, no flight
-        /// ring, no plugin events, no translated code range.
+        /// Runs `entry` on plain-engine state: no masks, no plugin
+        /// events, no translated code range.
         fn run_plain(
             e: &mut JitEngine,
             entry: usize,
@@ -2586,8 +2441,6 @@ mod native {
                     remaining,
                     1000,
                     0,
-                    0,
-                    core::ptr::null_mut(),
                     0,
                     &mut [],
                 )
@@ -2720,7 +2573,7 @@ mod native {
                 let mut size = |uops: &[MicroOp]| {
                     let pc = ram_base + 0x100;
                     let before = e.cursor;
-                    let compiled = e.compile(pc, uops, pc + 8, ram_base, 1 << 20, 1, true, true);
+                    let compiled = e.compile(pc, uops, pc + 8, ram_base, 1 << 20, 1, true);
                     assert!(matches!(compiled, Compiled::Entry(_)), "{:?}", uops[0].op);
                     let bytes = e.cursor - before;
                     e.reset();
@@ -2742,37 +2595,6 @@ mod native {
                         one <= BLOCK_RESERVE + per_uop(armed),
                         "{op:?}, masked {masked}: {one}-byte block"
                     );
-                }
-            }
-        }
-
-        #[test]
-        fn recorder_free_code_names_no_ring_register() {
-            let ram_base = 0x8000_0000;
-            for armed in [0, !0] {
-                let e = JitEngine::new(armed).unwrap();
-                for op in TEMPLATE_OPS {
-                    let u = big_uop(op, ram_base, armed != 0);
-                    for events in [false, true] {
-                        let names_r8 = |flight| {
-                            let (a, _) = e.assemble(
-                                0,
-                                ram_base,
-                                &[u, u],
-                                ram_base + 8,
-                                ram_base,
-                                1 << 20,
-                                events,
-                                flight,
-                            );
-                            a.names(R8)
-                        };
-                        assert!(
-                            !names_r8(false),
-                            "{op:?}, armed {armed:#x}, events {events}"
-                        );
-                        assert!(names_r8(true), "{op:?}, armed {armed:#x}, events {events}");
-                    }
                 }
             }
         }
@@ -2825,7 +2647,6 @@ mod native {
                 ram_base,
                 ram.len() as u32,
                 0,
-                false,
                 false,
             ) else {
                 panic!("block compiles");
@@ -2890,7 +2711,7 @@ mod native {
                 (ram_base + 0x1000, 13),
             ] {
                 assert!(matches!(
-                    e.compile(pc, &uops, pc + 4, ram_base, 0x10000, hash, false, false),
+                    e.compile(pc, &uops, pc + 4, ram_base, 0x10000, hash, false),
                     Compiled::Entry(_)
                 ));
             }
@@ -2936,7 +2757,7 @@ mod native {
             // Three adjacent 4-byte blocks on one page.
             for pc in [ram_base, ram_base + 4, ram_base + 8] {
                 assert!(matches!(
-                    e.compile(pc, &uops, pc + 4, ram_base, 0x10000, 7, false, false),
+                    e.compile(pc, &uops, pc + 4, ram_base, 0x10000, 7, false),
                     Compiled::Entry(_)
                 ));
             }

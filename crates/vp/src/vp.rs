@@ -7,7 +7,6 @@ use crate::cpu::Cpu;
 use crate::dev::{
     Clint, Syscon, Uart, CLINT_BASE, CLINT_SIZE, SYSCON_BASE, SYSCON_SIZE, UART_BASE, UART_SIZE,
 };
-use crate::flight::FlightRecorder;
 use crate::jit::{self, JitEngine};
 use crate::plugin::{BlockEntry, BlockInfo, DeviceAccess, MemAccess, Plugin};
 use crate::snapshot::{zero_page, VpSnapshot};
@@ -358,7 +357,6 @@ impl VpBuilder {
             mip_poll_at: 0,
             sync_pages: vec![zero_page(); pages],
             stats: DispatchStats::default(),
-            flight: None,
             block_events: Box::default(),
         }
     }
@@ -459,13 +457,6 @@ pub struct Vp {
     /// object than this VP last synchronized with.
     sync_pages: Vec<Arc<[u8]>>,
     stats: DispatchStats,
-    /// The crash flight recorder, when armed: a bounded tail of executed
-    /// blocks, traps and device accesses, recorded natively (one
-    /// `Option` discriminant check per event when disarmed) so arming it
-    /// keeps every block on the micro-op engine, the RAM fast path and
-    /// the template JIT. Native code carries the ring write only while
-    /// a recorder is armed.
-    flight: Option<FlightRecorder>,
     /// The plugin event buffer: native code compiled while a plugin is
     /// attached writes one [`BlockEntry`] per block entry here, and
     /// `jit_dispatch` drains them into [`Plugin::on_block_executed`] as
@@ -571,34 +562,6 @@ impl Vp {
         &self.timing
     }
 
-    /// Arms (or with `None`, disarms) the crash flight recorder. Like a
-    /// [`Plugin`] that subscribes no block, an armed recorder keeps the
-    /// micro-op engine, the RAM fast path and the template JIT active:
-    /// it only observes block dispatches, traps and device accesses, all
-    /// visible off the fast paths. Native code writes the ring only
-    /// when compiled while a recorder is armed, so the next run after
-    /// arming or disarming drops the blocks translated and compiled so
-    /// far; replacing an armed recorder keeps them.
-    pub fn set_flight_recorder(&mut self, recorder: Option<FlightRecorder>) {
-        self.flight = recorder;
-    }
-
-    /// The armed flight recorder, if any.
-    pub fn flight_recorder(&self) -> Option<&FlightRecorder> {
-        self.flight.as_ref()
-    }
-
-    /// Mutable access to the armed flight recorder (clearing between
-    /// mutants).
-    pub fn flight_recorder_mut(&mut self) -> Option<&mut FlightRecorder> {
-        self.flight.as_mut()
-    }
-
-    /// Disarms and returns the flight recorder.
-    pub fn take_flight_recorder(&mut self) -> Option<FlightRecorder> {
-        self.flight.take()
-    }
-
     /// Attaches an instrumentation plugin, adding its
     /// [`block_starts`](Plugin::block_starts) to the VP's. Blocks
     /// translated and compiled so far are dropped, so every block is cut
@@ -616,40 +579,23 @@ impl Vp {
         if self.block_events.is_empty() {
             self.block_events = vec![BlockEntry::default(); BLOCK_EVENTS].into_boxed_slice();
         }
-        self.reset_native();
-    }
-
-    /// Drops every translated block and resets both JIT engines, so
-    /// every block is compiled again for the VP's current plugins and
-    /// flight recorder. The tracked code range stays: it may only be
-    /// too wide, which costs a spurious invalidation at worst.
-    fn reset_native(&mut self) {
+        // The tracked code range stays: it may only be too wide, which
+        // costs a spurious invalidation at worst.
         self.drop_translations();
         for jit in self.jit.iter_mut().flatten() {
             jit.reset();
         }
     }
 
-    /// Matches the JIT engines to the flight recorder and the stuck-at
-    /// masks at run entry, where no block pointer is live; both change
-    /// only between runs, since plugins receive `&Cpu`. An engine whose
-    /// blocks were compiled with the ring write while no recorder is
-    /// armed, or without it while one is, resets both engines and drops
-    /// every translation. With faults enabled, the masked engine is
-    /// pointed at the registers the CPU's masks arm, created on first
-    /// use: its templates read only those registers through the masks,
-    /// so a different set drops its code and the translations holding
-    /// the entry cookies; a repeated set keeps both, restores included.
+    /// Matches the masked JIT engine to the stuck-at masks at run
+    /// entry, where no block pointer is live; masks change only between
+    /// runs, since plugins receive `&Cpu`. With faults enabled, the
+    /// masked engine is pointed at the registers the CPU's masks arm,
+    /// created on first use: its templates read only those registers
+    /// through the masks, so a different set drops its code and the
+    /// translations holding the entry cookies; a repeated set keeps
+    /// both, restores included.
     fn arm_engines(&mut self) {
-        let flight = self.flight.is_some();
-        if self
-            .jit
-            .iter()
-            .flatten()
-            .any(|e| e.ring().is_some_and(|r| r != flight))
-        {
-            self.reset_native();
-        }
         if !self.cpu.faults_enabled() {
             return;
         }
@@ -884,13 +830,12 @@ impl Vp {
         let mut blocks = 0u32;
         // Device or bus state may have been mutated between runs.
         self.irq_resample = true;
-        // The template JIT requires the block cache. Neither an armed
-        // flight recorder nor an attached plugin disqualifies native
-        // entry: the templates write the block-entry ring and the
+        // The template JIT requires the block cache. An attached plugin
+        // does not disqualify native entry: the templates write the
         // plugin block events inline, and the loop below offers no block
         // a plugin subscribes to `jit_dispatch`. Armed register fault
-        // masks select the masked engine inside `jit_dispatch`. Both
-        // engines are matched here to this run's recorder and masks.
+        // masks select the masked engine inside `jit_dispatch`, which is
+        // matched here to this run's masks.
         let use_jit = self.jit[0].is_some() && self.cache_enabled;
         if use_jit {
             self.arm_engines();
@@ -974,15 +919,12 @@ impl Vp {
             // request is pending, or when the interpreter must poll
             // `mip` before running anything — the micro-op engine is the
             // unconditional fallback either way. Native blocks write the
-            // flight ring and the plugin block events from their own
-            // prologues, so the recorder and plugin block hooks fire
-            // here only on the interpreted path — exactly once per block
-            // entry either way. The ring records every dispatch,
-            // matching the native prologue, which writes it before its
-            // budget check; plugin block hooks fire only for blocks that
-            // will run, not for one fetched after the budget ran out (it
-            // fires on resume), and the native write tests the budget
-            // the same way.
+            // plugin block events from their own prologues, so plugin
+            // block hooks fire here only on the interpreted path —
+            // exactly once per block entry either way. They fire only
+            // for blocks that will run, not for one fetched after the
+            // budget ran out (it fires on resume), and the native write
+            // tests the budget the same way.
             // SAFETY: dispatch-boundary argument above.
             let subscribed = unsafe { (*block).insn_events };
             let native = if use_jit
@@ -997,9 +939,6 @@ impl Vp {
             let exit = match native {
                 Some(exit) => exit,
                 None => {
-                    if let Some(flight) = &mut self.flight {
-                        flight.record_block(self.cpu.instret(), self.cpu.pc());
-                    }
                     if !self.plugins.is_empty() && remaining > 0 {
                         let entry = [BlockEntry {
                             pc: self.cpu.pc(),
@@ -1152,7 +1091,6 @@ impl Vp {
                         self.bus.ram_size(),
                         hash,
                         !self.plugins.is_empty(),
-                        self.flight.is_some(),
                     ) {
                         jit::Compiled::Entry(entry) => {
                             self.stats.jit_blocks += 1;
@@ -1184,15 +1122,10 @@ impl Vp {
         let masks = self.cpu.gpr_masks_ptr();
         let ram = self.bus.ram_ptr();
         let dirty = self.bus.dirty_ptr();
-        // The native block-entry ring write stamps `bias - budget`,
-        // which equals instret at that entry exactly (the budget has
-        // not yet been charged for the entered block), matching what
-        // `record_block` would have stamped interpreted.
+        // A native block event carries the budget at its entry, and
+        // `bias - budget` is instret there exactly (the budget has not
+        // yet been charged for the entered block).
         let instret_bias = self.cpu.instret().wrapping_add(*remaining);
-        let flight = self
-            .flight
-            .as_mut()
-            .map_or(std::ptr::null_mut(), FlightRecorder::ring_ptr);
         let cycles0 = self.cpu.cycles();
         // Native blocks are unsubscribed: a bail resumes the bailing
         // block on an engine that must report none of its instruction
@@ -1203,17 +1136,15 @@ impl Vp {
         // reset — cookies live in per-engine `JitSlot` entries (dropped
         // with the blocks whenever the engines reset or drop blocks)
         // and retained entries are hash-revalidated at adoption. The
-        // GPR/mask/RAM/dirty pointers, the flight ring and the event
-        // buffer are exclusively ours through `&mut self` for the
-        // duration of the call; armed masks selected the masked engine
-        // above, which run entry armed for exactly the CPU's armed
-        // registers. Only unsubscribed blocks are ever compiled (the run
-        // loop never offers subscribed ones, and subscriptions depend on
-        // the block alone). `add_plugin` resets the engines and sizes
-        // the event buffer, so code with event writes always runs with a
-        // non-empty buffer, and run entry resets them when the
-        // recorder's armed state differs from their code's, so `flight`
-        // is non-null exactly for code compiled with ring writes.
+        // GPR/mask/RAM/dirty pointers and the event buffer are
+        // exclusively ours through `&mut self` for the duration of the
+        // call; armed masks selected the masked engine above, which run
+        // entry armed for exactly the CPU's armed registers. Only
+        // unsubscribed blocks are ever compiled (the run loop never
+        // offers subscribed ones, and subscriptions depend on the block
+        // alone). `add_plugin` resets the engines and sizes the event
+        // buffer, so code with event writes always runs with a
+        // non-empty buffer.
         let res = unsafe {
             jit.run(
                 entry,
@@ -1225,8 +1156,6 @@ impl Vp {
                 deadline,
                 code_lo,
                 code_hi,
-                flight,
-                instret_bias,
                 &mut self.block_events,
             )
         };
@@ -1904,9 +1833,6 @@ impl Vp {
 
     /// Takes a trap; returns the fatal outcome if no vector is installed.
     fn raise(&mut self, trap: Trap) -> Option<RunOutcome> {
-        if let Some(flight) = &mut self.flight {
-            flight.record_trap(self.cpu.instret(), self.cpu.pc(), trap.mcause());
-        }
         if !self.plugins.is_empty() {
             for p in &mut self.plugins {
                 p.on_trap(&self.cpu, &trap);
@@ -2137,13 +2063,10 @@ impl Vp {
     }
 
     fn observe_access(&mut self, pc: u32, addr: u32, size: u8, value: u32, is_store: bool) {
-        if self.plugins.is_empty() && self.flight.is_none() {
+        if self.plugins.is_empty() {
             return;
         }
         if let Some(device) = self.bus.device_name_at(addr) {
-            if let Some(flight) = &mut self.flight {
-                flight.record_device(self.cpu.instret(), pc, device, addr, value, is_store);
-            }
             let access = DeviceAccess {
                 device,
                 pc,

@@ -1,17 +1,33 @@
-//! Flight-recorder integration: the recorder rides the native dispatch
-//! loop (not the plugin hooks), so it must capture blocks, traps and
-//! device accesses from a live run without disturbing execution, and its
-//! tail must survive the snapshot/restore cycle a fault campaign puts a
-//! worker VP through.
+//! Flight-recorder integration: the recorder is a plugin that
+//! subscribes no block, so it must capture blocks, traps and device
+//! accesses from a live run on every execution tier without disturbing
+//! execution, and its tail must survive the snapshot/restore cycle a
+//! fault campaign puts a worker VP through.
 
 use s4e_asm::assemble;
 use s4e_isa::{Gpr, IsaConfig};
-use s4e_vp::{FlightEvent, FlightRecorder, RunOutcome, Vp};
+use s4e_vp::{FlightEvent, FlightRecorder, RunOutcome, Vp, VpBuilder};
 
 fn load_src(vp: &mut Vp, src: &str) {
     let img = assemble(src).expect("assembles");
     vp.load(img.base(), img.bytes()).expect("loads");
     vp.cpu_mut().set_pc(img.entry());
+}
+
+/// The attached recorder.
+fn recorder(vp: &Vp) -> &FlightRecorder {
+    vp.plugin::<FlightRecorder>().expect("attached")
+}
+
+/// The three execution tiers: the uncached interpreter (the oracle),
+/// the micro-op engine and the template JIT compiling every block.
+fn tiers() -> [(&'static str, VpBuilder); 3] {
+    let b = || Vp::builder().isa(IsaConfig::rv32imc());
+    [
+        ("block_cache(false)", b().block_cache(false)),
+        ("jit(false)", b().jit(false)),
+        ("jit_threshold(1)", b().jit_threshold(1)),
+    ]
 }
 
 const MIXED_TRAFFIC: &str = r#"
@@ -39,10 +55,10 @@ const MIXED_TRAFFIC: &str = r#"
 fn recorder_captures_blocks_traps_and_devices() {
     let mut vp = Vp::new(IsaConfig::rv32imc());
     load_src(&mut vp, MIXED_TRAFFIC);
-    vp.set_flight_recorder(Some(FlightRecorder::new(64)));
+    vp.add_plugin(Box::new(FlightRecorder::new(64)));
     assert_eq!(vp.run(), RunOutcome::Break);
 
-    let recorder = vp.flight_recorder().expect("still armed");
+    let recorder = recorder(&vp);
     assert!(recorder.blocks_recorded() > 0, "blocks recorded");
     assert_eq!(recorder.traps_recorded(), 1, "one ecall trap");
     assert_eq!(recorder.device_accesses_recorded(), 1, "one uart store");
@@ -85,7 +101,9 @@ fn recorder_does_not_perturb_execution() {
     let run = |recorder: Option<FlightRecorder>| {
         let mut vp = Vp::new(IsaConfig::rv32imc());
         load_src(&mut vp, MIXED_TRAFFIC);
-        vp.set_flight_recorder(recorder);
+        if let Some(recorder) = recorder {
+            vp.add_plugin(Box::new(recorder));
+        }
         let outcome = vp.run();
         let t3 = vp.cpu().gpr(Gpr::new(28).unwrap());
         (outcome, t3, vp.cpu().instret())
@@ -100,28 +118,26 @@ fn recorder_survives_snapshot_restore() {
     let mut vp = Vp::new(IsaConfig::rv32imc());
     load_src(&mut vp, MIXED_TRAFFIC);
     let snapshot = vp.snapshot();
-    vp.set_flight_recorder(Some(FlightRecorder::new(64)));
+    vp.add_plugin(Box::new(FlightRecorder::new(64)));
     assert_eq!(vp.run(), RunOutcome::Break);
-    let first_blocks = vp.flight_recorder().unwrap().blocks_recorded();
+    let first = recorder(&vp).tail();
+    let first_blocks = recorder(&vp).blocks_recorded();
     assert!(first_blocks > 0);
 
     // The campaign's per-mutant cycle: restore architectural state,
-    // clear the ring, run again. The recorder stays armed — it is
+    // clear the ring, run again. The recorder stays attached — it is
     // harness state, not guest state — and records the second run from
     // scratch.
     vp.restore(&snapshot);
-    vp.flight_recorder_mut().unwrap().clear();
-    assert!(vp.flight_recorder().unwrap().is_empty());
+    vp.plugin_mut::<FlightRecorder>().unwrap().clear();
+    assert!(recorder(&vp).is_empty());
     assert_eq!(vp.run(), RunOutcome::Break);
     assert_eq!(
-        vp.flight_recorder().unwrap().blocks_recorded(),
+        recorder(&vp).blocks_recorded(),
         first_blocks,
         "identical rerun records the identical block tail"
     );
-
-    let taken = vp.take_flight_recorder().expect("take disarms");
-    assert!(vp.flight_recorder().is_none());
-    assert_eq!(taken.blocks_recorded(), first_blocks);
+    assert_eq!(recorder(&vp).tail(), first);
 }
 
 #[test]
@@ -135,9 +151,9 @@ fn bounded_ring_keeps_only_the_newest_tail() {
     "#;
     let mut vp = Vp::new(IsaConfig::rv32imc());
     load_src(&mut vp, src);
-    vp.set_flight_recorder(Some(FlightRecorder::new(4)));
+    vp.add_plugin(Box::new(FlightRecorder::new(4)));
     assert_eq!(vp.run(), RunOutcome::Break);
-    let recorder = vp.flight_recorder().unwrap();
+    let recorder = recorder(&vp);
     assert_eq!(recorder.len(), 4, "ring holds exactly its capacity");
     assert!(recorder.evicted() > 0, "older events were evicted");
     let tail = recorder.tail();
@@ -150,12 +166,12 @@ fn bounded_ring_keeps_only_the_newest_tail() {
     assert!(last <= vp.cpu().instret());
 }
 
-// ------------------------------------------------ native equivalence
+// ------------------------------------------------ tier equivalence
 
-/// Torture programs for the JIT-on/JIT-off ring differential: a tight
-/// loop (hot native chains, heavy wraparound), nested branches (both
-/// chain slots exercised), and mixed trap/device traffic (native code
-/// hands those to the interpreter, which records them).
+/// Torture programs for the tier differential: a tight loop (hot native
+/// chains, heavy wraparound), nested branches (both chain slots
+/// exercised), and mixed trap/device traffic (native code hands those
+/// to the interpreter, which reports them).
 const TORTURE: &[(&str, &str)] = &[
     (
         "tight_loop",
@@ -192,27 +208,21 @@ const TORTURE: &[(&str, &str)] = &[
 ];
 
 /// Runs `src` to completion (optionally in `slice`-instruction budget
-/// chunks, landing expiries mid-block) with the recorder armed, and
-/// returns everything the differential compares: the decoded block
-/// tail (instret stamps + pcs), eviction and lifetime-block counts,
-/// and the full architectural state.
+/// chunks, landing expiries mid-block and at block boundaries) with a
+/// recorder attached, and returns everything the differential compares:
+/// the decoded block tail (instret stamps + pcs), eviction and
+/// lifetime-block counts, and the full architectural state.
 fn flight_fingerprint(
-    jit_on: bool,
+    builder: VpBuilder,
     cap: usize,
     src: &str,
     slice: Option<u64>,
     restore_cycle: bool,
 ) -> (Vec<(u64, u32)>, u64, u64, String) {
-    let b = Vp::builder().isa(IsaConfig::rv32imc());
-    let b = if jit_on {
-        b.jit_threshold(1)
-    } else {
-        b.jit(false)
-    };
-    let mut vp = b.build();
+    let mut vp = builder.build();
     load_src(&mut vp, src);
     let snap = restore_cycle.then(|| vp.snapshot());
-    vp.set_flight_recorder(Some(FlightRecorder::new(cap)));
+    vp.add_plugin(Box::new(FlightRecorder::new(cap)));
     let run_to_break = |vp: &mut Vp| match slice {
         None => assert_eq!(vp.run(), RunOutcome::Break),
         Some(n) => loop {
@@ -229,16 +239,17 @@ fn flight_fingerprint(
         // run executes from *retained* native code end to end — the
         // ring contents must not notice.
         vp.restore(snap);
-        vp.flight_recorder_mut().unwrap().clear();
+        vp.plugin_mut::<FlightRecorder>().unwrap().clear();
         run_to_break(&mut vp);
     }
     ring_fingerprint(&vp)
 }
 
-/// The armed recorder's block tail (instret stamps and pcs), eviction
-/// and lifetime-block counts, and the full architectural state.
+/// The attached recorder's block tail (instret stamps and pcs),
+/// eviction and lifetime-block counts, and the full architectural
+/// state.
 fn ring_fingerprint(vp: &Vp) -> (Vec<(u64, u32)>, u64, u64, String) {
-    let rec = vp.flight_recorder().expect("armed");
+    let rec = recorder(vp);
     let tail: Vec<(u64, u32)> = rec
         .tail()
         .iter()
@@ -257,95 +268,82 @@ fn ring_fingerprint(vp: &Vp) -> (Vec<(u64, u32)>, u64, u64, String) {
 
 /// Property-style sweep: across every torture program, ring capacity
 /// (down to 1, forcing constant wraparound), budget slicing (expiries
-/// landing mid-block), and the restore-survival cycle, the flight ring
-/// with the JIT on is indistinguishable from the interpreted one —
-/// same block pcs, same instret stamps, same eviction accounting.
+/// landing mid-block), and the restore-survival cycle, the recorder on
+/// the micro-op engine and on the template JIT is indistinguishable from
+/// the one on the uncached interpreter — same block pcs, same instret
+/// stamps, same eviction accounting.
 #[test]
 fn flight_ring_is_identical_with_jit_on_and_off() {
     for (name, src) in TORTURE {
         for cap in [1usize, 2, 3, 5, 64] {
             for slice in [None, Some(7), Some(64)] {
                 for restore_cycle in [false, true] {
-                    let native = flight_fingerprint(true, cap, src, slice, restore_cycle);
-                    let interp = flight_fingerprint(false, cap, src, slice, restore_cycle);
-                    assert_eq!(
-                        native, interp,
-                        "{name}: cap={cap} slice={slice:?} restore={restore_cycle}"
-                    );
+                    let [(_, oracle), rest @ ..] = tiers();
+                    let expected = flight_fingerprint(oracle, cap, src, slice, restore_cycle);
+                    for (tier, builder) in rest {
+                        assert_eq!(
+                            flight_fingerprint(builder, cap, src, slice, restore_cycle),
+                            expected,
+                            "{name} on {tier}: cap={cap} slice={slice:?} restore={restore_cycle}"
+                        );
+                    }
                 }
             }
         }
     }
 }
 
-// ------------------------------------------- arming and disarming
-//
-// Native code carries the ring write only while a recorder is armed, so
-// the run after arming or disarming one must drop the code compiled so
-// far.
-
-/// A VP for the arming tests: the JIT at threshold 1, or pinned off.
-fn arming_vp(jit_on: bool) -> Vp {
-    let b = Vp::builder().isa(IsaConfig::rv32imc());
-    let mut vp = if jit_on {
-        b.jit_threshold(1)
-    } else {
-        b.jit(false)
+/// A run whose budget runs out at a block boundary enters no further
+/// block, so the tail's newest block entry retired at least one
+/// instruction: none carries the run's final `instret`.
+#[test]
+fn a_budget_spent_at_a_block_boundary_records_no_further_block() {
+    let trap_free_loop = r#"
+    loop:
+        addi a0, a0, 1
+        addi a1, a1, 2
+        j loop
+    "#;
+    for (tier, builder) in tiers() {
+        for budget in 100..=130u64 {
+            let mut vp = builder.clone().build();
+            load_src(&mut vp, trap_free_loop);
+            vp.add_plugin(Box::new(FlightRecorder::new(8)));
+            assert_eq!(vp.run_for(budget), RunOutcome::InsnLimit, "{tier}");
+            let end = vp.cpu().instret();
+            let phantom = recorder(&vp).tail().into_iter().find(
+                |(ev, _)| matches!(ev, FlightEvent::Block { instret, .. } if *instret == end),
+            );
+            assert_eq!(phantom, None, "{tier}, budget {budget}");
+        }
     }
-    .build();
-    load_src(&mut vp, TORTURE[0].1);
-    vp
 }
 
 #[test]
 fn arming_after_native_code_exists_records_every_block() {
     // The first 101 instructions of the tight loop run with no recorder
-    // (natively, with the JIT on), then a recorder is armed for the
-    // rest: native code compiled without the ring write must not run
-    // with it armed.
+    // (natively, with the JIT on), then a recorder is attached for the
+    // rest: native code compiled without the plugin event write must
+    // not run with it attached.
     let run = |jit_on: bool| {
-        let mut vp = arming_vp(jit_on);
+        let b = Vp::builder().isa(IsaConfig::rv32imc());
+        let mut vp = if jit_on {
+            b.jit_threshold(1)
+        } else {
+            b.jit(false)
+        }
+        .build();
+        load_src(&mut vp, TORTURE[0].1);
         assert_eq!(vp.run_for(101), RunOutcome::InsnLimit);
         let before = vp.take_dispatch_stats();
-        vp.set_flight_recorder(Some(FlightRecorder::new(64)));
+        vp.add_plugin(Box::new(FlightRecorder::new(64)));
         assert_eq!(vp.run(), RunOutcome::Break);
         (ring_fingerprint(&vp), before.jit_exec, vp.dispatch_stats())
     };
     let (native, exec_before, stats) = run(true);
     let (interpreted, _, _) = run(false);
     assert_eq!(native, interpreted);
-    assert!(exec_before > 20, "the loop ran natively before arming");
+    assert!(exec_before > 20, "the loop ran natively before attaching");
     assert!(stats.jit_exec > 20, "and after: {stats:?}");
-    assert!(native.2 > 60, "the armed half entered every block");
-}
-
-#[test]
-fn disarming_drops_ring_writing_code_and_replacing_keeps_it() {
-    // Armed for the first 101 instructions (native code with the ring
-    // write), replaced for the next 101, then disarmed for the rest.
-    let run = |jit_on: bool| {
-        let mut vp = arming_vp(jit_on);
-        vp.set_flight_recorder(Some(FlightRecorder::new(8)));
-        assert_eq!(vp.run_for(101), RunOutcome::InsnLimit);
-        let first = vp.take_dispatch_stats();
-        // Replacing an armed recorder keeps the compiled code.
-        vp.set_flight_recorder(Some(FlightRecorder::new(8)));
-        assert_eq!(vp.run_for(101), RunOutcome::InsnLimit);
-        let replaced = ring_fingerprint(&vp);
-        let second = vp.take_dispatch_stats();
-        let taken = vp.take_flight_recorder().expect("armed");
-        assert!(taken.blocks_recorded() > 30);
-        assert_eq!(vp.run(), RunOutcome::Break);
-        let third = vp.take_dispatch_stats();
-        (format!("{:?}", vp.cpu()), replaced, [first, second, third])
-    };
-    let (native, native_ring, [first, second, third]) = run(true);
-    let (interpreted, interpreted_ring, _) = run(false);
-    assert_eq!(native, interpreted);
-    assert_eq!(native_ring, interpreted_ring);
-    assert!(first.jit_blocks > 0 && first.jit_exec > 20, "{first:?}");
-    assert_eq!(second.jit_blocks, 0, "replacing recompiled: {second:?}");
-    assert!(second.jit_exec > 20, "{second:?}");
-    // Disarming drops the ring-writing code: the rest compiles again.
-    assert!(third.jit_blocks > 0 && third.jit_exec > 20, "{third:?}");
+    assert!(native.2 > 60, "the attached half entered every block");
 }

@@ -142,8 +142,8 @@ OPTIONS:
                                                  on the micro-op interpreter instead of being
                                                  compiled to host code; in campaigns this now
                                                  covers mutant suffixes too — native code
-                                                 survives each per-mutant restore and records
-                                                 flight data inline, so --no-jit slows the
+                                                 survives each per-mutant restore and feeds
+                                                 the flight recorder, so --no-jit slows the
                                                  whole sweep, not just the golden replay
                                                  (run/profile/campaign)
     --progress                                   live status line on stderr (run/profile/campaign)
@@ -434,8 +434,8 @@ fn write_trace(
 /// `instret`, so each timestamp interpolates the `[start_us, end_us]`
 /// window by retired-instruction fraction — ordering is exact, spacing
 /// is approximate.
-fn trace_flight_tail(ring: &mut TraceRing, vp: &mut Vp, start_us: u64, end_us: u64) {
-    let Some(recorder) = vp.take_flight_recorder() else {
+fn trace_flight_tail(ring: &mut TraceRing, vp: &Vp, start_us: u64, end_us: u64) {
+    let Some(recorder) = vp.plugin::<FlightRecorder>() else {
         return;
     };
     let total = vp.cpu().instret().max(1);
@@ -634,7 +634,7 @@ fn run_command_inner(
                 vp.add_plugin(Box::new(ProfilePlugin::new()));
             }
             if opts.trace_out.is_some() {
-                vp.set_flight_recorder(Some(FlightRecorder::new(RUN_FLIGHT_CAPACITY)));
+                vp.add_plugin(Box::new(FlightRecorder::new(RUN_FLIGHT_CAPACITY)));
             }
             let ticker = if opts.progress {
                 let registry = vp
@@ -679,7 +679,7 @@ fn run_command_inner(
                 (ring.take(), run_start, &opts.trace_out)
             {
                 let end = ring.now_us();
-                trace_flight_tail(&mut ring, &mut vp, start, end);
+                trace_flight_tail(&mut ring, &vp, start, end);
                 ring.span_at(
                     "run",
                     "vp",
@@ -806,7 +806,7 @@ fn run_command_inner(
                 .map_err(|e| CliError::new(format!("image does not fit RAM: {e}")))?;
             vp.add_plugin(Box::new(ProfilePlugin::new()));
             if opts.trace_out.is_some() {
-                vp.set_flight_recorder(Some(FlightRecorder::new(RUN_FLIGHT_CAPACITY)));
+                vp.add_plugin(Box::new(FlightRecorder::new(RUN_FLIGHT_CAPACITY)));
             }
             let ticker = if opts.progress {
                 let registry = vp
@@ -864,7 +864,7 @@ fn run_command_inner(
                 (ring.take(), run_start, &opts.trace_out)
             {
                 let end = ring.now_us();
-                trace_flight_tail(&mut ring, &mut vp, start, end);
+                trace_flight_tail(&mut ring, &vp, start, end);
                 ring.span_at(
                     "profile",
                     "vp",
@@ -1011,8 +1011,10 @@ fn run_command_inner(
                     .or_else(|_| std::env::current_exe())
                     .map_err(|e| CliError::new(format!("cannot locate worker binary: {e}")))?;
                 let worker_args = worker_flag_args(opts, source_path);
-                // The metrics file of every worker spawned by this run.
-                let worker_metrics = std::cell::RefCell::new(std::collections::BTreeSet::new());
+                // The checkpoint of every worker spawned by this run. Each
+                // worker writes its trace chunk and counters next to it
+                // on a clean exit, and only these files are merged.
+                let worker_checkpoints = std::cell::RefCell::new(std::collections::BTreeSet::new());
                 let supervisor = s4e_faultsim::ShardSupervisor::new(sup_cfg, |req| {
                     let mut cmd = std::process::Command::new(&worker_bin);
                     cmd.args(&worker_args)
@@ -1020,21 +1022,21 @@ fn run_command_inner(
                         .arg(format!("{}..{}", req.range.start, req.range.end))
                         .arg("--checkpoint")
                         .arg(&req.checkpoint);
+                    // A stale file from an earlier attempt or run must not
+                    // stand in for a worker killed mid-range.
                     if opts.trace_out.is_some() {
-                        // Each worker streams its trace chunk next to its
-                        // checkpoint; the supervisor merges the chunks.
-                        cmd.arg("--trace-out")
-                            .arg(req.checkpoint.with_extension("trace.json"));
+                        let path = req.checkpoint.with_extension("trace.json");
+                        let _ = std::fs::remove_file(&path);
+                        cmd.arg("--trace-out").arg(path);
                     }
                     if opts.metrics_out.is_some() {
-                        // Each worker writes its counters on a clean exit;
-                        // a stale file from an earlier attempt or run must
-                        // not stand in for one killed mid-range.
                         let path = req.checkpoint.with_extension("metrics.json");
                         let _ = std::fs::remove_file(&path);
-                        cmd.arg("--metrics-out").arg(&path);
-                        worker_metrics.borrow_mut().insert(path);
+                        cmd.arg("--metrics-out").arg(path);
                     }
+                    worker_checkpoints
+                        .borrow_mut()
+                        .insert(req.checkpoint.clone());
                     if let Some(dir) = &opts.trace_dir {
                         cmd.arg("--trace-dir").arg(dir);
                     }
@@ -1086,10 +1088,11 @@ fn run_command_inner(
                 // Outcomes come from the merged checkpoint; the workers'
                 // files add the counters only the workers saw.
                 if let Some(p) = &progress {
-                    for path in worker_metrics.borrow().iter() {
-                        if let Some(snap) = std::fs::read_to_string(path)
-                            .ok()
-                            .and_then(|text| Snapshot::from_json(&text).ok())
+                    for checkpoint in worker_checkpoints.borrow().iter() {
+                        if let Some(snap) =
+                            std::fs::read_to_string(checkpoint.with_extension("metrics.json"))
+                                .ok()
+                                .and_then(|text| Snapshot::from_json(&text).ok())
                         {
                             p.add_worker_counters(&snap);
                         }
@@ -1101,28 +1104,23 @@ fn run_command_inner(
                 } else if !sharded.quarantined.is_empty() {
                     code = EXIT_QUARANTINED;
                 }
-                // Merge the supervisor's own lane with every shard chunk
-                // that survived (a worker killed mid-range never flushes
-                // its chunk; its classified results still made the
-                // checkpoint, so only its spans are lost).
+                // Merge the supervisor's own lane with the chunk of every
+                // worker this run spawned that survived (a worker killed
+                // mid-range never flushes its chunk; its classified
+                // results still made the checkpoint, so only its spans
+                // are lost).
                 if let (Some(tracer), Some(path)) = (&tracer, &opts.trace_out) {
                     let mut chunks = vec![tracer.drain()];
                     let mut skipped = 0usize;
-                    if let Ok(entries) = std::fs::read_dir(&shard_dir) {
-                        let mut chunk_paths: Vec<std::path::PathBuf> = entries
-                            .flatten()
-                            .map(|e| e.path())
-                            .filter(|p| p.to_string_lossy().ends_with(".trace.json"))
-                            .collect();
-                        chunk_paths.sort();
-                        for chunk in chunk_paths {
-                            match std::fs::read_to_string(&chunk)
-                                .ok()
-                                .and_then(|text| from_chrome_json(&text).ok())
-                            {
-                                Some(events) => chunks.push(events),
-                                None => skipped += 1,
-                            }
+                    for checkpoint in worker_checkpoints.borrow().iter() {
+                        let Ok(text) =
+                            std::fs::read_to_string(checkpoint.with_extension("trace.json"))
+                        else {
+                            continue;
+                        };
+                        match from_chrome_json(&text) {
+                            Ok(events) => chunks.push(events),
+                            Err(_) => skipped += 1,
                         }
                     }
                     if skipped > 0 {

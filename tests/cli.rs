@@ -513,6 +513,37 @@ fn sharded_campaign_merges_worker_trace_chunks() {
     assert!(events.windows(2).all(|w| w[0].ts_us <= w[1].ts_us));
 }
 
+#[test]
+fn sharded_trace_out_merges_only_this_runs_chunks() {
+    // A `--shards 4` sweep leaves four worker chunks beside its
+    // checkpoint; a `--shards 2` sweep on the same checkpoint must merge
+    // only the two its own workers wrote.
+    let dir = cli_test_dir("stale-chunks");
+    let prog = dir.join("prog.s");
+    std::fs::write(&prog, CAMPAIGN_PROGRAM).expect("program");
+    let ckpt = dir.join("c.jsonl");
+    let trace = dir.join("sweep.trace.json");
+    for shards in ["4", "2"] {
+        let output = std::process::Command::new(env!("CARGO_BIN_EXE_s4e"))
+            .arg("campaign")
+            .arg(&prog)
+            .args(["--mutants", "2", "--isa", "rv32imc", "--shards", shards])
+            .args(["--checkpoint", ckpt.to_str().unwrap()])
+            .args(["--trace-out", trace.to_str().unwrap()])
+            .output()
+            .expect("s4e runs");
+        let stdout = String::from_utf8_lossy(&output.stdout);
+        assert_eq!(output.status.code(), Some(0), "{stdout}");
+    }
+    let json = std::fs::read_to_string(&trace).expect("merged trace");
+    let events = scale4edge::obs::from_chrome_json(&json).expect("parseable Chrome trace");
+    let pids: std::collections::BTreeSet<u64> = events.iter().map(|e| e.pid).collect();
+    assert_eq!(pids.len(), 3, "supervisor + 2 shard lanes: {pids:?}");
+    let mutants = events.iter().filter(|e| e.name == "mutant").count();
+    assert_eq!(mutants, 64);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 /// Synchronous traps that do not retire, each skipped by the handler:
 /// misaligned loads, `ecall` and an access to a missing CSR (the
 /// `s4e-faultsim` test program `TRAP_PROGRAM`).
@@ -766,7 +797,14 @@ fn sharded_metrics_out_carries_worker_counters() {
     let ckpt = dir.join("sharded.jsonl");
     let sharded = metrics(
         "sharded",
-        &["--shards", "2", "--checkpoint", ckpt.to_str().unwrap()],
+        &[
+            "--shards",
+            "2",
+            "--threads",
+            "2",
+            "--checkpoint",
+            ckpt.to_str().unwrap(),
+        ],
     );
     let in_process = metrics("in-process", &["--threads", "2"]);
     let outcomes = |snap: &scale4edge::obs::Snapshot| {
@@ -782,6 +820,11 @@ fn sharded_metrics_out_carries_worker_counters() {
     };
     assert_eq!(outcomes(&sharded), outcomes(&in_process));
     assert!(sharded.counter("campaign_done").unwrap_or(0) > 0);
+    // Both worker rows count the supervisor's shard tasks, not the
+    // workers' threads.
+    let workers = sharded.gauge("campaign_workers");
+    assert_eq!(workers, Some(2));
+    assert_eq!(sharded.counter("campaign_workers_exited"), workers);
     for name in [
         "campaign_retired",
         "campaign_translations",

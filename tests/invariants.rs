@@ -184,7 +184,7 @@ fn masked_case(
             vp.cpu_mut().plant_gpr_fault(reg, bit, value);
         }
         if flight {
-            vp.set_flight_recorder(Some(FlightRecorder::new(32)));
+            vp.add_plugin(Box::new(FlightRecorder::new(32)));
         }
         if plugin {
             vp.add_plugin(Box::new(BlockOnly));
@@ -202,7 +202,7 @@ fn masked_case(
         )
     };
     let tail = |(_, vp): &(RunOutcome, Vp)| {
-        let recorder = vp.flight_recorder().expect("armed");
+        let recorder = vp.plugin::<FlightRecorder>().expect("attached");
         (
             recorder.tail(),
             recorder.blocks_recorded(),

@@ -267,8 +267,8 @@ fn quarantined_mutant_leaves_a_forensic_bundle() {
     // the mutant: crash, backoff/restart, bisection.
     assert!(text.contains("\"attempts\":["), "{text}");
     assert!(text.contains("bisect"), "{text}");
-    // Mutant suffixes execute natively by default now; the JIT's inline
-    // ring write must keep feeding the forensic tail, so the bundle
+    // Mutant suffixes execute natively by default now; the block entries
+    // native code writes must keep feeding the forensic tail, so the bundle
     // still carries the blocks the convicted mutant ran through.
     assert!(text.contains("\"flight\":{"), "{text}");
     assert!(
